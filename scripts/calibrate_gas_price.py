@@ -32,8 +32,8 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    genesis, blocks = simnet.build_cost_model_chain(gas_price=args.gas_price)
-    report = gas.gas_report(blocks, genesis)
+    _, blocks, receipts = simnet.build_cost_model_chain(gas_price=args.gas_price)
+    report = gas.gas_report(blocks, receipts)
 
     print(f"candidate gas price: {args.gas_price} wei")
     for row in report.rows:

@@ -47,7 +47,7 @@ def main() -> int:
 
     genesis = ledger.GenesisConfig.load(FIXTURES / "genesis50.json")
     store = ledger.load_chain(FIXTURES / "chain50.jsonl", genesis)
-    report = gas.gas_report(store.blocks, genesis)
+    report = gas.gas_report(store.blocks, store.receipts)
     (FIXTURES / "gas_report50.csv").write_text(report.to_csv(), encoding="utf-8")
 
     goldens = {

@@ -37,8 +37,6 @@ def _load_key(path) -> KeyPair:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         key = KeyPair(secret_key=doc["secret_key"], public_key=doc["public_key"])
-    except FileNotFoundError:
-        raise
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise UsageError(f"not a key file: {path} ({exc})") from exc
     if doc.get("address") != key.address:
@@ -199,27 +197,10 @@ def cmd_tx(args) -> int:
         args.timestamp if args.timestamp is not None else store.tip.header.timestamp + 1
     )
     sealer_key = _resolve_sealer(args, store, sender_key)
-    ctx = registry.TxContext(
-        block_index=store.tip.header.index + 1,
-        timestamp=timestamp,
-        sealer=sealer_key.address,
-        gas_params=genesis.gas_params,
-        faucet_amount=genesis.faucet_amount,
-        faucet_cooldown=genesis.faucet_cooldown,
-    )
-    state, receipt = registry.apply_tx(store.state, tx, ctx)
     try:
-        block = ledger.seal_block(
-            [tx],
-            store.tip.header,
-            registry.state_commitment(state),
-            sealer_key,
-            timestamp,
-            genesis,
-        )
+        block, (receipt,) = ledger.extend(store, [tx], sealer_key, timestamp)
     except (ledger.NotAuthorityError, ledger.WrongTurnError, ledger.ClockRegressionError) as exc:
         raise UsageError(str(exc)) from None
-    ledger.append_block(store, block)
     doc = receipt.to_canonical()
     doc["block_index"] = block.header.index
     print(json.dumps(doc, sort_keys=True))
@@ -270,7 +251,7 @@ def cmd_history(args) -> int:
 
 def cmd_gas_report(args) -> int:
     store = _open_store(args)
-    report = gas_model.gas_report(store.blocks, store.genesis)
+    report = gas_model.gas_report(store.blocks, store.receipts)
     csv_text = report.to_csv()
     if args.csv:
         Path(args.csv).write_text(csv_text, encoding="utf-8")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
@@ -38,7 +38,7 @@ def _private_key_obj(secret_key: str) -> Ed25519PrivateKey:
 
 @dataclass(frozen=True)
 class KeyPair:
-    secret_key: str  # 32-byte seed, 0x hex
+    secret_key: str = field(repr=False)  # 32-byte seed, 0x hex; kept out of repr
     public_key: str  # 32-byte Ed25519 verification key, 0x hex
 
     @property

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping
 
 from .canonical import canonical_serialize
 
@@ -22,10 +22,6 @@ WEI_PER_GWEI = 10**9
 DEFAULT_GAS_PRICE = 1_100_000_000  # wei per gas unit (1.1 gwei), calibrated
 
 CATEGORIES = ("Deploy", "Register", "Transfer", "Sell", "FaucetClaim")
-
-
-class InsufficientFundsError(Exception):
-    """Raised by settle() when the payer cannot cover the fee."""
 
 
 @dataclass(frozen=True)
@@ -50,18 +46,22 @@ class GasParams:
 
     @classmethod
     def from_canonical(cls, doc: Mapping[str, Any]) -> "GasParams":
+        if not isinstance(doc, Mapping):
+            raise ValueError("gas_params must be an object")
         names = {f.name for f in fields(cls)}
         unknown = set(doc) - names
         if unknown:
             raise ValueError(f"unknown gas parameters: {sorted(unknown)}")
-        return cls(**{k: int(v) for k, v in doc.items()})
+        for name, value in doc.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"gas parameter {name} must be an integer")
+        return cls(**doc)
 
 
 def calldata_gas(data: bytes, params: GasParams) -> int:
-    total = 0
-    for byte in data:
-        total += params.calldata_zero_byte if byte == 0 else params.calldata_nonzero_byte
-    return total
+    """Zero bytes at one price, every other byte at another."""
+    nonzero, zero = params.calldata_nonzero_byte, params.calldata_zero_byte
+    return nonzero * len(data) - (nonzero - zero) * data.count(0)
 
 
 def intrinsic_gas(kind_canonical: dict, params: GasParams) -> int:
@@ -91,58 +91,11 @@ def storage_gas(kind_canonical: dict, params: GasParams) -> int:
     raise ValueError(f"unknown transaction kind {kind_type!r}")
 
 
-def gas_for_tx(tx, state, params: Optional[GasParams] = None) -> int:
-    """Gas a transaction would consume against the given state.
-
-    Faucet claims are fee-free by design and meter as zero even when
-    rejected.  Other transactions pay base + calldata always, plus the
-    variant's storage cost when the variant rules accept it.
-    """
-    from . import registry
-
-    params = params or GasParams()
-    kind_canonical = registry.kind_to_canonical(tx.kind)
-    if kind_canonical["type"] == "faucet_claim":
-        return 0
-    gas = intrinsic_gas(kind_canonical, params)
-    if registry.transition_error(state, tx.sender, tx.kind) is None:
-        gas += storage_gas(kind_canonical, params)
-    return gas
-
-
 def fee(gas: int, gas_price: int) -> int:
     """Exact integer product; Python integers are arbitrary precision."""
     if gas < 0 or gas_price < 0:
         raise ValueError("gas and gas_price must be non-negative")
     return gas * gas_price
-
-
-def settle(state, payer: str, sealer: str, fee_wei: int):
-    """Move fee_wei from payer to sealer, returning a new state.
-
-    Total supply is unchanged; a zero fee returns the state as-is.
-    """
-    from dataclasses import replace
-
-    if fee_wei == 0:
-        return state
-    payer_acct = state.accounts[payer]
-    if payer_acct.balance < fee_wei:
-        raise InsufficientFundsError(
-            f"{payer} balance {payer_acct.balance} < fee {fee_wei}"
-        )
-    accounts = dict(state.accounts)
-    accounts[payer] = replace(payer_acct, balance=payer_acct.balance - fee_wei)
-    sealer_acct = accounts[sealer]
-    accounts[sealer] = replace(sealer_acct, balance=sealer_acct.balance + fee_wei)
-    return replace(state, accounts=accounts)
-
-
-def format_eth_exact(wei: int) -> str:
-    """ETH rendering to full wei precision (18 decimal places)."""
-    sign = "-" if wei < 0 else ""
-    wei = abs(wei)
-    return f"{sign}{wei // WEI_PER_ETH}.{wei % WEI_PER_ETH:018d}"
 
 
 def format_eth(wei: int) -> str:
@@ -180,10 +133,6 @@ class GasReport:
     @property
     def total_fee_wei(self) -> int:
         return self.total.total_fee
-
-    @property
-    def total_fee_eth_exact(self) -> str:
-        return format_eth_exact(self.total.total_fee)
 
     @property
     def total_fee_eth(self) -> str:
@@ -227,17 +176,12 @@ def build_report(categorized: Iterable[tuple]) -> GasReport:
     return GasReport(rows=rows, total=total)
 
 
-def gas_report(blocks, genesis) -> GasReport:
-    """Replay a validated chain and aggregate receipts by category.
+def gas_report(blocks, receipts_per_block) -> GasReport:
+    """Aggregate a validated chain's receipts, one list per block, by category."""
+    from . import registry
 
-    Raises ledger.ValidationFailedError if the chain does not validate.
-    """
-    from . import ledger, registry
-
-    _, receipts_per_block = ledger.replay_chain(blocks, genesis)
-    triples = []
-    for block, receipts in zip(blocks, receipts_per_block):
-        for tx, receipt in zip(block.txs, receipts):
-            category = registry.kind_category(tx.kind)
-            triples.append((category, receipt.gas_used, receipt.fee))
-    return build_report(triples)
+    return build_report(
+        (registry.kind_category(tx.kind), receipt.gas_used, receipt.fee)
+        for block, receipts in zip(blocks, receipts_per_block)
+        for tx, receipt in zip(block.txs, receipts)
+    )

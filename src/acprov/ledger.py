@@ -194,17 +194,19 @@ class GenesisConfig:
             "roles",
         }
         _require(set(doc) == expected, f"genesis must have fields {sorted(expected)}")
-        authorities = tuple(
-            (pair[0], pair[1])
-            for pair in doc["authorities"]
-            if _require(
-                isinstance(pair, Sequence) and len(pair) == 2, "authority entries are pairs"
+        for name in ("roles", "initial_balances", "account_keys"):
+            _require(isinstance(doc[name], Mapping), f"{name} must be an object")
+        _require(isinstance(doc["authorities"], list), "authorities must be a list")
+        for pair in doc["authorities"]:
+            _require(
+                isinstance(pair, list)
+                and len(pair) == 2
+                and all(isinstance(item, str) for item in pair),
+                "authority entries are [address, public_key] string pairs",
             )
-            is None
-        )
         config = cls(
             chain_id=_as_int(doc["chain_id"], "chain_id", minimum=1),
-            authorities=authorities,
+            authorities=tuple((addr, pub) for addr, pub in doc["authorities"]),
             roles={addr: registry.Role(role) for addr, role in doc["roles"].items()},
             initial_balances={
                 addr: _as_int(v, f"balance of {addr}")
@@ -225,11 +227,9 @@ class GenesisConfig:
     @classmethod
     def load(cls, path) -> "GenesisConfig":
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise
-        try:
-            doc = json.loads(text)
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(1, f"genesis file is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(exc.lineno, f"genesis file: {exc.msg}") from exc
         try:
@@ -346,11 +346,14 @@ def genesis_block(genesis: GenesisConfig) -> Block:
     return Block(header=header, txs=(), seal=ZERO_SEAL)
 
 
-def make_context(genesis: GenesisConfig, header: BlockHeader) -> registry.TxContext:
+def make_context(
+    genesis: GenesisConfig, index: int, timestamp: int, sealer: str
+) -> registry.TxContext:
+    """The execution context of block ``index``; the only TxContext builder."""
     return registry.TxContext(
-        block_index=header.index,
-        timestamp=header.timestamp,
-        sealer=header.sealer,
+        block_index=index,
+        timestamp=timestamp,
+        sealer=sealer,
         gas_params=genesis.gas_params,
         faucet_amount=genesis.faucet_amount,
         faucet_cooldown=genesis.faucet_cooldown,
@@ -394,6 +397,36 @@ def seal_block(
 # Validation and replay
 
 
+def _invalid(index: int, rule: str, detail: str) -> ValidationFailedError:
+    return ValidationFailedError(ValidationReport(False, index, rule, detail))
+
+
+def _execute(
+    state: registry.RegistryState,
+    txs: Sequence[registry.TxEnvelope],
+    ctx: registry.TxContext,
+) -> Tuple[registry.RegistryState, List[registry.Receipt]]:
+    """Apply txs in order; an unauthenticated one makes the block invalid."""
+    receipts: List[registry.Receipt] = []
+    for position, tx in enumerate(txs):
+        state, receipt = registry.apply_tx(state, tx, ctx)
+        if receipt.error == registry.BAD_SIGNATURE:
+            raise _invalid(
+                ctx.block_index, RULE_TX_SIGNATURE, f"tx {position} signature does not verify"
+            )
+        if receipt.error == registry.BAD_NONCE:
+            raise _invalid(ctx.block_index, RULE_TX_NONCE, f"tx {position} nonce mismatch")
+        receipts.append(receipt)
+    return state, receipts
+
+
+def _seal_verifies(block: Block, genesis: GenesisConfig) -> bool:
+    public_key = genesis.public_key_of(block.header.sealer)
+    return public_key is not None and verify(
+        public_key, from_hex(header_hash(block.header)), block.seal
+    )
+
+
 def _check_block(
     block: Block,
     prev: BlockHeader,
@@ -406,58 +439,46 @@ def _check_block(
     naming the violated rule otherwise.
     """
     index = prev.index + 1
-
-    def fail(rule: str, detail: str) -> ValidationFailedError:
-        return ValidationFailedError(ValidationReport(False, index, rule, detail))
-
     h = block.header
     if h.index != index:
-        raise fail(RULE_INDEX, f"expected index {index}, found {h.index}")
+        raise _invalid(index, RULE_INDEX, f"expected index {index}, found {h.index}")
     if h.timestamp < prev.timestamp:
-        raise fail(RULE_TIMESTAMP, f"timestamp {h.timestamp} < parent {prev.timestamp}")
+        raise _invalid(index, RULE_TIMESTAMP, f"timestamp {h.timestamp} < parent {prev.timestamp}")
     expected_prev = header_hash(prev)
     if h.prev_hash != expected_prev:
-        raise fail(RULE_LINKAGE, f"prev_hash {h.prev_hash} != {expected_prev}")
+        raise _invalid(index, RULE_LINKAGE, f"prev_hash {h.prev_hash} != {expected_prev}")
     authorities = genesis.authority_addresses
     due = authorities[index % len(authorities)]
     if h.sealer != due:
-        raise fail(RULE_SEALER, f"sealer {h.sealer} out of turn, expected {due}")
-    public_key = genesis.public_key_of(h.sealer)
-    if public_key is None or not verify(public_key, from_hex(header_hash(h)), block.seal):
-        raise fail(RULE_SEAL, "seal signature does not verify")
+        raise _invalid(index, RULE_SEALER, f"sealer {h.sealer} out of turn, expected {due}")
+    if not _seal_verifies(block, genesis):
+        raise _invalid(index, RULE_SEAL, "seal signature does not verify")
     recomputed_root = tx_root_of(block.txs)
     if h.tx_root != recomputed_root:
-        raise fail(RULE_TX_ROOT, f"tx_root {h.tx_root} != {recomputed_root}")
-    ctx = make_context(genesis, h)
-    receipts: List[registry.Receipt] = []
-    for position, tx in enumerate(block.txs):
-        state, receipt = registry.apply_tx(state, tx, ctx)
-        if receipt.error == registry.BAD_SIGNATURE:
-            raise fail(RULE_TX_SIGNATURE, f"tx {position} signature does not verify")
-        if receipt.error == registry.BAD_NONCE:
-            raise fail(RULE_TX_NONCE, f"tx {position} nonce mismatch")
-        receipts.append(receipt)
+        raise _invalid(index, RULE_TX_ROOT, f"tx_root {h.tx_root} != {recomputed_root}")
+    state, receipts = _execute(
+        state, block.txs, make_context(genesis, index, h.timestamp, h.sealer)
+    )
     commitment = registry.state_commitment(state)
     if h.state_root != commitment:
-        raise fail(RULE_STATE_ROOT, f"state_root {h.state_root} != {commitment}")
+        raise _invalid(index, RULE_STATE_ROOT, f"state_root {h.state_root} != {commitment}")
     return state, receipts
 
 
 def _replay(
     blocks: Sequence[Block], genesis: GenesisConfig
 ) -> Tuple[registry.RegistryState, List[List[registry.Receipt]]]:
-    """Full-chain validation; raises ValidationFailedError on the first offense."""
+    """Full-chain validation; returns (final state, receipts per block).
+
+    Raises ValidationFailedError on the first offense.
+    """
     if not blocks:
-        raise ValidationFailedError(
-            ValidationReport(False, 0, RULE_GENESIS, "chain is empty")
-        )
+        raise _invalid(0, RULE_GENESIS, "chain is empty")
     expected = genesis_block(genesis)
     if canonical_serialize(blocks[0].to_canonical()) != canonical_serialize(
         expected.to_canonical()
     ):
-        raise ValidationFailedError(
-            ValidationReport(False, 0, RULE_GENESIS, "block 0 does not match the genesis config")
-        )
+        raise _invalid(0, RULE_GENESIS, "block 0 does not match the genesis config")
     state = genesis_state(genesis)
     receipts_per_block: List[List[registry.Receipt]] = [[]]
     prev = blocks[0].header
@@ -475,13 +496,6 @@ def validate_chain(blocks: Sequence[Block], genesis: GenesisConfig) -> Validatio
     except ValidationFailedError as exc:
         return exc.report
     return ValidationReport(ok=True)
-
-
-def replay_chain(
-    blocks: Sequence[Block], genesis: GenesisConfig
-) -> Tuple[registry.RegistryState, List[List[registry.Receipt]]]:
-    """Validate and return (final state, receipts per block); raises if invalid."""
-    return _replay(blocks, genesis)
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +547,13 @@ def create_store(path, genesis: GenesisConfig) -> LedgerStore:
     )
 
 
-def append_block(store: LedgerStore, block: Block) -> LedgerStore:
-    """Validate against the tip, then append atomically (single write)."""
-    state, receipts = _check_block(block, store.tip.header, store.state, store.genesis)
+def _write(
+    store: LedgerStore,
+    block: Block,
+    state: registry.RegistryState,
+    receipts: List[registry.Receipt],
+) -> None:
+    """Append a checked block to the file in one write, then to the store."""
     try:
         fd = os.open(str(store.path), os.O_WRONLY | os.O_APPEND)
         try:
@@ -547,6 +565,38 @@ def append_block(store: LedgerStore, block: Block) -> LedgerStore:
     store.blocks.append(block)
     store.state = state
     store.receipts.append(receipts)
+
+
+def extend(
+    store: LedgerStore,
+    txs: Sequence[registry.TxEnvelope],
+    sealer_key: KeyPair,
+    timestamp: int,
+) -> Tuple[Block, List[registry.Receipt]]:
+    """Execute txs once on the tip state, seal the next block, and append it.
+
+    This is the one way the package writes a block.  It raises
+    ValidationFailedError (rules tx_signature, tx_nonce, seal) instead of
+    writing a block that load_chain would reject, and the seal_block
+    errors for a sealer out of turn or a clock that runs backwards.
+    """
+    parent = store.tip.header
+    index = parent.index + 1
+    ctx = make_context(store.genesis, index, timestamp, sealer_key.address)
+    state, receipts = _execute(store.state, txs, ctx)
+    block = seal_block(
+        txs, parent, registry.state_commitment(state), sealer_key, timestamp, store.genesis
+    )
+    if not _seal_verifies(block, store.genesis):
+        raise _invalid(index, RULE_SEAL, "seal signature does not verify")
+    _write(store, block, state, receipts)
+    return block, receipts
+
+
+def append_block(store: LedgerStore, block: Block) -> LedgerStore:
+    """Fully validate a block built elsewhere against the tip, then append it."""
+    state, receipts = _check_block(block, store.tip.header, store.state, store.genesis)
+    _write(store, block, state, receipts)
     return store
 
 

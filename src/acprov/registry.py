@@ -421,8 +421,7 @@ def transition_error(state: RegistryState, sender: str, kind: TxKind) -> Optiona
     """First violated variant rule, or None when the effect may apply.
 
     Authentication, fees, and faucet cooldowns are handled by apply_tx;
-    this covers only the product/contract rules, so the gas model can
-    ask "would this variant execute" without simulating money.
+    this covers only the product/contract rules.
     """
     sender_acct = state.accounts.get(sender)
     sender_role = sender_acct.role if sender_acct else None

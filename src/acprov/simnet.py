@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -29,7 +30,6 @@ from .registry import (
     Role,
     Sell,
     Transfer,
-    VerificationResult,
 )
 
 ROLE_ORDER = (Role.MANUFACTURER, Role.DISTRIBUTOR, Role.RETAILER, Role.CONSUMER, Role.AUTHORITY)
@@ -50,7 +50,7 @@ class Mutation:
 
     @classmethod
     def from_canonical(cls, doc: Mapping[str, Any]) -> "Mutation":
-        if set(doc) != {"target", "byte_offset", "new_byte"}:
+        if not isinstance(doc, Mapping) or set(doc) != {"target", "byte_offset", "new_byte"}:
             raise ScenarioInvalidError("mutation has fields target, byte_offset, new_byte")
         target, offset, new_byte = doc["target"], doc["byte_offset"], doc["new_byte"]
         for name, value in (("target", target), ("byte_offset", offset), ("new_byte", new_byte)):
@@ -76,8 +76,10 @@ class Scenario:
         def fail(message: str):
             raise ScenarioInvalidError(message)
 
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            fail("seed must be an integer")
+        for name in ("seed", "products", "steps", "clock_step", "txs_per_block", "chain_id"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                fail(f"{name} must be an integer")
         known = {role.value for role in ROLE_ORDER}
         unknown = set(self.actors) - known
         if unknown:
@@ -127,7 +129,11 @@ class Scenario:
         unknown = set(doc) - required - optional
         if unknown:
             raise ScenarioInvalidError(f"scenario has unknown fields: {sorted(unknown)}")
+        if not isinstance(doc["actors"], Mapping):
+            raise ScenarioInvalidError("actors must be an object")
         plan = doc.get("tamper_plan") or []
+        if not isinstance(plan, list):
+            raise ScenarioInvalidError("tamper_plan must be a list")
         scenario = cls(
             seed=doc["seed"],
             actors=dict(doc["actors"]),
@@ -150,7 +156,7 @@ class Scenario:
     def load(cls, path) -> "Scenario":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ScenarioInvalidError(f"scenario file is not valid JSON: {exc}") from exc
         return cls.from_canonical(doc)
 
@@ -252,11 +258,6 @@ def apply_mutations(path, mutations: Sequence[Mutation]) -> None:
     path.write_bytes(b"\n".join(lines))
 
 
-def counterfeit_probe(state: registry.RegistryState, fake_id: str) -> VerificationResult:
-    """Verification of an ID expected to be absent; exists=False flags a fake."""
-    return registry.verify_product(state, fake_id)
-
-
 def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     """Drive the scripted lifecycle and persist chain, trace, and genesis.
 
@@ -293,28 +294,10 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     def flush() -> None:
         if not pending:
             return
-        parent = store.tip.header
-        index = parent.index + 1
+        index = store.tip.header.index + 1
         authorities = genesis.authority_addresses
         sealer_key = key_by_address[authorities[index % len(authorities)]]
-        txs = [entry[4] for entry in pending]
-        ctx = registry.TxContext(
-            block_index=index,
-            timestamp=clock,
-            sealer=sealer_key.address,
-            gas_params=genesis.gas_params,
-            faucet_amount=genesis.faucet_amount,
-            faucet_cooldown=genesis.faucet_cooldown,
-        )
-        state = store.state
-        receipts = []
-        for tx in txs:
-            state, receipt = registry.apply_tx(state, tx, ctx)
-            receipts.append(receipt)
-        block = ledger.seal_block(
-            txs, parent, registry.state_commitment(state), sealer_key, clock, genesis
-        )
-        ledger.append_block(store, block)
+        _, receipts = ledger.extend(store, [entry[4] for entry in pending], sealer_key, clock)
         for (event_step, actor_address, action, detail, _), receipt in zip(pending, receipts):
             trace.append(
                 TraceEvent(event_step, actor_address, action, detail, receipt.to_canonical())
@@ -466,13 +449,14 @@ def _cost_model_key(label: str) -> KeyPair:
 
 def build_cost_model_chain(
     gas_price: Optional[int] = None,
-) -> Tuple[ledger.GenesisConfig, List[ledger.Block]]:
+) -> Tuple[ledger.GenesisConfig, List[ledger.Block], List[List[registry.Receipt]]]:
     """Deterministic chain with exactly one Deploy, Register, and Sell.
 
     The manufacturer is funded at genesis so no faucet claim appears;
     all three transactions pay the shipped default gas price unless a
     candidate ``gas_price`` (wei) is given.  This is the chain the total
-    system cost is calibrated against.
+    system cost is calibrated against.  Returns the genesis, the blocks
+    and the receipts per block.
     """
     manufacturer = _cost_model_key("manufacturer")
     consumer = _cost_model_key("consumer")
@@ -491,7 +475,6 @@ def build_cost_model_chain(
             consumer.address: consumer.public_key,
         },
     )
-    genesis.validate()
     params = genesis.gas_params
     price = params.default_gas_price if gas_price is None else gas_price
     kinds = (
@@ -499,25 +482,11 @@ def build_cost_model_chain(
         Register(product_id="P-001", name="Widget", metadata=""),
         Sell(product_id="P-001", consumer=consumer.address),
     )
-    blocks = [ledger.genesis_block(genesis)]
-    state = ledger.genesis_state(genesis)
-    for offset, kind in enumerate(kinds):
-        parent = blocks[-1].header
-        timestamp = 3600 * (offset + 1)
-        tx = registry.make_tx(manufacturer, genesis.chain_id, offset, kind, price)
-        ctx = registry.TxContext(
-            block_index=parent.index + 1,
-            timestamp=timestamp,
-            sealer=authority.address,
-            gas_params=params,
-            faucet_amount=genesis.faucet_amount,
-            faucet_cooldown=genesis.faucet_cooldown,
-        )
-        state, receipt = registry.apply_tx(state, tx, ctx)
-        if not receipt.accepted:
-            raise RuntimeError(f"cost-model tx rejected: {receipt.error}")
-        block = ledger.seal_block(
-            [tx], parent, registry.state_commitment(state), authority, timestamp, genesis
-        )
-        blocks.append(block)
-    return genesis, blocks
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ledger.create_store(Path(tmp) / "chain.jsonl", genesis)
+        for offset, kind in enumerate(kinds):
+            tx = registry.make_tx(manufacturer, genesis.chain_id, offset, kind, price)
+            _, (receipt,) = ledger.extend(store, [tx], authority, 3600 * (offset + 1))
+            if not receipt.accepted:
+                raise RuntimeError(f"cost-model tx rejected: {receipt.error}")
+    return genesis, store.blocks, store.receipts

@@ -102,14 +102,7 @@ def ctx_for(
 ) -> registry.TxContext:
     if not sealer:
         sealer = genesis.authorities[index % len(genesis.authorities)][0]
-    return registry.TxContext(
-        block_index=index,
-        timestamp=timestamp,
-        sealer=sealer,
-        gas_params=genesis.gas_params,
-        faucet_amount=genesis.faucet_amount,
-        faucet_cooldown=genesis.faucet_cooldown,
-    )
+    return ledger.make_context(genesis, index, timestamp, sealer)
 
 
 def default_contexts(genesis: ledger.GenesisConfig, count: int) -> List[Context]:

@@ -100,8 +100,8 @@ def random_log_runs():
 
 def test_cost_ordering(capsys):
     t0 = time.monotonic()
-    genesis, blocks = simnet.build_cost_model_chain()
-    rows = {row.category: row for row in gas.gas_report(blocks, genesis).rows}
+    _, blocks, receipts = simnet.build_cost_model_chain()
+    rows = {row.category: row for row in gas.gas_report(blocks, receipts).rows}
     got = {k: rows[k].total_gas for k in EXPECTED_GAS}
     elapsed = time.monotonic() - t0
 
@@ -120,8 +120,8 @@ def test_cost_ordering(capsys):
 
 def test_total_cost_calibration(capsys):
     t0 = time.monotonic()
-    genesis, blocks = simnet.build_cost_model_chain()
-    total_wei = gas.gas_report(blocks, genesis).total_fee_wei
+    _, blocks, receipts = simnet.build_cost_model_chain()
+    total_wei = gas.gas_report(blocks, receipts).total_fee_wei
     actual_eth = Decimal(total_wei) / gas.WEI_PER_ETH
     deviation = (actual_eth - COST_TARGET_ETH) / COST_TARGET_ETH
     elapsed = time.monotonic() - t0
@@ -462,8 +462,8 @@ def test_replay_determinism(capsys):
     genesis = ledger.GenesisConfig.load(FIXTURES / "genesis50.json")
     first = ledger.load_chain(FIXTURES / "chain50.jsonl", genesis)
     second = ledger.load_chain(FIXTURES / "chain50.jsonl", genesis)
-    csv_first = gas.gas_report(first.blocks, genesis).to_csv()
-    csv_second = gas.gas_report(second.blocks, genesis).to_csv()
+    csv_first = gas.gas_report(first.blocks, first.receipts).to_csv()
+    csv_second = gas.gas_report(second.blocks, second.receipts).to_csv()
     committed_csv = (FIXTURES / "gas_report50.csv").read_text()
 
     in_process = (

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import acprov
-from acprov import ledger, qr, registry, simnet
+from acprov import cli, ledger, qr, registry, simnet
 from support import cli_env, run_cli
 
 
@@ -149,6 +149,26 @@ class TestTx:
         receipt = json.loads(res.stdout)
         assert receipt["fee"] == receipt["gas_used"] * 2 * 10**9
 
+    @pytest.mark.parametrize(
+        "role, flag, rule",
+        [("sender", "--key", "tx_signature"), ("sealer", "--sealer-key", "seal")],
+    )
+    def test_mismatched_key_writes_nothing(self, workspace, tmp_path, role, flag, rule):
+        """A key file whose secret does not match its public key."""
+        ws = clone(workspace, tmp_path)
+        victim = "c.json" if role == "sender" else "auth.json"
+        doc = json.loads((ws / victim).read_text())
+        doc["secret_key"] = json.loads((ws / "d.json").read_text())["secret_key"]
+        (ws / "forged.json").write_text(json.dumps(doc))
+        before = (ws / "chain.jsonl").read_bytes()
+        args = ["--key", "c.json", "--sealer-key", "auth.json"]
+        args[args.index(flag) + 1] = "forged.json"
+        res = run_cli("tx", "faucet", *args, cwd=ws)
+        assert res.returncode == 1, res.stderr
+        assert f"rule={rule}" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert (ws / "chain.jsonl").read_bytes() == before
+
     def test_missing_key_file(self, workspace, tmp_path):
         ws = clone(workspace, tmp_path)
         res = run_cli("tx", "faucet", "--key", "ghost.json", cwd=ws)
@@ -215,6 +235,21 @@ class TestGasReport:
         res = run_cli("gas-report", "--csv", str(out), cwd=workspace["dir"])
         assert out.read_text() == res.stdout
 
+    def test_replays_the_chain_once(self, workspace, monkeypatch, capsys):
+        calls = []
+        replay = ledger._replay
+
+        def counting(blocks, genesis):
+            calls.append(len(blocks))
+            return replay(blocks, genesis)
+
+        monkeypatch.setattr(ledger, "_replay", counting)
+        ws = workspace["dir"]
+        argv = ["--db", str(ws / "chain.jsonl"), "--genesis", str(ws / "genesis.json")]
+        assert cli.main([*argv, "gas-report"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("TOTAL,4,")
+        assert calls == [5]
+
 
 class TestValidate:
     def test_intact_chain(self, workspace):
@@ -233,6 +268,35 @@ class TestValidate:
         res = run_cli("validate", cwd=ws)
         assert res.returncode == 1
         assert "INVALID block=2" in res.stdout
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("roles", []),
+            ("initial_balances", [1]),
+            ("account_keys", "keys"),
+            ("authorities", {}),
+            ("authorities", [["0x" + "1" * 40]]),
+            ("authorities", [[1, 2]]),
+            ("gas_params", []),
+            ("gas_params", {"base_tx": "21000"}),
+            ("gas_params", {"base_tx": True}),
+            (None, b"\xff{"),  # the whole file, not UTF-8
+        ],
+    )
+    def test_malformed_genesis_is_corrupt_file(self, workspace, tmp_path, field, value):
+        doc = json.loads((workspace["dir"] / "genesis.json").read_text())
+        if field is None:
+            raw = value
+        else:
+            doc[field] = value
+            raw = json.dumps(doc).encode()
+        (tmp_path / "genesis.json").write_bytes(raw)
+        shutil.copy(workspace["dir"] / "chain.jsonl", tmp_path / "chain.jsonl")
+        res = run_cli("validate", cwd=tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert "error: corrupt file" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_missing_chain_file_is_usage_error(self, workspace, tmp_path):
         shutil.copy(workspace["dir"] / "genesis.json", tmp_path / "genesis.json")
@@ -272,9 +336,24 @@ class TestSimulate:
         assert (tmp_path / "a/chain.jsonl").read_bytes() != (tmp_path / "b/chain.jsonl").read_bytes()
 
     def test_bad_scenario_file_is_usage_error(self, tmp_path):
-        (tmp_path / "scenario.json").write_text("{not json")
-        res = run_cli("simulate", "--scenario", "scenario.json", cwd=tmp_path)
-        assert res.returncode == 2
+        actors = {"manufacturer": 1, "authority": 1}
+        for raw in (
+            b"{not json",
+            b"\xff",  # not UTF-8
+            *(
+                json.dumps(doc).encode()
+                for doc in (
+                    {"seed": 1, "actors": actors, "products": "9"},
+                    {"seed": 1, "actors": ["manufacturer"], "products": 1},
+                    {"seed": 1, "actors": actors, "products": 1, "tamper_plan": 5},
+                    {"seed": 1, "actors": actors, "products": 1, "tamper_plan": [5]},
+                )
+            ),
+        ):
+            (tmp_path / "scenario.json").write_bytes(raw)
+            res = run_cli("simulate", "--scenario", "scenario.json", cwd=tmp_path)
+            assert res.returncode == 2, raw
+            assert "invalid scenario" in res.stderr and "Traceback" not in res.stderr, raw
 
 
 class TestUsage:

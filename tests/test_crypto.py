@@ -37,6 +37,11 @@ class TestKeyPair:
         with pytest.raises(ValueError):
             crypto.KeyPair.from_seed(b"\x01" * 31)
 
+    def test_repr_hides_the_secret_key(self):
+        kp = crypto.KeyPair.from_seed(TV1_SECRET)
+        assert kp.public_key in repr(kp)
+        assert TV1_SECRET.hex() not in repr(kp)
+
     def test_generate_produces_distinct_keys(self):
         a, b = crypto.KeyPair.generate(), crypto.KeyPair.generate()
         assert a.secret_key != b.secret_key

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acprov import canonical, gas, ledger, registry, simnet
 from acprov.registry import Deploy, FaucetClaim, Register, Sell, Transfer
@@ -30,6 +32,17 @@ class TestMetering:
     def test_calldata_prices_zero_and_nonzero_bytes(self):
         assert gas.calldata_gas(b"\x00\x01\x00\xff", PARAMS) == 4 + 16 + 4 + 16
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.binary(max_size=2048),
+        zero=st.integers(min_value=1, max_value=10**6),
+        nonzero=st.integers(min_value=1, max_value=10**6),
+    )
+    def test_calldata_matches_per_byte_definition(self, data, zero, nonzero):
+        params = gas.GasParams(calldata_zero_byte=zero, calldata_nonzero_byte=nonzero)
+        per_byte = sum(zero if byte == 0 else nonzero for byte in data)
+        assert gas.calldata_gas(data, params) == per_byte
+
     def test_faucet_intrinsic_by_hand(self):
         # canonical kind bytes are {"type":"faucet_claim"}: 23 bytes, none zero
         doc = registry.kind_to_canonical(FaucetClaim())
@@ -60,38 +73,53 @@ class TestMetering:
 
 
 class TestGasForTx:
+    """Gas and fees as apply_tx meters them on receipts."""
+
     def test_rejected_tx_meters_intrinsic_only(self, genesis, state, keys):
         # a consumer may not deploy, so no storage gas is charged
         tx = registry.make_tx(keys["consumer"], 5, 0, Deploy(code_size=2000), 10**9)
         doc = registry.kind_to_canonical(tx.kind)
-        assert gas.gas_for_tx(tx, state) == gas.intrinsic_gas(doc, PARAMS)
+        _, receipt = registry.apply_tx(state, tx, support.ctx_for(genesis))
+        assert receipt.error == registry.NOT_TRUSTED_NODE
+        assert receipt.gas_used == gas.intrinsic_gas(doc, PARAMS)
 
     def test_accepted_tx_adds_storage(self, genesis, state, keys):
         tx = registry.make_tx(keys["manufacturer"], 5, 0, Deploy(code_size=2000), 10**9)
         doc = registry.kind_to_canonical(tx.kind)
         expected = gas.intrinsic_gas(doc, PARAMS) + gas.storage_gas(doc, PARAMS)
-        assert gas.gas_for_tx(tx, state) == expected
+        _, receipt = registry.apply_tx(state, tx, support.ctx_for(genesis))
+        assert receipt.accepted
+        assert receipt.gas_used == expected
 
     def test_faucet_is_free(self, genesis, state, keys):
-        tx = registry.make_tx(keys["consumer"], 5, 0, FaucetClaim(), 10**9)
-        assert gas.gas_for_tx(tx, state) == 0
+        # free when granted and when refused by the cooldown alike
+        for nonce in (0, 1):
+            tx = registry.make_tx(keys["consumer"], 5, nonce, FaucetClaim(), 10**9)
+            state, receipt = registry.apply_tx(state, tx, support.ctx_for(genesis))
+            assert (receipt.gas_used, receipt.fee) == (0, 0)
+        assert receipt.error == registry.FAUCET_COOLDOWN
 
 
 class TestSettle:
-    def test_moves_fee_and_conserves_supply(self, state, keys):
+    """Fee settlement as apply_tx performs it."""
+
+    def test_moves_fee_and_conserves_supply(self, genesis, state, keys):
         payer, sealer = keys["manufacturer"].address, keys["authority"].address
-        before = support.supply(state)
-        after = gas.settle(state, payer, sealer, 1_000)
-        assert after.accounts[payer].balance == state.accounts[payer].balance - 1_000
-        assert after.accounts[sealer].balance == state.accounts[sealer].balance + 1_000
-        assert support.supply(after) == before
+        tx = registry.make_tx(keys["manufacturer"], 5, 0, Deploy(code_size=10), 10**9)
+        after, receipt = registry.apply_tx(state, tx, support.ctx_for(genesis, sealer=sealer))
+        assert receipt.fee > 0
+        assert after.accounts[payer].balance == state.accounts[payer].balance - receipt.fee
+        assert after.accounts[sealer].balance == state.accounts[sealer].balance + receipt.fee
+        assert support.supply(after) == support.supply(state)
 
-    def test_zero_fee_is_identity(self, state, keys):
-        assert gas.settle(state, keys["manufacturer"].address, keys["authority"].address, 0) is state
-
-    def test_insufficient_balance_raises(self, state, keys):
-        with pytest.raises(gas.InsufficientFundsError):
-            gas.settle(state, keys["manufacturer"].address, keys["authority"].address, 10**30)
+    def test_zero_fee_is_identity(self, genesis, state, keys):
+        # a zero gas price settles nothing: every balance stays as it was
+        tx = registry.make_tx(keys["manufacturer"], 5, 0, Deploy(code_size=10), 0)
+        after, receipt = registry.apply_tx(state, tx, support.ctx_for(genesis))
+        assert receipt.accepted and receipt.fee == 0
+        assert {a: acct.balance for a, acct in after.accounts.items()} == {
+            a: acct.balance for a, acct in state.accounts.items()
+        }
 
 
 class TestFormatting:
@@ -101,10 +129,6 @@ class TestFormatting:
 
     def test_format_eth_known_value(self):
         assert gas.format_eth(646_949_600_000_000) == "0.00064695"
-
-    def test_format_eth_exact_keeps_every_wei(self):
-        assert gas.format_eth_exact(10**18 + 1) == "1.000000000000000001"
-        assert gas.format_eth_exact(-5) == "-0.000000000000000005"
 
 
 class TestReport:
@@ -140,8 +164,8 @@ class TestCostModelChain:
     """Frozen gas anchors for the canonical deploy/register/sell chain."""
 
     def test_per_category_gas(self):
-        genesis, blocks = simnet.build_cost_model_chain()
-        report = gas.gas_report(blocks, genesis)
+        _, blocks, receipts = simnet.build_cost_model_chain()
+        report = gas.gas_report(blocks, receipts)
         by_cat = {row.category: row for row in report.rows}
         assert by_cat["Deploy"].total_gas == 453_544
         assert by_cat["Register"].total_gas == 82_120
@@ -149,6 +173,6 @@ class TestCostModelChain:
         assert report.total.total_gas == 588_136
 
     def test_fee_at_default_price(self):
-        genesis, blocks = simnet.build_cost_model_chain()
-        report = gas.gas_report(blocks, genesis)
+        _, blocks, receipts = simnet.build_cost_model_chain()
+        report = gas.gas_report(blocks, receipts)
         assert report.total.total_fee == 588_136 * gas.DEFAULT_GAS_PRICE

@@ -17,48 +17,30 @@ def authority_key_map(genesis, keys):
     return {addr: by_addr[addr] for addr in genesis.authority_addresses}
 
 
-def extend(genesis, keys, blocks, state, txs, timestamp):
-    """Apply txs, seal the next block with the due authority, append."""
-    parent = blocks[-1].header
-    index = parent.index + 1
+def extend(store, keys, txs, timestamp):
+    """Seal txs into the next block of store with the due authority."""
+    genesis = store.genesis
+    index = store.tip.header.index + 1
     due = genesis.authority_addresses[index % len(genesis.authority_addresses)]
-    ctx = registry.TxContext(
-        block_index=index,
-        timestamp=timestamp,
-        sealer=due,
-        gas_params=genesis.gas_params,
-        faucet_amount=genesis.faucet_amount,
-        faucet_cooldown=genesis.faucet_cooldown,
-    )
-    for tx in txs:
-        state, receipt = registry.apply_tx(state, tx, ctx)
-        assert receipt.error not in (registry.BAD_SIGNATURE, registry.BAD_NONCE)
-    sealer_key = authority_key_map(genesis, keys)[due]
-    block = ledger.seal_block(
-        txs, parent, registry.state_commitment(state), sealer_key, timestamp, genesis
-    )
-    blocks.append(block)
-    return state
+    return ledger.extend(store, txs, authority_key_map(genesis, keys)[due], timestamp)
 
 
 @pytest.fixture()
-def chain(genesis, keys):
+def chain(genesis, keys, tmp_path):
     """Five sealed blocks on top of genesis, all accepted transactions."""
     m, d, c = keys["manufacturer"], keys["distributor"], keys["consumer"]
-    blocks = [ledger.genesis_block(genesis)]
-    state = ledger.genesis_state(genesis)
-    state = extend(genesis, keys, blocks, state,
-                   [registry.make_tx(m, 5, 0, Deploy(code_size=100), PRICE)], 10)
-    state = extend(genesis, keys, blocks, state,
-                   [registry.make_tx(m, 5, 1, Register(product_id="P-001", name="W", metadata=""), PRICE)], 20)
-    state = extend(genesis, keys, blocks, state,
-                   [registry.make_tx(c, 5, 0, FaucetClaim(), PRICE)], 30)
-    state = extend(genesis, keys, blocks, state,
-                   [registry.make_tx(m, 5, 2, Transfer(product_id="P-001", new_owner=d.address), PRICE)], 40)
-    state = extend(genesis, keys, blocks, state,
-                   [registry.make_tx(d, 5, 0, FaucetClaim(), PRICE),
-                    registry.make_tx(c, 5, 1, FaucetClaim(), PRICE)], 90_000)
-    return blocks, state
+    store = ledger.create_store(tmp_path / "fixture-chain.jsonl", genesis)
+    extend(store, keys, [registry.make_tx(m, 5, 0, Deploy(code_size=100), PRICE)], 10)
+    extend(store, keys,
+           [registry.make_tx(m, 5, 1, Register(product_id="P-001", name="W", metadata=""), PRICE)], 20)
+    extend(store, keys, [registry.make_tx(c, 5, 0, FaucetClaim(), PRICE)], 30)
+    extend(store, keys,
+           [registry.make_tx(m, 5, 2, Transfer(product_id="P-001", new_owner=d.address), PRICE)], 40)
+    extend(store, keys,
+           [registry.make_tx(d, 5, 0, FaucetClaim(), PRICE),
+            registry.make_tx(c, 5, 1, FaucetClaim(), PRICE)], 90_000)
+    assert all(r.accepted for receipts in store.receipts for r in receipts)
+    return list(store.blocks), store.state
 
 
 class TestTxRoot:
@@ -277,7 +259,7 @@ class TestValidation:
 
     def test_replay_receipts_line_up_with_blocks(self, genesis, chain):
         blocks, state = chain
-        final, receipts = ledger.replay_chain(blocks, genesis)
+        final, receipts = ledger._replay(blocks, genesis)
         assert registry.state_commitment(final) == registry.state_commitment(state)
         assert [len(r) for r in receipts] == [len(b.txs) for b in blocks]
 
@@ -318,6 +300,52 @@ class TestStore:
         with pytest.raises(ledger.ValidationFailedError):
             ledger.append_block(store, blocks[2])  # skips block 1
         assert path.read_bytes() == before
+
+
+class TestExtend:
+    def test_store_matches_a_fresh_load(self, genesis, keys, tmp_path):
+        store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
+        m, c = keys["manufacturer"], keys["consumer"]
+        block, receipts = extend(store, keys, [
+            registry.make_tx(m, 5, 0, Deploy(code_size=100), PRICE),
+            registry.make_tx(c, 5, 0, Deploy(code_size=100), PRICE),  # rejected, still sealed
+        ], 10)
+        assert [r.error for r in receipts] == [None, registry.ALREADY_DEPLOYED]
+        assert store.tip == block and store.receipts[-1] == receipts
+        loaded = ledger.load_chain(store.path, genesis)
+        assert loaded.blocks == store.blocks
+        assert loaded.receipts == store.receipts
+        assert loaded.state == store.state
+        assert block.header.state_root == registry.state_commitment(store.state)
+
+    def test_schedule_errors_write_nothing(self, genesis, keys, tmp_path):
+        store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
+        before = store.path.read_bytes()
+        tx = registry.make_tx(keys["manufacturer"], 5, 0, FaucetClaim(), PRICE)
+        with pytest.raises(ledger.NotAuthorityError):
+            ledger.extend(store, [tx], keys["manufacturer"], 10)
+        with pytest.raises(ledger.WrongTurnError):
+            ledger.extend(store, [tx], keys["authority"], 10)  # block 1 is authority_b's
+        assert store.path.read_bytes() == before and len(store.blocks) == 1
+
+    @pytest.mark.parametrize("role", ["sender", "sealer"])
+    def test_mismatched_key_is_refused_and_writes_nothing(self, genesis, keys, tmp_path, role):
+        """A secret key that does not match its public key would seal an invalid block."""
+        store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
+        before = store.path.read_bytes()
+        sender, sealer = keys["manufacturer"], keys["authority_b"]  # authority_b seals block 1
+        wrong_secret = keys["retailer"].secret_key
+        if role == "sender":
+            sender = replace(sender, secret_key=wrong_secret)
+        else:
+            sealer = replace(sealer, secret_key=wrong_secret)
+        tx = registry.make_tx(sender, 5, 0, FaucetClaim(), PRICE)
+        with pytest.raises(ledger.ValidationFailedError) as err:
+            ledger.extend(store, [tx], sealer, 10)
+        rule = ledger.RULE_TX_SIGNATURE if role == "sender" else ledger.RULE_SEAL
+        assert (err.value.report.block_index, err.value.report.rule) == (1, rule)
+        assert store.path.read_bytes() == before
+        assert len(store.blocks) == 1 and store.state == ledger.genesis_state(genesis)
 
 
 class TestParsing:

@@ -118,6 +118,18 @@ class TestRunOutputs:
             ).encode()
             assert encoded == line, "trace line is not canonically encoded"
 
+    def test_each_sealed_transaction_executes_once(self, tmp_path, monkeypatch):
+        calls = []
+        apply_tx = registry.apply_tx
+
+        def counting(state, tx, ctx):
+            calls.append(tx)
+            return apply_tx(state, tx, ctx)
+
+        monkeypatch.setattr(registry, "apply_tx", counting)
+        result = simnet.run_scenario(SMALL, tmp_path / "once")
+        assert calls == [tx for block in result.blocks for tx in block.txs]
+
     def test_steps_caps_total_transactions(self, tmp_path):
         capped = replace(SMALL, steps=3)
         result = simnet.run_scenario(capped, tmp_path / "capped")
@@ -157,7 +169,7 @@ class TestLifecycle:
         assert err == registry.PRODUCT_UNAVAILABLE
 
     def test_counterfeit_probe(self, lifecycle_run):
-        probe = simnet.counterfeit_probe(lifecycle_run.final_state, "FAKE-999")
+        probe = registry.verify_product(lifecycle_run.final_state, "FAKE-999")
         assert not probe.exists
         assert probe.history == ()
 
@@ -197,13 +209,13 @@ class TestMutations:
 
 class TestCostModelChain:
     def test_chain_validates_and_has_one_tx_per_category(self):
-        genesis, blocks = simnet.build_cost_model_chain()
+        genesis, blocks, _ = simnet.build_cost_model_chain()
         report = ledger.validate_chain(blocks, genesis)
         assert report.ok, f"{report.rule}: {report.detail}"
         kinds = [registry.kind_category(tx.kind) for b in blocks for tx in b.txs]
         assert kinds == ["Deploy", "Register", "Sell"]
 
     def test_candidate_price_flows_through(self):
-        _, blocks = simnet.build_cost_model_chain(gas_price=2 * 10**9)
+        _, blocks, _ = simnet.build_cost_model_chain(gas_price=2 * 10**9)
         prices = {tx.gas_price for b in blocks for tx in b.txs}
         assert prices == {2 * 10**9}
