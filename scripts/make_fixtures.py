@@ -6,13 +6,19 @@ changed and the goldens moved. The 50-block chain doubles as the
 cross-process replay witness: tests replay the committed bytes and must
 reproduce the commitments recorded in goldens.json.
 
-    python scripts/make_fixtures.py
+    python scripts/make_fixtures.py           # rewrite tests/fixtures/
+    python scripts/make_fixtures.py --check   # regenerate elsewhere and compare
+
+With --check nothing under tests/fixtures/ is written: the script exits 1
+and names the first file whose bytes differ, or exits 0 when all match.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -35,20 +41,21 @@ SCENARIO_50 = simnet.Scenario(
 )
 
 
-def main() -> int:
-    FIXTURES.mkdir(parents=True, exist_ok=True)
-    SCENARIO_50.save(FIXTURES / "scenario50.json")
+def write_fixtures(out: Path) -> dict:
+    """Write every fixture file into out; returns the goldens."""
+    out.mkdir(parents=True, exist_ok=True)
+    SCENARIO_50.save(out / "scenario50.json")
 
     with tempfile.TemporaryDirectory() as tmp:
         result = simnet.run_scenario(SCENARIO_50, Path(tmp))
-        shutil.copy(result.genesis_path, FIXTURES / "genesis50.json")
-        shutil.copy(result.chain_path, FIXTURES / "chain50.jsonl")
-        shutil.copy(result.trace_path, FIXTURES / "trace50.jsonl")
+        shutil.copy(result.genesis_path, out / "genesis50.json")
+        shutil.copy(result.chain_path, out / "chain50.jsonl")
+        shutil.copy(result.trace_path, out / "trace50.jsonl")
 
-    genesis = ledger.GenesisConfig.load(FIXTURES / "genesis50.json")
-    store = ledger.load_chain(FIXTURES / "chain50.jsonl", genesis)
+    genesis = ledger.GenesisConfig.load(out / "genesis50.json")
+    store = ledger.load_chain(out / "chain50.jsonl", genesis)
     report = gas.gas_report(store.blocks, store.receipts)
-    (FIXTURES / "gas_report50.csv").write_text(report.to_csv(), encoding="utf-8")
+    (out / "gas_report50.csv").write_text(report.to_csv(), encoding="utf-8")
 
     goldens = {
         "blocks": len(store.blocks),
@@ -59,8 +66,38 @@ def main() -> int:
         "total_fee_wei": report.total.total_fee,
     }
     payload = json.dumps(goldens, indent=2, sort_keys=True) + "\n"
-    (FIXTURES / "goldens.json").write_text(payload, encoding="utf-8")
+    (out / "goldens.json").write_text(payload, encoding="utf-8")
+    return goldens
 
+
+def check() -> int:
+    """Regenerate into a temp directory and compare with the committed files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp)
+        write_fixtures(fresh)
+        names = sorted({p.name for p in fresh.iterdir()} | {p.name for p in FIXTURES.iterdir()})
+        for name in names:
+            committed, regenerated = FIXTURES / name, fresh / name
+            if not committed.is_file() or not regenerated.is_file():
+                print(f"{name}: present in only one of the two sets", file=sys.stderr)
+                return 1
+            if committed.read_bytes() != regenerated.read_bytes():
+                print(f"{name}: regenerated bytes differ from {committed}", file=sys.stderr)
+                return 1
+    print(f"{len(names)} fixture files match")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare freshly generated fixtures with tests/fixtures/ instead of writing",
+    )
+    if parser.parse_args(argv).check:
+        return check()
+    goldens = write_fixtures(FIXTURES)
     for name in sorted(p.name for p in FIXTURES.iterdir()):
         print(f"wrote {name}")
     print(f"blocks={goldens['blocks']} tip={goldens['tip_commitment']}")

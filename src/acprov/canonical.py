@@ -23,12 +23,13 @@ ZERO_HASH = "0x" + "00" * HASH_BYTES
 _HASH_RE = re.compile(r"0x[0-9a-f]{64}\Z")
 _ADDRESS_RE = re.compile(r"0x[0-9a-f]{40}\Z")
 
+# The encoder json.dumps would build on every call with these settings.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
 
 def canonical_serialize(value: Any) -> bytes:
     """Serialize plain dicts/lists/scalars to canonical JSON bytes."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    return _ENCODER.encode(value).encode("utf-8")
 
 
 def hash_of(data: bytes) -> str:

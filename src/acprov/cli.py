@@ -21,7 +21,8 @@ from typing import List, Optional
 
 from . import gas as gas_model
 from . import ledger, qr, registry, simnet
-from .crypto import KeyPair
+from .canonical import from_hex
+from .crypto import SEED_BYTES, KeyPair
 
 EXIT_OK = 0
 EXIT_CHAIN_FAILURE = 1
@@ -37,9 +38,12 @@ def _load_key(path) -> KeyPair:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         key = KeyPair(secret_key=doc["secret_key"], public_key=doc["public_key"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        address = key.address
+        if len(from_hex(key.secret_key)) != SEED_BYTES:
+            raise ValueError(f"secret_key is not {SEED_BYTES} bytes")
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise UsageError(f"not a key file: {path} ({exc})") from exc
-    if doc.get("address") != key.address:
+    if doc.get("address") != address:
         raise UsageError(f"key file {path} address does not match its public key")
     return key
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -41,7 +41,7 @@ class KeyPair:
     secret_key: str = field(repr=False)  # 32-byte seed, 0x hex; kept out of repr
     public_key: str  # 32-byte Ed25519 verification key, 0x hex
 
-    @property
+    @cached_property
     def address(self) -> str:
         return derive_address(self.public_key)
 
@@ -49,9 +49,11 @@ class KeyPair:
     def from_seed(cls, seed: bytes) -> "KeyPair":
         if len(seed) != SEED_BYTES:
             raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
-        private = Ed25519PrivateKey.from_private_bytes(seed)
-        public = private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-        return cls(secret_key=to_hex(seed), public_key=to_hex(public))
+        secret_key = to_hex(seed)
+        public = _private_key_obj(secret_key).public_key().public_bytes(
+            Encoding.Raw, PublicFormat.Raw
+        )
+        return cls(secret_key=secret_key, public_key=to_hex(public))
 
     @classmethod
     def generate(cls) -> "KeyPair":

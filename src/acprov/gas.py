@@ -14,8 +14,6 @@ from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Any, Iterable, Mapping
 
-from .canonical import canonical_serialize
-
 WEI_PER_ETH = 10**18
 WEI_PER_GWEI = 10**9
 
@@ -64,9 +62,9 @@ def calldata_gas(data: bytes, params: GasParams) -> int:
     return nonzero * len(data) - (nonzero - zero) * data.count(0)
 
 
-def intrinsic_gas(kind_canonical: dict, params: GasParams) -> int:
+def intrinsic_gas(kind_bytes: bytes, params: GasParams) -> int:
     """base_tx plus per-byte calldata cost of the canonical kind bytes."""
-    return params.base_tx + calldata_gas(canonical_serialize(kind_canonical), params)
+    return params.base_tx + calldata_gas(kind_bytes, params)
 
 
 def storage_gas(kind_canonical: dict, params: GasParams) -> int:

@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
@@ -251,6 +252,11 @@ class BlockHeader:
     sealer: str
     state_root: str
 
+    @cached_property
+    def hash(self) -> str:
+        """The header's hash, computed on first use: linkage and seal share it."""
+        return hash_obj(self.to_canonical())
+
     def to_canonical(self) -> dict:
         return {
             "index": self.index,
@@ -307,7 +313,7 @@ class Block:
 
 
 def header_hash(header: BlockHeader) -> str:
-    return hash_obj(header.to_canonical())
+    return header.hash
 
 
 def tx_root_of(txs: Sequence[registry.TxEnvelope]) -> str:
@@ -593,13 +599,6 @@ def extend(
     return block, receipts
 
 
-def append_block(store: LedgerStore, block: Block) -> LedgerStore:
-    """Fully validate a block built elsewhere against the tip, then append it."""
-    state, receipts = _check_block(block, store.tip.header, store.state, store.genesis)
-    _write(store, block, state, receipts)
-    return store
-
-
 def parse_chain_bytes(raw: bytes) -> List[Block]:
     """Strict parse of a ledger file: every line must re-encode identically."""
     if raw == b"":
@@ -615,9 +614,11 @@ def parse_chain_bytes(raw: bytes) -> List[Block]:
             raise ParseError(line_number, f"not valid canonical JSON: {exc}") from exc
         try:
             block = Block.from_canonical(doc)
+            # a string escaping a lone surrogate parses but cannot re-encode
+            encoded = canonical_serialize(block.to_canonical())
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(line_number, str(exc)) from exc
-        if canonical_serialize(block.to_canonical()) != line:
+        if encoded != line:
             raise ParseError(line_number, "line is not the canonical block encoding")
         blocks.append(block)
     return blocks

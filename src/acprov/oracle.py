@@ -25,12 +25,11 @@ from .crypto import verify
 
 _PRODUCT_ID = re.compile(r"[A-Za-z0-9._-]{1,64}\Z")
 _TRUSTED = ("manufacturer", "distributor", "retailer")
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def _dumps(value) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode(
-        "utf-8"
-    )
+    return _ENCODER.encode(value).encode("utf-8")
 
 
 def _role_str(role) -> str:
@@ -171,7 +170,8 @@ def _copy_state(state: dict) -> dict:
     }
 
 
-def _apply_one(state: dict, tx, block_index: int, timestamp: int, sealer: str, genesis) -> dict:
+def _apply_one(state: dict, tx, block_index: int, timestamp: int, sealer: str, genesis) -> None:
+    """Apply one transaction to state in place; rejected ones leave it as it was."""
     kind = tx.kind
     name = type(kind).__name__
     kind_doc = _kind_doc(kind)
@@ -185,15 +185,12 @@ def _apply_one(state: dict, tx, block_index: int, timestamp: int, sealer: str, g
         }
     )
     if tx.sender not in state["accounts"]:
-        return state
-    sender_before = state["accounts"][tx.sender]
-    if not verify(sender_before["public_key"], payload, tx.signature):
-        return state
-    if tx.nonce != sender_before["nonce"]:
-        return state
-
-    new_state = _copy_state(state)
-    acct = new_state["accounts"][tx.sender]
+        return
+    acct = state["accounts"][tx.sender]
+    if not verify(acct["public_key"], payload, tx.signature):
+        return
+    if tx.nonce != acct["nonce"]:
+        return
 
     if name == "FaucetClaim":
         acct["nonce"] = acct["nonce"] + 1
@@ -201,7 +198,7 @@ def _apply_one(state: dict, tx, block_index: int, timestamp: int, sealer: str, g
         if last is None or timestamp - last >= genesis.faucet_cooldown:
             acct["balance"] = acct["balance"] + genesis.faucet_amount
             acct["last_faucet_claim"] = timestamp
-        return new_state
+        return
 
     params = genesis.gas_params
     blob = _dumps(kind_doc)
@@ -212,7 +209,7 @@ def _apply_one(state: dict, tx, block_index: int, timestamp: int, sealer: str, g
         else:
             calldata = calldata + params.calldata_nonzero_byte
     intrinsic = params.base_tx + calldata
-    error = _variant_error(new_state, tx.sender, kind)
+    error = _variant_error(state, tx.sender, kind)
     if error is None:
         if name == "Deploy":
             storage = params.create_base + params.code_byte * kind.code_size
@@ -235,16 +232,16 @@ def _apply_one(state: dict, tx, block_index: int, timestamp: int, sealer: str, g
     acct["nonce"] = acct["nonce"] + 1
     acct["balance"] = acct["balance"] - fee
     if fee:
-        new_state["accounts"][sealer]["balance"] = new_state["accounts"][sealer]["balance"] + fee
+        state["accounts"][sealer]["balance"] = state["accounts"][sealer]["balance"] + fee
     if short_of_funds or error is not None:
-        return new_state
+        return
 
     if name == "Deploy":
         raw = bytes.fromhex(tx.sender[2:]) + tx.nonce.to_bytes(8, "big")
         contract = "0x" + hashlib.sha256(raw).digest()[-20:].hex()
-        new_state["contract"] = {"address": contract, "deployer": tx.sender}
+        state["contract"] = {"address": contract, "deployer": tx.sender}
     elif name == "Register":
-        new_state["products"][kind.product_id] = {
+        state["products"][kind.product_id] = {
             "current_owner": tx.sender,
             "history": [tx.sender],
             "manufacturer": tx.sender,
@@ -255,15 +252,14 @@ def _apply_one(state: dict, tx, block_index: int, timestamp: int, sealer: str, g
             "status": "available",
         }
     elif name == "Transfer":
-        record = new_state["products"][kind.product_id]
+        record = state["products"][kind.product_id]
         record["current_owner"] = kind.new_owner
         record["history"].append(kind.new_owner)
     elif name == "Sell":
-        record = new_state["products"][kind.product_id]
+        record = state["products"][kind.product_id]
         record["current_owner"] = kind.consumer
         record["status"] = "unavailable"
         record["history"].append(kind.consumer)
-    return new_state
 
 
 def reference_state_machine(
@@ -291,5 +287,5 @@ def reference_state_machine(
     if len(context_list) != len(tx_log):
         raise ValueError("one context per transaction required")
     for tx, (block_index, timestamp, sealer) in zip(tx_log, context_list):
-        state = _apply_one(state, tx, block_index, timestamp, sealer, genesis)
+        _apply_one(state, tx, block_index, timestamp, sealer, genesis)
     return state

@@ -24,15 +24,16 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Mapping, Optional, Tuple, Union
 
 from . import gas as gas_model
 from .canonical import (
     canonical_serialize,
     from_hex,
-    hash_obj,
+    hash_of,
     is_address_str,
     to_hex,
 )
@@ -231,6 +232,26 @@ class TxEnvelope:
     kind: TxKind
     gas_price: int
     signature: str
+    # Canonical bytes, encoded once at construction: the kind (the metered
+    # calldata), the signing payload after its chain_id member, and the
+    # hash of the whole envelope.
+    kind_bytes: bytes = field(init=False, repr=False, compare=False)
+    payload_tail: bytes = field(init=False, repr=False, compare=False)
+    hash: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        kind_bytes = canonical_serialize(kind_to_canonical(self.kind))
+        tail = _payload_tail(self.sender, self.nonce, kind_bytes, self.gas_price)
+        # The envelope has the payload's members less chain_id, plus the
+        # signature, which sorts last.
+        encoded = b'{%s,"signature":%s}' % (tail[:-1], canonical_serialize(self.signature))
+        object.__setattr__(self, "kind_bytes", kind_bytes)
+        object.__setattr__(self, "payload_tail", tail)
+        object.__setattr__(self, "hash", hash_of(encoded))
+
+    def signing_payload(self, chain_id: int) -> bytes:
+        """Canonical bytes the sender signs; chain_id binding bars cross-chain replay."""
+        return _signing_payload(chain_id, self.payload_tail)
 
     def to_canonical(self) -> dict:
         return {
@@ -257,36 +278,36 @@ class TxEnvelope:
         )
 
 
-def signing_payload(
-    chain_id: int, sender: str, nonce: int, kind: TxKind, gas_price: int
-) -> bytes:
-    """Canonical bytes a sender signs; chain_id binding bars cross-chain replay."""
-    return canonical_serialize(
-        {
-            "chain_id": chain_id,
-            "gas_price": gas_price,
-            "kind": kind_to_canonical(kind),
-            "nonce": nonce,
-            "sender": sender,
-        }
+def _payload_tail(sender: str, nonce: int, kind_bytes: bytes, gas_price: int) -> bytes:
+    """The signing payload after its leading chain_id member.
+
+    Members are in sorted key order, strings go through the canonical
+    encoder and ints are written in decimal, so the bytes equal those
+    canonical_serialize gives for the same document.
+    """
+    return b'"gas_price":%d,"kind":%s,"nonce":%d,"sender":%s}' % (
+        gas_price,
+        kind_bytes,
+        nonce,
+        canonical_serialize(sender),
     )
+
+
+def _signing_payload(chain_id: int, tail: bytes) -> bytes:
+    return b'{"chain_id":%d,' % chain_id + tail
 
 
 def make_tx(
     key: KeyPair, chain_id: int, nonce: int, kind: TxKind, gas_price: int
 ) -> TxEnvelope:
-    payload = signing_payload(chain_id, key.address, nonce, kind, gas_price)
-    return TxEnvelope(
-        sender=key.address,
-        nonce=nonce,
-        kind=kind,
-        gas_price=gas_price,
-        signature=key.sign(payload),
-    )
+    sender = key.address
+    kind_bytes = canonical_serialize(kind_to_canonical(kind))
+    payload = _signing_payload(chain_id, _payload_tail(sender, nonce, kind_bytes, gas_price))
+    return TxEnvelope(sender, nonce, kind, gas_price, key.sign(payload))
 
 
 def tx_hash(tx: TxEnvelope) -> str:
-    return hash_obj(tx.to_canonical())
+    return tx.hash
 
 
 @dataclass(frozen=True)
@@ -320,6 +341,11 @@ class Account:
     last_faucet_claim: Optional[int] = None
     public_key: str = ""
 
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        """This account's ``"address":{...}`` member of the canonical state."""
+        return canonical_serialize({self.address: self.to_canonical()})[1:-1]
+
     def to_canonical(self) -> dict:
         return {
             "address": self.address,
@@ -341,6 +367,11 @@ class ProductRecord:
     status: Status
     history: Tuple[str, ...]
     registered_at: int
+
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        """This record's ``"product_id":{...}`` member of the canonical state."""
+        return canonical_serialize({self.product_id: self.to_canonical()})[1:-1]
 
     def to_canonical(self) -> dict:
         return {
@@ -381,8 +412,18 @@ class RegistryState:
 
 
 def state_commitment(state: RegistryState) -> str:
-    """Hash of the canonical state; maps serialize in sorted key order."""
-    return hash_obj(state.to_canonical())
+    """Hash of the canonical state; maps serialize in sorted key order.
+
+    The document is joined from each record's cached member bytes, so a
+    record is encoded once however many blocks it stays unchanged.
+    """
+    accounts = b",".join(state.accounts[a].canonical_bytes for a in sorted(state.accounts))
+    products = b",".join(state.products[p].canonical_bytes for p in sorted(state.products))
+    contract = state.contract.to_canonical() if state.contract else None
+    return hash_of(
+        b'{"accounts":{%s},"chain_id":%s,"contract":%s,"products":{%s}}'
+        % (accounts, canonical_serialize(state.chain_id), canonical_serialize(contract), products)
+    )
 
 
 @dataclass(frozen=True)
@@ -478,44 +519,44 @@ def transition_error(state: RegistryState, sender: str, kind: TxKind) -> Optiona
     raise TypeError(f"unknown transaction kind {kind!r}")
 
 
+def _with_product(state: RegistryState, record: ProductRecord) -> RegistryState:
+    products = dict(state.products)
+    products[record.product_id] = record
+    return RegistryState(state.chain_id, state.contract, state.accounts, products)
+
+
 def _apply_effect(state: RegistryState, tx: TxEnvelope, ctx: TxContext) -> RegistryState:
     kind = tx.kind
     if isinstance(kind, Deploy):
         info = ContractInfo(address=contract_address(tx.sender, tx.nonce), deployer=tx.sender)
-        return replace(state, contract=info)
+        return RegistryState(state.chain_id, info, state.accounts, state.products)
     if isinstance(kind, Register):
-        record = ProductRecord(
-            product_id=kind.product_id,
-            name=kind.name,
-            metadata=kind.metadata,
-            manufacturer=tx.sender,
-            current_owner=tx.sender,
-            status=Status.AVAILABLE,
-            history=(tx.sender,),
-            registered_at=ctx.block_index,
+        return _with_product(
+            state,
+            ProductRecord(
+                product_id=kind.product_id,
+                name=kind.name,
+                metadata=kind.metadata,
+                manufacturer=tx.sender,
+                current_owner=tx.sender,
+                status=Status.AVAILABLE,
+                history=(tx.sender,),
+                registered_at=ctx.block_index,
+            ),
         )
-        products = dict(state.products)
-        products[kind.product_id] = record
-        return replace(state, products=products)
-    if isinstance(kind, Transfer):
-        product = state.products[kind.product_id]
-        products = dict(state.products)
-        products[kind.product_id] = replace(
-            product,
-            current_owner=kind.new_owner,
-            history=product.history + (kind.new_owner,),
+    if isinstance(kind, (Transfer, Sell)):
+        p = state.products[kind.product_id]
+        if isinstance(kind, Transfer):
+            owner, status = kind.new_owner, p.status
+        else:
+            owner, status = kind.consumer, Status.UNAVAILABLE
+        return _with_product(
+            state,
+            ProductRecord(
+                p.product_id, p.name, p.metadata, p.manufacturer, owner, status,
+                p.history + (owner,), p.registered_at,
+            ),
         )
-        return replace(state, products=products)
-    if isinstance(kind, Sell):
-        product = state.products[kind.product_id]
-        products = dict(state.products)
-        products[kind.product_id] = replace(
-            product,
-            current_owner=kind.consumer,
-            status=Status.UNAVAILABLE,
-            history=product.history + (kind.consumer,),
-        )
-        return replace(state, products=products)
     raise TypeError(f"no effect for transaction kind {kind!r}")
 
 
@@ -524,61 +565,61 @@ def _charge_and_bump(
 ) -> RegistryState:
     """Debit payer / credit sealer and bump the payer nonce, in one copy."""
     accounts = dict(state.accounts)
-    payer_acct = accounts[payer]
-    accounts[payer] = replace(
-        payer_acct, nonce=payer_acct.nonce + 1, balance=payer_acct.balance - fee_wei
+    p = accounts[payer]
+    accounts[payer] = Account(
+        p.address, p.role, p.balance - fee_wei, p.nonce + 1, p.last_faucet_claim, p.public_key
     )
     if fee_wei:
-        sealer_acct = accounts[sealer]
-        accounts[sealer] = replace(sealer_acct, balance=sealer_acct.balance + fee_wei)
-    return replace(state, accounts=accounts)
+        s = accounts[sealer]
+        accounts[sealer] = Account(
+            s.address, s.role, s.balance + fee_wei, s.nonce, s.last_faucet_claim, s.public_key
+        )
+    return RegistryState(state.chain_id, state.contract, accounts, state.products)
 
 
 def apply_tx(
     state: RegistryState, tx: TxEnvelope, ctx: TxContext
 ) -> Tuple[RegistryState, Receipt]:
     """Pure transition: authenticate, meter, settle, then apply the variant."""
-    txh = tx_hash(tx)
+    txh = tx.hash
     params = ctx.gas_params
-    kind_canonical = kind_to_canonical(tx.kind)
     is_faucet = isinstance(tx.kind, FaucetClaim)
-
-    def assessed_gas() -> int:
-        return 0 if is_faucet else gas_model.intrinsic_gas(kind_canonical, params)
+    intrinsic = 0 if is_faucet else gas_model.intrinsic_gas(tx.kind_bytes, params)
 
     acct = state.accounts.get(tx.sender)
-    payload = signing_payload(state.chain_id, tx.sender, tx.nonce, tx.kind, tx.gas_price)
+    payload = tx.signing_payload(state.chain_id)
     if acct is None or not verify(acct.public_key, payload, tx.signature):
-        gas_used = assessed_gas()
         return state, Receipt(
-            txh, False, gas_used, gas_model.fee(gas_used, tx.gas_price), BAD_SIGNATURE
+            txh, False, intrinsic, gas_model.fee(intrinsic, tx.gas_price), BAD_SIGNATURE
         )
     if tx.nonce != acct.nonce:
-        gas_used = assessed_gas()
         return state, Receipt(
-            txh, False, gas_used, gas_model.fee(gas_used, tx.gas_price), BAD_NONCE
+            txh, False, intrinsic, gas_model.fee(intrinsic, tx.gas_price), BAD_NONCE
         )
 
     if is_faucet:
-        accounts = dict(state.accounts)
         granted = (
             acct.last_faucet_claim is None
             or ctx.timestamp - acct.last_faucet_claim >= ctx.faucet_cooldown
         )
         if granted:
-            accounts[tx.sender] = replace(
-                acct,
-                nonce=acct.nonce + 1,
-                balance=acct.balance + ctx.faucet_amount,
-                last_faucet_claim=ctx.timestamp,
-            )
-            return replace(state, accounts=accounts), Receipt(txh, True, 0, 0, None)
-        accounts[tx.sender] = replace(acct, nonce=acct.nonce + 1)
-        return replace(state, accounts=accounts), Receipt(txh, False, 0, 0, FAUCET_COOLDOWN)
+            balance, claimed_at = acct.balance + ctx.faucet_amount, ctx.timestamp
+            receipt = Receipt(txh, True, 0, 0, None)
+        else:
+            balance, claimed_at = acct.balance, acct.last_faucet_claim
+            receipt = Receipt(txh, False, 0, 0, FAUCET_COOLDOWN)
+        accounts = dict(state.accounts)
+        accounts[tx.sender] = Account(
+            acct.address, acct.role, balance, acct.nonce + 1, claimed_at, acct.public_key
+        )
+        return RegistryState(state.chain_id, state.contract, accounts, state.products), receipt
 
     err = transition_error(state, tx.sender, tx.kind)
-    intrinsic = gas_model.intrinsic_gas(kind_canonical, params)
-    gas_used = intrinsic if err else intrinsic + gas_model.storage_gas(kind_canonical, params)
+    gas_used = (
+        intrinsic
+        if err
+        else intrinsic + gas_model.storage_gas(kind_to_canonical(tx.kind), params)
+    )
     fee_wei = gas_model.fee(gas_used, tx.gas_price)
 
     if acct.balance < fee_wei:

@@ -174,6 +174,26 @@ class TestTx:
         res = run_cli("tx", "faucet", "--key", "ghost.json", cwd=ws)
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(None, b"\xff{"), ("public_key", 5), ("secret_key", "0x12")],
+        ids=["not-utf8", "numeric-public-key", "short-secret-key"],
+    )
+    def test_malformed_key_file_is_usage_error(self, workspace, tmp_path, field, value):
+        ws = clone(workspace, tmp_path)
+        chain_before = (ws / "chain.jsonl").read_bytes()
+        if field is None:
+            (ws / "bad.json").write_bytes(value)
+        else:
+            doc = json.loads((ws / "c.json").read_text())
+            doc[field] = value
+            (ws / "bad.json").write_text(json.dumps(doc))
+        res = run_cli("tx", "faucet", "--key", "bad.json", cwd=ws)
+        assert res.returncode == 2, res.stderr
+        assert "error: not a key file" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert (ws / "chain.jsonl").read_bytes() == chain_before
+
 
 class TestVerify:
     def test_genuine_product(self, workspace):

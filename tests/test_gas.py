@@ -45,9 +45,9 @@ class TestMetering:
 
     def test_faucet_intrinsic_by_hand(self):
         # canonical kind bytes are {"type":"faucet_claim"}: 23 bytes, none zero
-        doc = registry.kind_to_canonical(FaucetClaim())
-        assert len(canonical.canonical_serialize(doc)) == 23
-        assert gas.intrinsic_gas(doc, PARAMS) == 21_000 + 23 * 16
+        kind_bytes = canonical.canonical_serialize(registry.kind_to_canonical(FaucetClaim()))
+        assert len(kind_bytes) == 23
+        assert gas.intrinsic_gas(kind_bytes, PARAMS) == 21_000 + 23 * 16
 
     def test_deploy_storage_scales_with_code_size(self):
         small = registry.kind_to_canonical(Deploy(code_size=1))
@@ -81,12 +81,14 @@ class TestGasForTx:
         doc = registry.kind_to_canonical(tx.kind)
         _, receipt = registry.apply_tx(state, tx, support.ctx_for(genesis))
         assert receipt.error == registry.NOT_TRUSTED_NODE
-        assert receipt.gas_used == gas.intrinsic_gas(doc, PARAMS)
+        assert receipt.gas_used == gas.intrinsic_gas(canonical.canonical_serialize(doc), PARAMS)
 
     def test_accepted_tx_adds_storage(self, genesis, state, keys):
         tx = registry.make_tx(keys["manufacturer"], 5, 0, Deploy(code_size=2000), 10**9)
         doc = registry.kind_to_canonical(tx.kind)
-        expected = gas.intrinsic_gas(doc, PARAMS) + gas.storage_gas(doc, PARAMS)
+        expected = gas.intrinsic_gas(canonical.canonical_serialize(doc), PARAMS) + gas.storage_gas(
+            doc, PARAMS
+        )
         _, receipt = registry.apply_tx(state, tx, support.ctx_for(genesis))
         assert receipt.accepted
         assert receipt.gas_used == expected

@@ -55,7 +55,7 @@ class TestTxRoot:
         ]
         acc = hashlib.sha256(b"").digest()
         for tx in txs:
-            acc = hashlib.sha256(acc + from_hex(registry.tx_hash(tx))).digest()
+            acc = hashlib.sha256(acc + from_hex(canonical.hash_obj(tx.to_canonical()))).digest()
         assert ledger.tx_root_of(txs) == "0x" + acc.hex()
 
     def test_order_matters(self, keys):
@@ -280,26 +280,22 @@ class TestStore:
     def test_append_load_round_trip(self, genesis, keys, chain, tmp_path):
         blocks, state = chain
         path = tmp_path / "chain.jsonl"
-        store = ledger.create_store(path, genesis)
-        for block in blocks[1:]:
-            store = ledger.append_block(store, block)
-        assert path.read_bytes() == b"".join(ledger.block_line(b) for b in blocks)
+        ledger.create_store(path, genesis)
+        with open(path, "ab") as f:
+            f.writelines(ledger.block_line(b) for b in blocks[1:])
 
         loaded = ledger.load_chain(path, genesis)
         assert loaded.blocks == blocks
         assert loaded.tip_commitment == registry.state_commitment(state)
         assert [len(r) for r in loaded.receipts] == [len(b.txs) for b in blocks]
 
-    def test_append_rejects_invalid_block_and_leaves_file_alone(
-        self, genesis, keys, chain, tmp_path
-    ):
+    def test_load_rejects_a_skipped_block(self, genesis, keys, chain, tmp_path):
         blocks, _ = chain
         path = tmp_path / "chain.jsonl"
-        store = ledger.create_store(path, genesis)
-        before = path.read_bytes()
-        with pytest.raises(ledger.ValidationFailedError):
-            ledger.append_block(store, blocks[2])  # skips block 1
-        assert path.read_bytes() == before
+        path.write_bytes(ledger.block_line(blocks[0]) + ledger.block_line(blocks[2]))
+        with pytest.raises(ledger.ValidationFailedError) as err:
+            ledger.load_chain(path, genesis)
+        assert (err.value.report.block_index, err.value.report.rule) == (1, ledger.RULE_INDEX)
 
 
 class TestExtend:
@@ -380,3 +376,11 @@ class TestParsing:
         blocks, _ = chain
         raw = b"".join(ledger.block_line(b) for b in blocks)
         assert ledger.parse_chain_bytes(raw) == blocks
+
+    @pytest.mark.parametrize("field", [b'"seal":"', b'"signature":"'], ids=["seal", "tx"])
+    def test_lone_surrogate_is_a_parse_error(self, chain, field):
+        blocks, _ = chain
+        line = ledger.block_line(blocks[1]).replace(field, field + b"\\ud800", 1)
+        with pytest.raises(ledger.ParseError) as err:
+            ledger.parse_chain_bytes(ledger.block_line(blocks[0]) + line)
+        assert err.value.line_number == 2

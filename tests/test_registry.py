@@ -1,8 +1,10 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acprov import canonical, gas, ledger, registry
+from acprov import canonical, crypto, gas, ledger, registry
 from acprov.registry import (
     Deploy,
     FaucetClaim,
@@ -355,7 +357,7 @@ class TestInsufficientFunds:
         genesis, keys = support.five_role_genesis()
         kind = Register(product_id="P-001", name="W", metadata="")
         doc = registry.kind_to_canonical(kind)
-        intrinsic = gas.intrinsic_gas(doc, genesis.gas_params)
+        intrinsic = gas.intrinsic_gas(canonical.canonical_serialize(doc), genesis.gas_params)
         full = intrinsic + gas.storage_gas(doc, genesis.gas_params)
         balances = dict(genesis.initial_balances)
         poor_balance = (intrinsic + (full - intrinsic) // 2) * PRICE
@@ -447,6 +449,90 @@ class TestInvariants:
         b, _ = registry.apply_tx(state, tx, support.ctx_for(genesis, 1))
         assert a is not b
         assert registry.state_commitment(a) == registry.state_commitment(b)
+
+
+TEXT = st.text(max_size=12)  # any code point UTF-8 can encode, non-ASCII included
+UINT = st.integers(min_value=0, max_value=2**70)
+KINDS = st.one_of(
+    st.builds(Deploy, code_size=UINT),
+    st.builds(Register, product_id=TEXT, name=TEXT, metadata=TEXT),
+    st.builds(Transfer, product_id=TEXT, new_owner=TEXT),
+    st.builds(Sell, product_id=TEXT, consumer=TEXT),
+    st.just(FaucetClaim()),
+)
+# a signature string always holding a quote and a backslash, which JSON escapes
+SIGNATURES = st.tuples(st.text(), st.text()).map(lambda parts: parts[0] + '"\\' + parts[1])
+
+
+def reference_payload(chain_id, tx):
+    """The signing payload as one canonical_serialize call over the signed fields."""
+    return canonical.canonical_serialize(
+        {
+            "chain_id": chain_id,
+            "gas_price": tx.gas_price,
+            "kind": registry.kind_to_canonical(tx.kind),
+            "nonce": tx.nonce,
+            "sender": tx.sender,
+        }
+    )
+
+
+class TestCachedBytes:
+    """Bytes assembled from cached encodings equal a fresh canonical encoding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=KINDS,
+        sender=TEXT,
+        nonce=UINT,
+        gas_price=UINT,
+        signature=SIGNATURES,
+        chain_id=st.integers(min_value=1, max_value=2**63),
+    )
+    def test_envelope(self, kind, sender, nonce, gas_price, signature, chain_id):
+        tx = registry.TxEnvelope(sender, nonce, kind, gas_price, signature)
+        whole = canonical.canonical_serialize(tx.to_canonical())
+        assert tx.kind_bytes == canonical.canonical_serialize(registry.kind_to_canonical(kind))
+        assert tx.hash == canonical.hash_of(whole) == registry.tx_hash(tx)
+        assert tx.signing_payload(chain_id) == reference_payload(chain_id, tx)
+
+    @settings(max_examples=50, deadline=None)
+    @given(kind=KINDS, nonce=UINT, gas_price=UINT, chain_id=st.integers(1, 2**63))
+    def test_make_tx_signs_the_reference_payload(self, keys, kind, nonce, gas_price, chain_id):
+        key = keys["retailer"]
+        tx = registry.make_tx(key, chain_id, nonce, kind, gas_price)
+        assert crypto.verify(key.public_key, reference_payload(chain_id, tx), tx.signature)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(("manufacturer", "distributor", "retailer", "consumer")),
+                st.sampled_from(("register", "transfer", "sell", "faucet")),
+                st.integers(min_value=0, max_value=3),
+                st.sampled_from(("distributor", "retailer", "consumer")),
+                TEXT,
+                TEXT,
+            ),
+            max_size=20,
+        )
+    )
+    def test_state_commitment(self, genesis, keys, steps):
+        state = ledger.genesis_state(genesis)
+        deploy = mktx(keys["manufacturer"], 0, Deploy(code_size=10))
+        state, _ = registry.apply_tx(state, deploy, support.ctx_for(genesis, 1))
+        for i, (actor, op, product, target, name, metadata) in enumerate(steps, start=2):
+            pid, to = f"P-{product}", keys[target].address
+            kind = {
+                "register": Register(product_id=pid, name=name, metadata=metadata),
+                "transfer": Transfer(product_id=pid, new_owner=to),
+                "sell": Sell(product_id=pid, consumer=to),
+                "faucet": FaucetClaim(),
+            }[op]
+            key = keys["manufacturer" if op == "register" else actor]
+            tx = mktx(key, state.accounts[key.address].nonce, kind)
+            state, _ = registry.apply_tx(state, tx, support.ctx_for(genesis, i, 3600 * i))
+            assert registry.state_commitment(state) == canonical.hash_obj(state.to_canonical())
 
 
 class TestVerifyProduct:
