@@ -202,12 +202,11 @@ def _apply_one(state: dict, tx, block_index: int, timestamp: int, sealer: str, g
 
     params = genesis.gas_params
     blob = _dumps(kind_doc)
-    calldata = 0
-    for byte in blob:
-        if byte == 0:
-            calldata = calldata + params.calldata_zero_byte
-        else:
-            calldata = calldata + params.calldata_nonzero_byte
+    zero_bytes = blob.count(0)
+    calldata = (
+        zero_bytes * params.calldata_zero_byte
+        + (len(blob) - zero_bytes) * params.calldata_nonzero_byte
+    )
     intrinsic = params.base_tx + calldata
     error = _variant_error(state, tx.sender, kind)
     if error is None:

@@ -86,9 +86,8 @@ class TestGasForTx:
     def test_accepted_tx_adds_storage(self, genesis, state, keys):
         tx = registry.make_tx(keys["manufacturer"], 5, 0, Deploy(code_size=2000), 10**9)
         doc = registry.kind_to_canonical(tx.kind)
-        expected = gas.intrinsic_gas(canonical.canonical_serialize(doc), PARAMS) + gas.storage_gas(
-            doc, PARAMS
-        )
+        kind_bytes = canonical.canonical_serialize(doc)
+        expected = gas.intrinsic_gas(kind_bytes, PARAMS) + gas.storage_gas(doc, PARAMS)
         _, receipt = registry.apply_tx(state, tx, support.ctx_for(genesis))
         assert receipt.accepted
         assert receipt.gas_used == expected
