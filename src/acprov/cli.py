@@ -64,6 +64,12 @@ def _open_store(args) -> ledger.LedgerStore:
     return ledger.load_chain(args.db, genesis)
 
 
+def _read_state(args):
+    """(genesis, tip state) for a read; see ledger.read_state."""
+    genesis = ledger.GenesisConfig.load(args.genesis)
+    return genesis, ledger.read_state(args.db, genesis)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -216,12 +222,11 @@ def cmd_verify(args) -> int:
         payload = qr.decode_payload(args.qr)
     except qr.PayloadError as exc:
         raise UsageError(f"bad payload: {exc}") from None
-    store = _open_store(args)
-    state = store.state
-    if payload.chain_id != store.genesis.chain_id:
+    genesis, state = _read_state(args)
+    if payload.chain_id != genesis.chain_id:
         print(
             f"REGISTRY MISMATCH: payload is for chain {payload.chain_id}, "
-            f"this chain is {store.genesis.chain_id}"
+            f"this chain is {genesis.chain_id}"
         )
         return EXIT_VERIFICATION_NEGATIVE
     if state.contract is None or payload.contract != state.contract.address:
@@ -243,8 +248,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_history(args) -> int:
-    store = _open_store(args)
-    product = store.state.products.get(args.id)
+    _, state = _read_state(args)
+    product = state.products.get(args.id)
     if product is None:
         print(f"SUSPECTED COUNTERFEIT: product {args.id!r} is not in the registry")
         return EXIT_VERIFICATION_NEGATIVE
@@ -268,6 +273,13 @@ def cmd_validate(args) -> int:
     raw = Path(args.db).read_bytes()
     try:
         blocks = ledger.parse_chain_bytes(raw)
+    except ledger.TornTailError as exc:
+        print(
+            f"INVALID block={exc.line_number - 1} rule=torn_tail "
+            f"detail=line {exc.line_number} is an interrupted append; "
+            f"truncate the file to {exc.intact_bytes} bytes to recover"
+        )
+        return EXIT_CHAIN_FAILURE
     except ledger.ParseError as exc:
         print(
             f"INVALID block={exc.line_number - 1} rule=parse "

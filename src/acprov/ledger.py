@@ -13,13 +13,19 @@ Design notes that matter for interoperability:
   UTF-8 with LF endings.  Loading is strict: every line must re-encode
   byte-identically, so any single-byte edit of the file surfaces as a
   parse or validation failure.
+* A sidecar ``<chain>.tip`` caches the state at one block so that reads
+  (``read_state``) check headers and seals instead of re-executing every
+  block.  It is a cache: any doubt about it means a full replay.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -79,6 +85,20 @@ class ParseError(LedgerError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+class TornTailError(ParseError):
+    """The last line has no newline and does not parse: an interrupted append."""
+
+    def __init__(self, line_number: int, intact_bytes: int, reason: str):
+        super().__init__(
+            line_number,
+            f"interrupted append: the last line has no newline and is not a "
+            f"complete block ({reason}); the first {intact_bytes} bytes hold every "
+            f"complete block, so truncate the file to {intact_bytes} bytes to "
+            f"recover and resend the lost block's transactions",
+        )
+        self.intact_bytes = intact_bytes
 
 
 @dataclass(frozen=True)
@@ -433,17 +453,9 @@ def _seal_verifies(block: Block, genesis: GenesisConfig) -> bool:
     )
 
 
-def _check_block(
-    block: Block,
-    prev: BlockHeader,
-    state: registry.RegistryState,
-    genesis: GenesisConfig,
-) -> Tuple[registry.RegistryState, List[registry.Receipt]]:
-    """Validate one block against its parent and pre-state.
-
-    Returns the post-state and receipts; raises ValidationFailedError
-    naming the violated rule otherwise.
-    """
+def _check_header(block: Block, prev: BlockHeader, genesis: GenesisConfig) -> None:
+    """The rules a block meets without executing it: index, timestamp,
+    linkage, turn, seal and tx_root.  Raises ValidationFailedError."""
     index = prev.index + 1
     h = block.header
     if h.index != index:
@@ -462,13 +474,38 @@ def _check_block(
     recomputed_root = tx_root_of(block.txs)
     if h.tx_root != recomputed_root:
         raise _invalid(index, RULE_TX_ROOT, f"tx_root {h.tx_root} != {recomputed_root}")
+
+
+def _check_block(
+    block: Block,
+    prev: BlockHeader,
+    state: registry.RegistryState,
+    genesis: GenesisConfig,
+) -> Tuple[registry.RegistryState, List[registry.Receipt]]:
+    """Validate one block against its parent and pre-state.
+
+    Returns the post-state and receipts; raises ValidationFailedError
+    naming the violated rule otherwise.
+    """
+    _check_header(block, prev, genesis)
+    h = block.header
     state, receipts = _execute(
-        state, block.txs, make_context(genesis, index, h.timestamp, h.sealer)
+        state, block.txs, make_context(genesis, h.index, h.timestamp, h.sealer)
     )
     commitment = registry.state_commitment(state)
     if h.state_root != commitment:
-        raise _invalid(index, RULE_STATE_ROOT, f"state_root {h.state_root} != {commitment}")
+        raise _invalid(h.index, RULE_STATE_ROOT, f"state_root {h.state_root} != {commitment}")
     return state, receipts
+
+
+def _check_genesis(blocks: Sequence[Block], genesis: GenesisConfig) -> None:
+    if not blocks:
+        raise _invalid(0, RULE_GENESIS, "chain is empty")
+    expected = genesis_block(genesis)
+    if canonical_serialize(blocks[0].to_canonical()) != canonical_serialize(
+        expected.to_canonical()
+    ):
+        raise _invalid(0, RULE_GENESIS, "block 0 does not match the genesis config")
 
 
 def _replay(
@@ -478,13 +515,7 @@ def _replay(
 
     Raises ValidationFailedError on the first offense.
     """
-    if not blocks:
-        raise _invalid(0, RULE_GENESIS, "chain is empty")
-    expected = genesis_block(genesis)
-    if canonical_serialize(blocks[0].to_canonical()) != canonical_serialize(
-        expected.to_canonical()
-    ):
-        raise _invalid(0, RULE_GENESIS, "block 0 does not match the genesis config")
+    _check_genesis(blocks, genesis)
     state = genesis_state(genesis)
     receipts_per_block: List[List[registry.Receipt]] = [[]]
     prev = blocks[0].header
@@ -519,6 +550,9 @@ class LedgerStore:
     blocks: List[Block]
     state: registry.RegistryState
     receipts: List[List[registry.Receipt]]
+    # The file's length when this store last read or wrote it; an append
+    # that finds another length refuses, since another writer got there first.
+    size: int
 
     @property
     def tip(self) -> Block:
@@ -536,12 +570,13 @@ def create_store(path, genesis: GenesisConfig) -> LedgerStore:
     if path.exists():
         raise StorageError(f"chain file already exists: {path}")
     block = genesis_block(genesis)
+    line = block_line(block)
     try:
         fd = os.open(str(path), os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
     except OSError as exc:
         raise StorageError(f"cannot create chain file {path}: {exc}") from exc
     try:
-        os.write(fd, block_line(block))
+        os.write(fd, line)
     finally:
         os.close(fd)
     return LedgerStore(
@@ -550,6 +585,7 @@ def create_store(path, genesis: GenesisConfig) -> LedgerStore:
         blocks=[block],
         state=genesis_state(genesis),
         receipts=[[]],
+        size=len(line),
     )
 
 
@@ -559,15 +595,30 @@ def _write(
     state: registry.RegistryState,
     receipts: List[registry.Receipt],
 ) -> None:
-    """Append a checked block to the file in one write, then to the store."""
+    """Append a checked block to the file in one write, then to the store.
+
+    The write happens under an exclusive lock and only while the file is
+    as long as the store last saw it, so two writers that loaded the same
+    tip cannot both append a block at the same index.
+    """
+    line = block_line(block)
     try:
         fd = os.open(str(store.path), os.O_WRONLY | os.O_APPEND)
         try:
-            os.write(fd, block_line(block))
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            size = os.fstat(fd).st_size
+            if size == store.size:
+                os.write(fd, line)
         finally:
             os.close(fd)
     except OSError as exc:
         raise StorageError(f"cannot append to {store.path}: {exc}") from exc
+    if size != store.size:
+        raise StorageError(
+            f"{store.path} is {size} bytes, not the {store.size} this store loaded: "
+            "another writer appended to it; reload the chain and retry"
+        )
+    store.size += len(line)
     store.blocks.append(block)
     store.state = state
     store.receipts.append(receipts)
@@ -599,8 +650,30 @@ def extend(
     return block, receipts
 
 
+def _parse_line(line: bytes) -> Block:
+    """One block line; ValueError says why it is not a canonical block."""
+    try:
+        doc = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"not valid canonical JSON: {exc}") from exc
+    try:
+        block = Block.from_canonical(doc)
+        # a string escaping a lone surrogate parses but cannot re-encode
+        encoded = canonical_serialize(block.to_canonical())
+    except (KeyError, TypeError) as exc:
+        raise ValueError(str(exc)) from exc
+    if encoded != line:
+        raise ValueError("line is not the canonical block encoding")
+    return block
+
+
 def parse_chain_bytes(raw: bytes) -> List[Block]:
-    """Strict parse of a ledger file: every line must re-encode identically."""
+    """Strict parse of a ledger file: every line must re-encode identically.
+
+    A last line after genesis that lacks its newline and does not parse
+    raises TornTailError, the mark of an append cut short; nothing is
+    truncated.
+    """
     if raw == b"":
         raise ParseError(1, "empty file: genesis block required")
     lines = raw.split(b"\n")
@@ -609,18 +682,11 @@ def parse_chain_bytes(raw: bytes) -> List[Block]:
     blocks: List[Block] = []
     for line_number, line in enumerate(lines, start=1):
         try:
-            doc = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ParseError(line_number, f"not valid canonical JSON: {exc}") from exc
-        try:
-            block = Block.from_canonical(doc)
-            # a string escaping a lone surrogate parses but cannot re-encode
-            encoded = canonical_serialize(block.to_canonical())
-        except (ValueError, KeyError, TypeError) as exc:
+            blocks.append(_parse_line(line))
+        except ValueError as exc:
+            if line_number == len(lines) > 1 and not raw.endswith(b"\n"):
+                raise TornTailError(line_number, len(raw) - len(line), str(exc)) from exc
             raise ParseError(line_number, str(exc)) from exc
-        if encoded != line:
-            raise ParseError(line_number, "line is not the canonical block encoding")
-        blocks.append(block)
     return blocks
 
 
@@ -631,5 +697,115 @@ def load_chain(path, genesis: GenesisConfig) -> LedgerStore:
     blocks = parse_chain_bytes(raw)
     state, receipts = _replay(blocks, genesis)  # ValidationFailedError on bad chains
     return LedgerStore(
-        path=path, genesis=genesis, blocks=blocks, state=state, receipts=receipts
+        path=path, genesis=genesis, blocks=blocks, state=state, receipts=receipts, size=len(raw)
     )
+
+
+# ---------------------------------------------------------------------------
+# Reads from a sealed tip checkpoint
+#
+# The sidecar <chain>.tip holds two lines:
+#   1. canonical JSON {"genesis": <hash of the canonical genesis config>,
+#      "hash": <hash of header k>, "index": k}
+#   2. the canonical state document after block k, the bytes whose hash
+#      is header k's state_root.
+# The genesis digest is needed because block 0 commits to roles, balances
+# and keys but not to gas_params or the faucet settings, which change
+# what every later block executes to.
+
+
+def _tip_path(path: Path) -> Path:
+    return path.with_name(path.name + ".tip")
+
+
+def _genesis_digest(genesis: GenesisConfig) -> str:
+    return hash_obj(genesis.to_canonical())
+
+
+def _from_checkpoint(
+    blocks: Sequence[Block], genesis: GenesisConfig, sidecar: bytes
+) -> Tuple[int, registry.RegistryState]:
+    """(k, state after block k) from a sidecar, executing nothing.
+
+    Blocks 0..k must meet every header rule, header k must be the one the
+    sidecar names, and the rebuilt state must commit to its state_root.
+    Raises ValueError or ValidationFailedError otherwise.
+    """
+    head, body, rest = sidecar.split(b"\n", 2)
+    _require(rest == b"", "sidecar has more than two lines")
+    doc = json.loads(head)
+    _require(
+        isinstance(doc, dict) and set(doc) == {"genesis", "hash", "index"},
+        "sidecar head must have fields genesis, hash, index",
+    )
+    _require(doc["genesis"] == _genesis_digest(genesis), "sidecar is for another genesis")
+    k = _as_int(doc["index"], "index")
+    _require(k < len(blocks), f"sidecar block {k} is past the tip")
+    _check_genesis(blocks, genesis)
+    prev = blocks[0].header
+    for block in blocks[1 : k + 1]:
+        _check_header(block, prev, genesis)
+        prev = block.header
+    _require(doc["hash"] == prev.hash, f"sidecar names another block {k}")
+    state = registry.state_from_canonical(json.loads(body))
+    _require(
+        registry.state_commitment(state) == prev.state_root,
+        f"sidecar state does not commit to block {k}'s state_root",
+    )
+    return k, state
+
+
+def _write_checkpoint(
+    path: Path, genesis: GenesisConfig, header: BlockHeader, state: registry.RegistryState
+) -> None:
+    """Atomically replace the sidecar of path with a checkpoint at header.
+
+    The sidecar is only a cache, so an OSError (a read-only directory, a
+    full disk) leaves things as they were and is not reported.
+    """
+    head = canonical_serialize(
+        {"genesis": _genesis_digest(genesis), "hash": header.hash, "index": header.index}
+    )
+    data = head + b"\n" + registry.state_bytes(state) + b"\n"
+    target = _tip_path(path)
+    try:
+        fd, temp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as out:
+            os.fchmod(out.fileno(), 0o644)
+            out.write(data)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(temp, target)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+
+
+def read_state(path, genesis: GenesisConfig) -> registry.RegistryState:
+    """The tip state of a chain file, for reads that need no receipts.
+
+    With a sidecar checkpoint at block k, blocks 0..k get the header
+    rules only and blocks after k are executed.  Any failure on that
+    path, whether from the sidecar or the chain, falls back to load_chain,
+    so the state, or the error raised, is always that of a full replay.
+    A fallback or a checkpoint behind the tip rewrites the sidecar at the
+    tip.  The checkpoint trusts the transitions up to k because a replay
+    on this machine wrote it; ``validate`` always replays in full.
+    """
+    path = Path(path)
+    try:
+        blocks = parse_chain_bytes(path.read_bytes())
+        k, state = _from_checkpoint(blocks, genesis, _tip_path(path).read_bytes())
+        prev = blocks[k].header
+        for block in blocks[k + 1 :]:
+            state, _ = _check_block(block, prev, state, genesis)
+            prev = block.header
+    except (OSError, LedgerError, ValueError, KeyError, TypeError, RecursionError):
+        store = load_chain(path, genesis)
+        k, blocks, state = -1, store.blocks, store.state
+    if k < len(blocks) - 1:
+        _write_checkpoint(path, genesis, blocks[-1].header, state)
+    return state

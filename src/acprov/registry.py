@@ -411,8 +411,8 @@ class RegistryState:
         }
 
 
-def state_commitment(state: RegistryState) -> str:
-    """Hash of the canonical state; maps serialize in sorted key order.
+def state_bytes(state: RegistryState) -> bytes:
+    """The canonical state document; maps serialize in sorted key order.
 
     The document is joined from each record's cached member bytes, so a
     record is encoded once however many blocks it stays unchanged.
@@ -420,9 +420,89 @@ def state_commitment(state: RegistryState) -> str:
     accounts = b",".join(state.accounts[a].canonical_bytes for a in sorted(state.accounts))
     products = b",".join(state.products[p].canonical_bytes for p in sorted(state.products))
     contract = state.contract.to_canonical() if state.contract else None
-    return hash_of(
-        b'{"accounts":{%s},"chain_id":%s,"contract":%s,"products":{%s}}'
-        % (accounts, canonical_serialize(state.chain_id), canonical_serialize(contract), products)
+    return b'{"accounts":{%s},"chain_id":%s,"contract":%s,"products":{%s}}' % (
+        accounts,
+        canonical_serialize(state.chain_id),
+        canonical_serialize(contract),
+        products,
+    )
+
+
+def state_commitment(state: RegistryState) -> str:
+    """Hash of the canonical state document."""
+    return hash_of(state_bytes(state))
+
+
+def _fields(doc: Any, name: str, expected: set) -> Mapping[str, Any]:
+    _require(isinstance(doc, Mapping), f"{name} must be an object")
+    _require(set(doc) == expected, f"{name} must have fields {sorted(expected)}")
+    return doc
+
+
+def _account_from_canonical(address: str, doc: Any) -> Account:
+    doc = _fields(
+        doc,
+        f"account {address}",
+        {"address", "balance", "last_faucet_claim", "nonce", "public_key", "role"},
+    )
+    _require(doc["address"] == address, f"account {address} holds another address")
+    claim = doc["last_faucet_claim"]
+    return Account(
+        address=_as_address(address, "account address"),
+        role=Role(_as_str(doc["role"], "role")),
+        balance=_as_int(doc["balance"], "balance"),
+        nonce=_as_int(doc["nonce"], "nonce"),
+        last_faucet_claim=None if claim is None else _as_int(claim, "last_faucet_claim"),
+        public_key=_as_str(doc["public_key"], "public_key"),
+    )
+
+
+def _product_from_canonical(product_id: str, doc: Any) -> ProductRecord:
+    doc = _fields(
+        doc,
+        f"product {product_id}",
+        {
+            "current_owner",
+            "history",
+            "manufacturer",
+            "metadata",
+            "name",
+            "product_id",
+            "registered_at",
+            "status",
+        },
+    )
+    _require(doc["product_id"] == product_id, f"product {product_id} holds another id")
+    _require(isinstance(doc["history"], list), "history must be a list")
+    return ProductRecord(
+        product_id=_as_str(product_id, "product_id"),
+        name=_as_str(doc["name"], "name"),
+        metadata=_as_str(doc["metadata"], "metadata"),
+        manufacturer=_as_address(doc["manufacturer"], "manufacturer"),
+        current_owner=_as_address(doc["current_owner"], "current_owner"),
+        status=Status(_as_str(doc["status"], "status")),
+        history=tuple(_as_address(owner, "history entry") for owner in doc["history"]),
+        registered_at=_as_int(doc["registered_at"], "registered_at"),
+    )
+
+
+def state_from_canonical(doc: Any) -> RegistryState:
+    """Strict inverse of ``RegistryState.to_canonical``; ValueError on any misfit."""
+    doc = _fields(doc, "state", {"accounts", "chain_id", "contract", "products"})
+    for name in ("accounts", "products"):
+        _require(isinstance(doc[name], Mapping), f"{name} must be an object")
+    contract = doc["contract"]
+    if contract is not None:
+        contract = _fields(contract, "contract", {"address", "deployer"})
+        contract = ContractInfo(
+            address=_as_address(contract["address"], "contract address"),
+            deployer=_as_address(contract["deployer"], "deployer"),
+        )
+    return RegistryState(
+        chain_id=_as_int(doc["chain_id"], "chain_id", minimum=1),
+        contract=contract,
+        accounts={a: _account_from_canonical(a, d) for a, d in doc["accounts"].items()},
+        products={p: _product_from_canonical(p, d) for p, d in doc["products"].items()},
     )
 
 

@@ -53,6 +53,19 @@ def run_cli(*argv: str, cwd=None) -> subprocess.CompletedProcess:
     )
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call to module.name; returns the record."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def key_for(tag: str) -> crypto.KeyPair:
     return crypto.KeyPair.from_seed(hashlib.sha256(f"acprov-test:{tag}".encode()).digest())
 

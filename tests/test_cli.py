@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,7 +11,12 @@ import pytest
 
 import acprov
 from acprov import cli, ledger, qr, registry, simnet
-from support import cli_env, run_cli
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from support import cli_env, count_calls, run_cli
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_child_imports_package_under_test(tmp_path):
@@ -318,10 +326,228 @@ class TestValidate:
         assert "error: corrupt file" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_torn_tail_is_named_and_left_alone(self, workspace, tmp_path):
+        """A block append cut short: rule torn_tail, and the file is not truncated."""
+        ws = clone(workspace, tmp_path)
+        intact = (ws / "chain.jsonl").read_bytes()
+        torn = intact + intact.split(b"\n")[-2][:40]
+        (ws / "chain.jsonl").write_bytes(torn)
+        res = run_cli("validate", cwd=ws)
+        assert res.returncode == 1, res.stderr
+        assert res.stdout == (
+            f"INVALID block=5 rule=torn_tail detail=line 6 is an interrupted append; "
+            f"truncate the file to {len(intact)} bytes to recover\n"
+        )
+        payload = qr.encode_payload(5, workspace["contract"], "P-100")
+        res = run_cli("verify", "--qr", payload, cwd=ws)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: corrupt file: line 6: interrupted append")
+        assert f"truncate the file to {len(intact)} bytes" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert (ws / "chain.jsonl").read_bytes() == torn
+
     def test_missing_chain_file_is_usage_error(self, workspace, tmp_path):
         shutil.copy(workspace["dir"] / "genesis.json", tmp_path / "genesis.json")
         res = run_cli("validate", cwd=tmp_path)
         assert res.returncode == 2
+
+
+def answers(ws, argvs, genesis="genesis.json"):
+    """(exit code, stdout, stderr) of each command, in child processes."""
+    results = []
+    for argv in argvs:
+        res = run_cli("--genesis", genesis, *argv, cwd=ws)
+        results.append((res.returncode, res.stdout, res.stderr))
+    return results
+
+
+class TestSidecar:
+    """verify and history answer exactly as a full replay does, whatever the sidecar holds."""
+
+    def reads(self, workspace):
+        payload = qr.encode_payload(5, workspace["contract"], "P-100")
+        ghost = qr.encode_payload(5, workspace["contract"], "P-404")
+        return [("verify", "--qr", payload), ("verify", "--qr", ghost),
+                ("history", "--id", "P-100"), ("history", "--id", "P-404")]
+
+    def without_sidecar(self, ws, argvs, genesis="genesis.json"):
+        tip = ws / "chain.jsonl.tip"
+        kept = tip.read_bytes() if tip.exists() else None
+        results = []
+        for argv in argvs:
+            tip.unlink(missing_ok=True)
+            results.extend(answers(ws, [argv], genesis))
+        tip.unlink(missing_ok=True)
+        if kept is not None:
+            tip.write_bytes(kept)
+        return results
+
+    def with_sidecar(self, ws, argvs, sidecar, genesis="genesis.json"):
+        results = []
+        for argv in argvs:
+            (ws / "chain.jsonl.tip").write_bytes(sidecar)
+            results.extend(answers(ws, [argv], genesis))
+        return results
+
+    @pytest.mark.parametrize("spoil", ["tampered", "truncated", "foreign"])
+    def test_spoiled_sidecar(self, workspace, tmp_path, spoil):
+        ws = clone(workspace, tmp_path)
+        reads = self.reads(workspace)
+        answers(ws, reads[:1])
+        good = (ws / "chain.jsonl.tip").read_bytes()
+        if spoil == "tampered":
+            sidecar = good.replace(b'"status":"unavailable"', b'"status":"available"')
+            assert sidecar != good
+        elif spoil == "truncated":
+            sidecar = good[: len(good) // 2]
+        else:  # a valid sidecar of the committed 50-block chain
+            for name in ("genesis50.json", "chain50.jsonl"):
+                shutil.copy(FIXTURES / name, tmp_path / name)
+            genesis = ledger.GenesisConfig.load(tmp_path / "genesis50.json")
+            ledger.read_state(tmp_path / "chain50.jsonl", genesis)
+            sidecar = (tmp_path / "chain50.jsonl.tip").read_bytes()
+        expected = self.without_sidecar(ws, reads)
+        assert [code for code, _, _ in expected] == [0, 3, 0, 3]
+        assert self.with_sidecar(ws, reads, sidecar) == expected
+
+    def test_stale_sidecar_after_tx(self, workspace, tmp_path):
+        ws = clone(workspace, tmp_path)
+        reads = self.reads(workspace)
+        answers(ws, reads[:1])
+        stale = (ws / "chain.jsonl.tip").read_bytes()
+        res = run_cli("tx", "transfer", "--key", "c.json", "--id", "P-100",
+                      "--to", workspace["addresses"]["d"], cwd=ws)
+        assert res.returncode == 1  # sold already: rejected, but sealed as block 5
+        assert (ws / "chain.jsonl.tip").read_bytes() == stale  # tx does not write it
+        expected = self.without_sidecar(ws, reads)
+        assert self.with_sidecar(ws, reads, stale) == expected
+        assert b'"index":5}' in (ws / "chain.jsonl.tip").read_bytes().split(b"\n")[0]
+
+    def test_other_genesis(self, workspace, tmp_path):
+        """Same chain, other gas_params: the sidecar written under the real genesis is not used."""
+        ws = clone(workspace, tmp_path)
+        reads = self.reads(workspace)
+        answers(ws, reads[:1])
+        sidecar = (ws / "chain.jsonl.tip").read_bytes()
+        doc = json.loads((ws / "genesis.json").read_text())
+        doc["gas_params"]["base_tx"] += 1
+        (ws / "other.json").write_text(json.dumps(doc))
+        expected = self.without_sidecar(ws, reads, "other.json")
+        assert all(code == 1 and "rule=state_root" in err for code, _, err in expected)
+        assert self.with_sidecar(ws, reads, sidecar, "other.json") == expected
+
+    def test_read_only_directory(self, workspace, tmp_path):
+        """No sidecar can be written; every read still answers.  (Root may write
+        anyway; test_ledger.py fails the writes themselves.)"""
+        (tmp_path / "ro").mkdir()
+        ws = clone(workspace, tmp_path / "ro")
+        reads = self.reads(workspace)
+        expected = self.without_sidecar(ws, reads)
+        os.chmod(ws, 0o555)
+        try:
+            assert answers(ws, reads) == expected
+            if os.geteuid() != 0:
+                assert not (ws / "chain.jsonl.tip").exists()
+        finally:
+            os.chmod(ws, 0o755)
+
+    def test_second_history_executes_nothing(self, workspace, tmp_path, monkeypatch, capsys):
+        ws = clone(workspace, tmp_path)
+        argv = ["--db", str(ws / "chain.jsonl"), "--genesis", str(ws / "genesis.json"),
+                "history", "--id", "P-100"]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr()
+        assert (ws / "chain.jsonl.tip").exists()
+        replays = count_calls(monkeypatch, ledger, "_replay")
+        applied = count_calls(monkeypatch, registry, "apply_tx")
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == first
+        assert (replays, applied) == ([], [])
+
+    def test_every_product_of_the_fixture(self, tmp_path, capsys):
+        for name in ("genesis50.json", "chain50.jsonl"):
+            shutil.copy(FIXTURES / name, tmp_path / name)
+        genesis = ledger.GenesisConfig.load(tmp_path / "genesis50.json")
+        store = ledger.load_chain(tmp_path / "chain50.jsonl", genesis)
+        base = ["--db", str(tmp_path / "chain50.jsonl"), "--genesis", str(tmp_path / "genesis50.json")]
+        tip = tmp_path / "chain50.jsonl.tip"
+        ids = sorted(store.state.products) + ["GHOST-1"]
+        assert len(ids) == 10
+        for product_id in ids:
+            payload = qr.encode_payload(genesis.chain_id, store.state.contract.address, product_id)
+            for args in (["verify", "--qr", payload], ["history", "--id", product_id]):
+                tip.unlink(missing_ok=True)
+                replayed = cli.main(base + args), capsys.readouterr()
+                assert tip.exists()
+                assert (cli.main(base + args), capsys.readouterr()) == replayed
+                assert replayed[0] == (3 if product_id == "GHOST-1" else 0)
+
+
+@pytest.fixture(scope="module")
+def fuzz_chain(tmp_path_factory):
+    """The committed 50-block chain, and valid sidecars of other blocks and chains."""
+    out = tmp_path_factory.mktemp("fuzz")
+    for name in ("genesis50.json", "chain50.jsonl"):
+        shutil.copy(FIXTURES / name, out / name)
+    genesis = ledger.GenesisConfig.load(out / "genesis50.json")
+    lines = (out / "chain50.jsonl").read_bytes().splitlines(keepends=True)
+    others = []
+    for k in (0, 17, 48):
+        prefix = out / f"prefix{k}.jsonl"
+        prefix.write_bytes(b"".join(lines[: k + 1]))
+        ledger.read_state(prefix, genesis)
+        others.append((out / f"prefix{k}.jsonl.tip").read_bytes())
+    state = ledger.read_state(out / "chain50.jsonl", genesis)
+    good = (out / "chain50.jsonl.tip").read_bytes()
+    ctx = simnet.Scenario(
+        seed=4,
+        actors={"manufacturer": 1, "distributor": 1, "retailer": 1, "consumer": 1, "authority": 1},
+        products=1,
+    )
+    foreign = simnet.run_scenario(ctx, out / "foreign")
+    ledger.read_state(foreign.chain_path, ledger.GenesisConfig.load(foreign.genesis_path))
+    others.append(Path(str(foreign.chain_path) + ".tip").read_bytes())
+    product_id = sorted(state.products)[0]
+    payload = qr.encode_payload(genesis.chain_id, state.contract.address, product_id)
+    reads = [["verify", "--qr", payload], ["history", "--id", product_id]]
+    base = ["--db", str(out / "chain50.jsonl"), "--genesis", str(out / "genesis50.json")]
+    return {"dir": out, "good": good, "others": others, "reads": reads, "base": base}
+
+
+def flipped(raw: bytes, bits) -> bytes:
+    data = bytearray(raw)
+    for bit in bits:
+        data[bit // 8 % len(data)] ^= 1 << (bit % 8)
+    return bytes(data)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_sidecar_answers_as_a_replay(fuzz_chain, data):
+    good = fuzz_chain["good"]
+    sidecar = data.draw(
+        st.one_of(
+            st.binary(max_size=400),
+            st.lists(st.integers(0, 8 * len(good) - 1), min_size=1, max_size=4).map(
+                lambda bits: flipped(good, bits)
+            ),
+            st.sampled_from(fuzz_chain["others"]),
+        )
+    )
+    tip = fuzz_chain["dir"] / "chain50.jsonl.tip"
+    for args in fuzz_chain["reads"]:
+        results = []
+        for content in (None, sidecar):
+            tip.unlink(missing_ok=True)
+            if content is not None:
+                tip.write_bytes(content)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(fuzz_chain["base"] + args)
+            results.append((code, out.getvalue(), err.getvalue()))
+        assert results[0] == results[1]
+        code, _, err = results[1]
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
 
 
 class TestSimulate:

@@ -1,5 +1,8 @@
 import hashlib
+import json
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +301,22 @@ class TestStore:
         assert (err.value.report.block_index, err.value.report.rule) == (1, ledger.RULE_INDEX)
 
 
+    def test_second_writer_is_refused(self, genesis, keys, tmp_path):
+        """Two stores loaded from one file: only the first append lands."""
+        path = tmp_path / "chain.jsonl"
+        ledger.create_store(path, genesis)
+        first, second = ledger.load_chain(path, genesis), ledger.load_chain(path, genesis)
+        extend(first, keys, [registry.make_tx(keys["manufacturer"], 5, 0, FaucetClaim(), PRICE)], 10)
+        written = path.read_bytes()
+        with pytest.raises(ledger.StorageError, match="another writer"):
+            extend(second, keys, [registry.make_tx(keys["consumer"], 5, 0, FaucetClaim(), PRICE)], 10)
+        assert path.read_bytes() == written and len(second.blocks) == 1
+        assert ledger.load_chain(path, genesis).blocks == first.blocks
+        # the first writer still knows the file and appends on
+        extend(first, keys, [registry.make_tx(keys["consumer"], 5, 0, FaucetClaim(), PRICE)], 20)
+        assert ledger.load_chain(path, genesis).blocks == first.blocks
+
+
 class TestExtend:
     def test_store_matches_a_fresh_load(self, genesis, keys, tmp_path):
         store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
@@ -366,6 +385,12 @@ class TestParsing:
             ledger.parse_chain_bytes(line + line[: len(line) // 2])
         assert err.value.line_number == 2
 
+    def test_deeply_nested_line(self, genesis):
+        line = ledger.block_line(ledger.genesis_block(genesis))
+        with pytest.raises(ledger.ParseError) as err:
+            ledger.parse_chain_bytes(line + b"[" * 100_000 + b"\n")
+        assert err.value.line_number == 2
+
     def test_interior_blank_line(self, genesis):
         line = ledger.block_line(ledger.genesis_block(genesis))
         with pytest.raises(ledger.ParseError) as err:
@@ -384,3 +409,154 @@ class TestParsing:
         with pytest.raises(ledger.ParseError) as err:
             ledger.parse_chain_bytes(ledger.block_line(blocks[0]) + line)
         assert err.value.line_number == 2
+
+    def test_torn_tail_names_an_interrupted_append(self, chain):
+        blocks, _ = chain
+        intact = b"".join(ledger.block_line(b) for b in blocks[:3])
+        torn = ledger.block_line(blocks[3])[:-9]
+        with pytest.raises(ledger.TornTailError) as err:
+            ledger.parse_chain_bytes(intact + torn)
+        assert err.value.line_number == 4
+        assert err.value.intact_bytes == len(intact)
+        assert "interrupted append" in str(err.value)
+        assert f"truncate the file to {len(intact)} bytes" in str(err.value)
+
+    def test_only_an_unparsed_last_line_without_newline_is_torn(self, genesis, chain):
+        blocks, _ = chain
+        lines = [ledger.block_line(b) for b in blocks[:3]]
+        # a complete last block without its newline still parses
+        assert ledger.parse_chain_bytes(b"".join(lines)[:-1]) == blocks[:3]
+        # a bad last line that ends in a newline, or a bad interior line, is plain parse
+        for raw, line_number in (
+            (lines[0] + lines[1] + lines[2][:-9] + b"\n", 3),
+            (lines[0] + lines[1][:-9] + b"\n" + lines[2][:-1], 2),
+            (lines[0][:-9], 1),  # genesis is written whole, never appended
+        ):
+            with pytest.raises(ledger.ParseError) as err:
+                ledger.parse_chain_bytes(raw)
+            assert type(err.value) is ledger.ParseError
+            assert err.value.line_number == line_number
+
+
+def sidecar_of(path: Path) -> Path:
+    return Path(str(path) + ".tip")
+
+
+@pytest.fixture()
+def store(genesis, keys, tmp_path):
+    """A stored five-block chain with a product moved and two faucet claims."""
+    m, d, c = keys["manufacturer"], keys["distributor"], keys["consumer"]
+    store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
+    extend(store, keys, [registry.make_tx(m, 5, 0, Deploy(code_size=100), PRICE)], 10)
+    extend(store, keys,
+           [registry.make_tx(m, 5, 1, Register(product_id="P-001", name="W", metadata=""), PRICE)], 20)
+    extend(store, keys, [registry.make_tx(c, 5, 0, FaucetClaim(), PRICE)], 30)
+    extend(store, keys,
+           [registry.make_tx(m, 5, 2, Transfer(product_id="P-001", new_owner=d.address), PRICE)], 40)
+    return store
+
+
+class TestCheckpoint:
+    def test_first_read_replays_and_writes_the_tip(self, genesis, store):
+        state = ledger.read_state(store.path, genesis)
+        assert state == store.state
+        head, body, rest = sidecar_of(store.path).read_bytes().split(b"\n", 2)
+        assert rest == b""
+        assert head == canonical.canonical_serialize({
+            "genesis": canonical.hash_obj(genesis.to_canonical()),
+            "hash": store.tip.header.hash,
+            "index": store.tip.header.index,
+        })
+        assert canonical.hash_of(body) == store.tip.header.state_root
+        assert body == canonical.canonical_serialize(store.state.to_canonical())
+        assert os.stat(sidecar_of(store.path)).st_mode & 0o777 == 0o644
+        assert sorted(p.name for p in store.path.parent.iterdir()) == ["chain.jsonl", "chain.jsonl.tip"]
+
+    def test_second_read_executes_nothing(self, genesis, store, monkeypatch):
+        ledger.read_state(store.path, genesis)
+        sidecar = sidecar_of(store.path).read_bytes()
+        replays = support.count_calls(monkeypatch, ledger, "_replay")
+        applied = support.count_calls(monkeypatch, registry, "apply_tx")
+        seals = support.count_calls(monkeypatch, ledger, "_seal_verifies")
+        assert ledger.read_state(store.path, genesis) == store.state
+        assert (replays, applied) == ([], [])
+        assert len(seals) == store.tip.header.index  # every header is still checked
+        assert sidecar_of(store.path).read_bytes() == sidecar  # nothing rewritten
+
+    def test_stale_sidecar_executes_only_the_newer_blocks(self, genesis, keys, store, monkeypatch):
+        ledger.read_state(store.path, genesis)
+        c, d = keys["consumer"], keys["distributor"]
+        extend(store, keys, [registry.make_tx(c, 5, 1, FaucetClaim(), PRICE),
+                             registry.make_tx(d, 5, 0, FaucetClaim(), PRICE)], 90_000)
+        replays = support.count_calls(monkeypatch, ledger, "_replay")
+        applied = support.count_calls(monkeypatch, registry, "apply_tx")
+        assert ledger.read_state(store.path, genesis) == store.state
+        assert replays == [] and len(applied) == 2
+        assert sidecar_of(store.path).read_bytes().startswith(
+            b'{"genesis":"0x%s","hash":"%s","index":5}'
+            % (canonical.hash_obj(genesis.to_canonical())[2:].encode(), store.tip.header.hash.encode())
+        )
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda raw, store: b"",
+            lambda raw, store: raw[: len(raw) // 2],
+            lambda raw, store: raw[:-1],
+            lambda raw, store: raw + raw,
+            lambda raw, store: raw.replace(b'"index":4', b'"index":9'),
+            lambda raw, store: raw.replace(b'"index":4', b'"index":true'),
+            lambda raw, store: raw.replace(b'"balance":', b'"balance":1', 1),
+            lambda raw, store: raw.replace(store.tip.header.hash.encode(), canonical.ZERO_HASH.encode()),
+        ],
+        ids=["empty", "truncated", "no-newline", "doubled", "past-tip", "bool-index",
+             "state-edited", "other-hash"],
+    )
+    def test_spoiled_sidecar_falls_back_to_a_replay(self, genesis, store, monkeypatch, spoil):
+        ledger.read_state(store.path, genesis)
+        sidecar = sidecar_of(store.path)
+        good = sidecar.read_bytes()
+        sidecar.write_bytes(spoil(good, store))
+        replays = support.count_calls(monkeypatch, ledger, "_replay")
+        assert ledger.read_state(store.path, genesis) == store.state
+        assert len(replays) == 1
+        assert sidecar.read_bytes() == good  # rewritten at the tip
+
+    def test_other_genesis_falls_back(self, genesis, store, monkeypatch):
+        """Same roles and keys, other gas_params: the sidecar must not vouch for it."""
+        ledger.read_state(store.path, genesis)
+        other = replace(genesis, gas_params=replace(genesis.gas_params, base_tx=22_000))
+        replays = support.count_calls(monkeypatch, ledger, "_replay")
+        with pytest.raises(ledger.ValidationFailedError) as err:
+            ledger.read_state(store.path, other)
+        assert err.value.report.rule == ledger.RULE_STATE_ROOT
+        assert len(replays) == 1
+
+    def test_a_broken_chain_raises_what_a_replay_raises(self, genesis, store):
+        ledger.read_state(store.path, genesis)
+        raw = store.path.read_bytes()
+        lines = raw.split(b"\n")
+        lines[2] = lines[2].replace(b'"name":"W"', b'"name":"V"')
+        store.path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ledger.ValidationFailedError) as via_sidecar:
+            ledger.read_state(store.path, genesis)
+        with pytest.raises(ledger.ValidationFailedError) as via_replay:
+            ledger.load_chain(store.path, genesis)
+        assert via_sidecar.value.report == via_replay.value.report
+        assert via_sidecar.value.report.rule == ledger.RULE_TX_ROOT
+
+    @pytest.mark.parametrize("fail", ["mkstemp", "replace"])
+    def test_unwritable_sidecar_is_ignored(self, genesis, store, monkeypatch, fail):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "read-only")
+
+        target = ledger.tempfile if fail == "mkstemp" else ledger.os
+        monkeypatch.setattr(target, fail, refuse)
+        assert ledger.read_state(store.path, genesis) == store.state
+        assert sorted(p.name for p in store.path.parent.iterdir()) == ["chain.jsonl"]
+
+    def test_untouched_by_writers_and_validation(self, genesis, keys, store):
+        """Only reads write the sidecar; extend and load_chain leave it alone."""
+        ledger.load_chain(store.path, genesis)
+        extend(store, keys, [registry.make_tx(keys["retailer"], 5, 0, FaucetClaim(), PRICE)], 50)
+        assert not sidecar_of(store.path).exists()

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -533,6 +534,38 @@ class TestCachedBytes:
             tx = mktx(key, state.accounts[key.address].nonce, kind)
             state, _ = registry.apply_tx(state, tx, support.ctx_for(genesis, i, 3600 * i))
             assert registry.state_commitment(state) == canonical.hash_obj(state.to_canonical())
+        doc = json.loads(registry.state_bytes(state))
+        assert doc == state.to_canonical()
+        assert registry.state_from_canonical(doc) == state
+
+
+class TestStateFromCanonical:
+    """The strict loader behind sidecar checkpoints rejects every misfit."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.pop("contract"),
+            lambda d: d.update(chain_id=True),
+            lambda d: d.update(accounts=[]),
+            lambda d: d.update(contract={"address": "0x" + "1" * 40}),
+            lambda d: next(iter(d["accounts"].values())).update(balance=-1),
+            lambda d: next(iter(d["accounts"].values())).update(role="wizard"),
+            lambda d: next(iter(d["accounts"].values())).update(address="0x" + "1" * 40),
+            lambda d: next(iter(d["accounts"].values())).update(last_faucet_claim="7"),
+            lambda d: d["products"]["P-001"].update(status="lost"),
+            lambda d: d["products"]["P-001"].update(history="0x" + "1" * 40),
+            lambda d: d["products"]["P-001"].update(history=[5]),
+            lambda d: d["products"]["P-001"].update(product_id="P-002"),
+            lambda d: d["products"]["P-001"].pop("name"),
+        ],
+    )
+    def test_rejects(self, registered, edit):
+        doc = json.loads(registry.state_bytes(registered))
+        assert registry.state_from_canonical(doc) == registered
+        edit(doc)
+        with pytest.raises(ValueError):
+            registry.state_from_canonical(doc)
 
 
 class TestVerifyProduct:
