@@ -58,3 +58,28 @@ def is_hash_str(value: Any) -> bool:
 
 def is_address_str(value: Any) -> bool:
     return isinstance(value, str) and _ADDRESS_RE.match(value) is not None
+
+
+# Strict field checks shared by the registry and ledger decoders: each
+# raises ValueError naming the field.  Internal to the package.
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ValueError(message)
+
+
+def _as_int(value: Any, name: str, minimum: int = 0) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
+    _require(value >= minimum, f"{name} must be >= {minimum}")
+    return value
+
+
+def _as_str(value: Any, name: str) -> str:
+    _require(isinstance(value, str), f"{name} must be a string")
+    return value
+
+
+def _as_address(value: Any, name: str) -> str:
+    _require(is_address_str(value), f"{name} must be a 0x-prefixed 20-byte hex address")
+    return value

@@ -152,8 +152,7 @@ def cmd_keygen(args) -> int:
 
 
 def _resolve_sealer(args, store: ledger.LedgerStore, sender_key: KeyPair) -> KeyPair:
-    authorities = store.genesis.authority_addresses
-    due = authorities[(store.tip.header.index + 1) % len(authorities)]
+    due = store.genesis.sealer_of(store.tip.header.index + 1)
     if args.sealer_key:
         key = _load_key(args.sealer_key)
         if key.address != due:

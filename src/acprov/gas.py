@@ -67,26 +67,26 @@ def intrinsic_gas(kind_bytes: bytes, params: GasParams) -> int:
     return params.base_tx + calldata_gas(kind_bytes, params)
 
 
-def storage_gas(kind_canonical: dict, params: GasParams) -> int:
-    """Storage-slot cost of an accepted transaction's variant effect.
+def storage_gas(kind: Any, params: GasParams) -> int:
+    """Storage-slot cost of an accepted transaction's variant effect, by category.
 
     Slot counts model the contract layout: a registration writes the
     record, the owner slot, and the first history slot; a transfer
     rewrites the owner and appends one history slot; a sale rewrites
     owner and status and appends one history slot.
     """
-    kind_type = kind_canonical["type"]
-    if kind_type == "deploy":
-        return params.create_base + params.code_byte * int(kind_canonical["code_size"])
-    if kind_type == "register":
+    category = type(kind).__name__
+    if category == "Deploy":
+        return params.create_base + params.code_byte * kind.code_size
+    if category == "Register":
         return 3 * params.sstore_new
-    if kind_type == "transfer":
+    if category == "Transfer":
         return params.sstore_update + params.sstore_new
-    if kind_type == "sell":
+    if category == "Sell":
         return 2 * params.sstore_update + params.sstore_new
-    if kind_type == "faucet_claim":
+    if category == "FaucetClaim":
         return 0
-    raise ValueError(f"unknown transaction kind {kind_type!r}")
+    raise ValueError(f"unknown transaction kind {category!r}")
 
 
 def fee(gas: int, gas_price: int) -> int:

@@ -34,6 +34,8 @@ from typing import Any, List, Mapping, Optional, Sequence, Tuple
 from . import registry
 from .canonical import (
     ZERO_HASH,
+    _as_int,
+    _require,
     canonical_serialize,
     from_hex,
     hash_of,
@@ -117,20 +119,6 @@ class ValidationFailedError(LedgerError):
         self.report = report
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _as_int(value: Any, name: str, minimum: int = 0) -> int:
-    _require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"{name} must be an integer",
-    )
-    _require(value >= minimum, f"{name} must be >= {minimum}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Genesis configuration
 
@@ -152,6 +140,10 @@ class GenesisConfig:
     @property
     def authority_addresses(self) -> Tuple[str, ...]:
         return tuple(addr for addr, _ in self.authorities)
+
+    def sealer_of(self, index: int) -> str:
+        """The authority due to seal block ``index``: strict round robin."""
+        return self.authorities[index % len(self.authorities)][0]
 
     def public_key_of(self, address: str) -> Optional[str]:
         for addr, pub in self.authorities:
@@ -366,7 +358,7 @@ def genesis_block(genesis: GenesisConfig) -> Block:
         timestamp=0,
         prev_hash=ZERO_HASH,
         tx_root=EMPTY_TX_ROOT,
-        sealer=genesis.authority_addresses[0],
+        sealer=genesis.sealer_of(0),
         state_root=registry.state_commitment(genesis_state(genesis)),
     )
     return Block(header=header, txs=(), seal=ZERO_SEAL)
@@ -395,12 +387,11 @@ def seal_block(
     genesis: GenesisConfig,
 ) -> Block:
     """Build and sign the next block; enforces the round-robin schedule."""
-    authorities = genesis.authority_addresses
     sealer = sealer_key.address
-    if sealer not in authorities:
+    if sealer not in genesis.authority_addresses:
         raise NotAuthorityError(f"{sealer} is not a genesis authority")
     index = parent.index + 1
-    due = authorities[index % len(authorities)]
+    due = genesis.sealer_of(index)
     if sealer != due:
         raise WrongTurnError(f"block {index} is {due}'s turn, not {sealer}'s")
     if timestamp < parent.timestamp:
@@ -465,8 +456,7 @@ def _check_header(block: Block, prev: BlockHeader, genesis: GenesisConfig) -> No
     expected_prev = header_hash(prev)
     if h.prev_hash != expected_prev:
         raise _invalid(index, RULE_LINKAGE, f"prev_hash {h.prev_hash} != {expected_prev}")
-    authorities = genesis.authority_addresses
-    due = authorities[index % len(authorities)]
+    due = genesis.sealer_of(index)
     if h.sealer != due:
         raise _invalid(index, RULE_SEALER, f"sealer {h.sealer} out of turn, expected {due}")
     if not _seal_verifies(block, genesis):
@@ -599,15 +589,18 @@ def _write(
 
     The write happens under an exclusive lock and only while the file is
     as long as the store last saw it, so two writers that loaded the same
-    tip cannot both append a block at the same index.
+    tip cannot both append a block at the same index.  A last block that
+    lacks its newline (loading accepts one) gets it in the same write.
     """
     line = block_line(block)
     try:
-        fd = os.open(str(store.path), os.O_WRONLY | os.O_APPEND)
+        fd = os.open(str(store.path), os.O_RDWR | os.O_APPEND)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
             size = os.fstat(fd).st_size
             if size == store.size:
+                if os.pread(fd, 1, size - 1) != b"\n":
+                    line = b"\n" + line
                 os.write(fd, line)
         finally:
             os.close(fd)

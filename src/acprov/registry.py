@@ -24,17 +24,20 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from typing import Any, Mapping, Optional, Tuple, Union
+from typing import Any, ClassVar, Mapping, Optional, Tuple, Union, get_args
 
 from . import gas as gas_model
 from .canonical import (
+    _as_address,
+    _as_int,
+    _as_str,
+    _require,
     canonical_serialize,
     from_hex,
     hash_of,
-    is_address_str,
     to_hex,
 )
 from .crypto import KeyPair, verify
@@ -87,15 +90,21 @@ def is_valid_product_id(product_id: Any) -> bool:
 
 # ---------------------------------------------------------------------------
 # Transaction kinds
+#
+# Each kind's class is the one place that names its wire form: TYPE is
+# the "type" member of its canonical object and its dataclass fields are
+# the other members.  The class name is its gas-report category.
 
 
 @dataclass(frozen=True)
 class Deploy:
+    TYPE: ClassVar[str] = "deploy"
     code_size: int
 
 
 @dataclass(frozen=True)
 class Register:
+    TYPE: ClassVar[str] = "register"
     product_id: str
     name: str
     metadata: str = ""
@@ -103,122 +112,68 @@ class Register:
 
 @dataclass(frozen=True)
 class Transfer:
+    TYPE: ClassVar[str] = "transfer"
     product_id: str
     new_owner: str
 
 
 @dataclass(frozen=True)
 class Sell:
+    TYPE: ClassVar[str] = "sell"
     product_id: str
     consumer: str
 
 
 @dataclass(frozen=True)
 class FaucetClaim:
-    pass
+    TYPE: ClassVar[str] = "faucet_claim"
 
 
 TxKind = Union[Deploy, Register, Transfer, Sell, FaucetClaim]
 
-_KIND_CATEGORY = {
-    Deploy: "Deploy",
-    Register: "Register",
-    Transfer: "Transfer",
-    Sell: "Sell",
-    FaucetClaim: "FaucetClaim",
+# How each kind field is checked when decoded.
+_FIELD_CHECKS = {
+    "code_size": _as_int,
+    "product_id": _as_str,
+    "name": _as_str,
+    "metadata": _as_str,
+    "new_owner": _as_address,
+    "consumer": _as_address,
 }
 
 
+def _kind_codec(cls: type) -> tuple:
+    """(class, expected members, field-set message, (field, check) pairs)."""
+    names = tuple(f.name for f in fields(cls))
+    message = (
+        f"{cls.TYPE} kind has fields {', '.join(('type',) + names)}"
+        if names
+        else f"{cls.TYPE} kind has field type only"
+    )
+    checks = tuple((name, _FIELD_CHECKS[name]) for name in names)
+    return cls, frozenset(names + ("type",)), message, checks
+
+
+# Wire type -> codec, built once: parse_chain_bytes decodes every kind.
+_KIND_CODECS = {cls.TYPE: _kind_codec(cls) for cls in get_args(TxKind)}
+
+
 def kind_category(kind: TxKind) -> str:
-    return _KIND_CATEGORY[type(kind)]
+    return type(kind).__name__
 
 
 def kind_to_canonical(kind: TxKind) -> dict:
-    if isinstance(kind, Deploy):
-        return {"code_size": kind.code_size, "type": "deploy"}
-    if isinstance(kind, Register):
-        return {
-            "metadata": kind.metadata,
-            "name": kind.name,
-            "product_id": kind.product_id,
-            "type": "register",
-        }
-    if isinstance(kind, Transfer):
-        return {
-            "new_owner": kind.new_owner,
-            "product_id": kind.product_id,
-            "type": "transfer",
-        }
-    if isinstance(kind, Sell):
-        return {
-            "consumer": kind.consumer,
-            "product_id": kind.product_id,
-            "type": "sell",
-        }
-    if isinstance(kind, FaucetClaim):
-        return {"type": "faucet_claim"}
-    raise TypeError(f"unknown transaction kind {kind!r}")
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _as_int(value: Any, name: str, minimum: int = 0) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
-    _require(value >= minimum, f"{name} must be >= {minimum}")
-    return value
-
-
-def _as_str(value: Any, name: str) -> str:
-    _require(isinstance(value, str), f"{name} must be a string")
-    return value
-
-
-def _as_address(value: Any, name: str) -> str:
-    _require(is_address_str(value), f"{name} must be a 0x-prefixed 20-byte hex address")
-    return value
+    return dict(vars(kind), type=kind.TYPE)
 
 
 def kind_from_canonical(doc: Mapping[str, Any]) -> TxKind:
     _require(isinstance(doc, Mapping), "kind must be an object")
     kind_type = doc.get("type")
-    if kind_type == "deploy":
-        _require(set(doc) == {"type", "code_size"}, "deploy kind has fields type, code_size")
-        return Deploy(code_size=_as_int(doc["code_size"], "code_size"))
-    if kind_type == "register":
-        _require(
-            set(doc) == {"type", "product_id", "name", "metadata"},
-            "register kind has fields type, product_id, name, metadata",
-        )
-        return Register(
-            product_id=_as_str(doc["product_id"], "product_id"),
-            name=_as_str(doc["name"], "name"),
-            metadata=_as_str(doc["metadata"], "metadata"),
-        )
-    if kind_type == "transfer":
-        _require(
-            set(doc) == {"type", "product_id", "new_owner"},
-            "transfer kind has fields type, product_id, new_owner",
-        )
-        return Transfer(
-            product_id=_as_str(doc["product_id"], "product_id"),
-            new_owner=_as_address(doc["new_owner"], "new_owner"),
-        )
-    if kind_type == "sell":
-        _require(
-            set(doc) == {"type", "product_id", "consumer"},
-            "sell kind has fields type, product_id, consumer",
-        )
-        return Sell(
-            product_id=_as_str(doc["product_id"], "product_id"),
-            consumer=_as_address(doc["consumer"], "consumer"),
-        )
-    if kind_type == "faucet_claim":
-        _require(set(doc) == {"type"}, "faucet_claim kind has field type only")
-        return FaucetClaim()
-    raise ValueError(f"unknown transaction kind type {kind_type!r}")
+    codec = _KIND_CODECS.get(kind_type) if isinstance(kind_type, str) else None
+    _require(codec is not None, f"unknown transaction kind type {kind_type!r}")
+    cls, members, message, checks = codec
+    _require(set(doc) == members, message)
+    return cls(**{name: check(doc[name], name) for name, check in checks})
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +522,7 @@ def transition_error(state: RegistryState, sender: str, kind: TxKind) -> Optiona
             return DUPLICATE_PRODUCT_ID
         return None
 
-    if isinstance(kind, Transfer):
+    if isinstance(kind, (Transfer, Sell)):
         product = state.products.get(kind.product_id)
         if product is None:
             return UNKNOWN_PRODUCT
@@ -575,22 +530,14 @@ def transition_error(state: RegistryState, sender: str, kind: TxKind) -> Optiona
             return PRODUCT_UNAVAILABLE
         if product.current_owner != sender:
             return NOT_OWNER
-        target = state.accounts.get(kind.new_owner)
-        if target is None or not is_trusted(target.role):
-            return NOT_TRUSTED_NODE
-        return None
-
-    if isinstance(kind, Sell):
-        product = state.products.get(kind.product_id)
-        if product is None:
-            return UNKNOWN_PRODUCT
-        if product.status is not Status.AVAILABLE:
-            return PRODUCT_UNAVAILABLE
-        if product.current_owner != sender:
-            return NOT_OWNER
-        target = state.accounts.get(kind.consumer)
-        if target is None or target.role is not Role.CONSUMER:
-            return NOT_CONSUMER
+        if isinstance(kind, Transfer):
+            target = state.accounts.get(kind.new_owner)
+            if target is None or not is_trusted(target.role):
+                return NOT_TRUSTED_NODE
+        else:
+            target = state.accounts.get(kind.consumer)
+            if target is None or target.role is not Role.CONSUMER:
+                return NOT_CONSUMER
         return None
 
     if isinstance(kind, FaucetClaim):
@@ -695,11 +642,7 @@ def apply_tx(
         return RegistryState(state.chain_id, state.contract, accounts, state.products), receipt
 
     err = transition_error(state, tx.sender, tx.kind)
-    gas_used = (
-        intrinsic
-        if err
-        else intrinsic + gas_model.storage_gas(kind_to_canonical(tx.kind), params)
-    )
+    gas_used = intrinsic if err else intrinsic + gas_model.storage_gas(tx.kind, params)
     fee_wei = gas_model.fee(gas_used, tx.gas_price)
 
     if acct.balance < fee_wei:

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import ledger, registry
+from .canonical import canonical_serialize
 from .crypto import KeyPair
 from .registry import (
     Deploy,
@@ -165,7 +166,7 @@ class Scenario:
 class TraceEvent:
     step: int
     actor: str
-    action: str  # deploy | register | transfer | sell | faucet_claim | verify
+    action: str  # the wire type of the submitted kind, or verify
     detail: Mapping[str, Any]
     outcome: Mapping[str, Any]
 
@@ -294,9 +295,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     def flush() -> None:
         if not pending:
             return
-        index = store.tip.header.index + 1
-        authorities = genesis.authority_addresses
-        sealer_key = key_by_address[authorities[index % len(authorities)]]
+        sealer_key = key_by_address[genesis.sealer_of(store.tip.header.index + 1)]
         _, receipts = ledger.extend(store, [entry[4] for entry in pending], sealer_key, clock)
         for (event_step, actor_address, action, detail, _), receipt in zip(pending, receipts):
             trace.append(
@@ -304,7 +303,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
             )
         pending.clear()
 
-    def submit(actor: Actor, kind, action: str, detail: dict) -> None:
+    def submit(actor: Actor, kind: registry.TxKind, detail: dict) -> None:
         nonlocal clock, step, txs_sent
         step += 1
         clock += scenario.clock_step
@@ -317,7 +316,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
             genesis.gas_params.default_gas_price,
         )
         nonces[actor.address] += 1
-        pending.append((step, actor.address, action, detail, tx))
+        pending.append((step, actor.address, kind.TYPE, detail, tx))
         if len(pending) >= scenario.txs_per_block:
             flush()
 
@@ -346,12 +345,12 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
         for actor in actors[role]:
             if not budget_left():
                 break
-            submit(actor, FaucetClaim(), "faucet_claim", {})
+            submit(actor, FaucetClaim(), {})
 
     deployer = actors[Role.MANUFACTURER][0]
     if budget_left():
         code_size = genesis.gas_params.default_code_size
-        submit(deployer, Deploy(code_size=code_size), "deploy", {"code_size": code_size})
+        submit(deployer, Deploy(code_size=code_size), {"code_size": code_size})
 
     consumers = actors[Role.CONSUMER]
 
@@ -359,7 +358,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
         # Occasional mid-run faucet claims; grant or cooldown depends on
         # how much simulated time has passed for this actor.
         if budget_left() and rng.random() < 0.15:
-            submit(actor, FaucetClaim(), "faucet_claim", {})
+            submit(actor, FaucetClaim(), {})
 
     for product_number in range(scenario.products):
         if not budget_left():
@@ -372,7 +371,6 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
         submit(
             manufacturer,
             Register(product_id=product_id, name=f"Product {product_number + 1}", metadata=""),
-            "register",
             {"product_id": product_id},
         )
         # Products travel downstream: distributor stage, then retailer
@@ -388,7 +386,6 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
                 submit(
                     owner,
                     Transfer(product_id=product_id, new_owner=target.address),
-                    "transfer",
                     {"product_id": product_id, "to": target.address},
                 )
                 owner = target
@@ -399,7 +396,6 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
                 submit(
                     owner,
                     Transfer(product_id=product_id, new_owner=target.address),
-                    "transfer",
                     {"product_id": product_id, "to": target.address},
                 )
                 owner = target
@@ -409,7 +405,6 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
             submit(
                 owner,
                 Sell(product_id=product_id, consumer=buyer.address),
-                "sell",
                 {"product_id": product_id, "to": buyer.address},
             )
             verify_event(buyer, product_id)
@@ -417,12 +412,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
 
     with trace_path.open("wb") as handle:
         for event in trace:
-            handle.write(
-                json.dumps(
-                    event.to_canonical(), sort_keys=True, separators=(",", ":"), ensure_ascii=False
-                ).encode("utf-8")
-                + b"\n"
-            )
+            handle.write(canonical_serialize(event.to_canonical()) + b"\n")
 
     result = SimulationResult(
         scenario=scenario,
@@ -435,7 +425,10 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
         genesis_path=genesis_path,
     )
     if scenario.tamper_plan:
-        apply_mutations(chain_path, scenario.tamper_plan)
+        try:
+            apply_mutations(chain_path, scenario.tamper_plan)
+        except ValueError as exc:  # a target or offset outside the chain
+            raise ScenarioInvalidError(str(exc)) from exc
     return result
 
 

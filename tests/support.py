@@ -114,14 +114,13 @@ def ctx_for(
     sealer: str = "",
 ) -> registry.TxContext:
     if not sealer:
-        sealer = genesis.authorities[index % len(genesis.authorities)][0]
+        sealer = genesis.sealer_of(index)
     return ledger.make_context(genesis, index, timestamp, sealer)
 
 
 def default_contexts(genesis: ledger.GenesisConfig, count: int) -> List[Context]:
     """One-transaction-per-block contexts with round-robin sealers."""
-    n = len(genesis.authorities)
-    return [(i + 1, 3600 * (i + 1), genesis.authorities[(i + 1) % n][0]) for i in range(count)]
+    return [(i + 1, 3600 * (i + 1), genesis.sealer_of(i + 1)) for i in range(count)]
 
 
 def fold(

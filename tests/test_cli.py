@@ -593,6 +593,11 @@ class TestSimulate:
                     {"seed": 1, "actors": ["manufacturer"], "products": 1},
                     {"seed": 1, "actors": actors, "products": 1, "tamper_plan": 5},
                     {"seed": 1, "actors": actors, "products": 1, "tamper_plan": [5]},
+                    # a target past the chain's end, an offset past its line
+                    {"seed": 1, "actors": actors, "products": 1,
+                     "tamper_plan": [{"target": 99, "byte_offset": 0, "new_byte": 65}]},
+                    {"seed": 1, "actors": actors, "products": 1,
+                     "tamper_plan": [{"target": 1, "byte_offset": 10**6, "new_byte": 65}]},
                 )
             ),
         ):

@@ -50,14 +50,14 @@ class TestMetering:
         assert gas.intrinsic_gas(kind_bytes, PARAMS) == 21_000 + 23 * 16
 
     def test_deploy_storage_scales_with_code_size(self):
-        small = registry.kind_to_canonical(Deploy(code_size=1))
-        big = registry.kind_to_canonical(Deploy(code_size=1001))
+        small = Deploy(code_size=1)
+        big = Deploy(code_size=1001)
         assert gas.storage_gas(big, PARAMS) - gas.storage_gas(small, PARAMS) == 1000 * 200
 
     def test_slot_counts(self):
-        register = registry.kind_to_canonical(Register(product_id="P", name="n", metadata=""))
-        transfer = registry.kind_to_canonical(Transfer(product_id="P", new_owner="0x" + "0" * 40))
-        sell = registry.kind_to_canonical(Sell(product_id="P", consumer="0x" + "0" * 40))
+        register = Register(product_id="P", name="n", metadata="")
+        transfer = Transfer(product_id="P", new_owner="0x" + "0" * 40)
+        sell = Sell(product_id="P", consumer="0x" + "0" * 40)
         assert gas.storage_gas(register, PARAMS) == 3 * 20_000
         assert gas.storage_gas(transfer, PARAMS) == 5_000 + 20_000
         assert gas.storage_gas(sell, PARAMS) == 2 * 5_000 + 20_000
@@ -85,9 +85,8 @@ class TestGasForTx:
 
     def test_accepted_tx_adds_storage(self, genesis, state, keys):
         tx = registry.make_tx(keys["manufacturer"], 5, 0, Deploy(code_size=2000), 10**9)
-        doc = registry.kind_to_canonical(tx.kind)
-        kind_bytes = canonical.canonical_serialize(doc)
-        expected = gas.intrinsic_gas(kind_bytes, PARAMS) + gas.storage_gas(doc, PARAMS)
+        kind_bytes = canonical.canonical_serialize(registry.kind_to_canonical(tx.kind))
+        expected = gas.intrinsic_gas(kind_bytes, PARAMS) + gas.storage_gas(tx.kind, PARAMS)
         _, receipt = registry.apply_tx(state, tx, support.ctx_for(genesis))
         assert receipt.accepted
         assert receipt.gas_used == expected

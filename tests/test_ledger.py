@@ -23,8 +23,7 @@ def authority_key_map(genesis, keys):
 def extend(store, keys, txs, timestamp):
     """Seal txs into the next block of store with the due authority."""
     genesis = store.genesis
-    index = store.tip.header.index + 1
-    due = genesis.authority_addresses[index % len(genesis.authority_addresses)]
+    due = genesis.sealer_of(store.tip.header.index + 1)
     return ledger.extend(store, txs, authority_key_map(genesis, keys)[due], timestamp)
 
 
@@ -332,6 +331,19 @@ class TestExtend:
         assert loaded.receipts == store.receipts
         assert loaded.state == store.state
         assert block.header.state_root == registry.state_commitment(store.state)
+
+    def test_appends_after_a_last_block_without_newline(self, genesis, keys, tmp_path):
+        """Loading accepts a complete last block without its newline; the
+        next append must not run onto that line."""
+        path = tmp_path / "chain.jsonl"
+        store = ledger.create_store(path, genesis)
+        extend(store, keys, [registry.make_tx(keys["manufacturer"], 5, 0, FaucetClaim(), PRICE)], 10)
+        path.write_bytes(path.read_bytes()[:-1])
+        store = ledger.load_chain(path, genesis)
+        extend(store, keys, [registry.make_tx(keys["consumer"], 5, 0, FaucetClaim(), PRICE)], 20)
+        assert store.size == path.stat().st_size
+        assert ledger.load_chain(path, genesis).blocks == store.blocks
+        assert len(store.blocks) == 3
 
     def test_schedule_errors_write_nothing(self, genesis, keys, tmp_path):
         store = ledger.create_store(tmp_path / "chain.jsonl", genesis)

@@ -74,6 +74,53 @@ class TestKindCodec:
         with pytest.raises(ValueError):
             registry.kind_from_canonical({"type": "deploy", "code_size": True})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "kind must be an object"),
+            ({"type": "mint"}, "unknown transaction kind type 'mint'"),
+            ({"code_size": 1}, "unknown transaction kind type None"),
+            ({"type": ["deploy"]}, "unknown transaction kind type ['deploy']"),
+            ({"type": "deploy"}, "deploy kind has fields type, code_size"),
+            (
+                {"type": "register", "product_id": "P", "name": "N"},
+                "register kind has fields type, product_id, name, metadata",
+            ),
+            (
+                {"type": "transfer", "product_id": "P", "consumer": "0x" + "a" * 40},
+                "transfer kind has fields type, product_id, new_owner",
+            ),
+            (
+                {"type": "sell", "product_id": "P", "new_owner": "0x" + "a" * 40},
+                "sell kind has fields type, product_id, consumer",
+            ),
+            ({"type": "faucet_claim", "amount": 1}, "faucet_claim kind has field type only"),
+            ({"type": "deploy", "code_size": True}, "code_size must be an integer"),
+            ({"type": "deploy", "code_size": -1}, "code_size must be >= 0"),
+            (
+                {"type": "register", "product_id": 7, "name": "N", "metadata": ""},
+                "product_id must be a string",
+            ),
+            (
+                {"type": "register", "product_id": "P", "name": "N", "metadata": None},
+                "metadata must be a string",
+            ),
+            (
+                {"type": "transfer", "product_id": "P", "new_owner": "0xABC"},
+                "new_owner must be a 0x-prefixed 20-byte hex address",
+            ),
+            (
+                {"type": "sell", "product_id": "P", "consumer": "0x" + "A" * 40},
+                "consumer must be a 0x-prefixed 20-byte hex address",
+            ),
+        ],
+    )
+    def test_error_texts(self, doc, message):
+        """The texts reach stderr as `error: corrupt file: line N: ...`."""
+        with pytest.raises(ValueError) as err:
+            registry.kind_from_canonical(doc)
+        assert str(err.value) == message
+
     def test_malformed_address_rejected(self):
         with pytest.raises(ValueError):
             registry.kind_from_canonical(
@@ -357,9 +404,9 @@ class TestInsufficientFunds:
         """Manufacturer with just enough for intrinsic gas but not storage."""
         genesis, keys = support.five_role_genesis()
         kind = Register(product_id="P-001", name="W", metadata="")
-        doc = registry.kind_to_canonical(kind)
-        intrinsic = gas.intrinsic_gas(canonical.canonical_serialize(doc), genesis.gas_params)
-        full = intrinsic + gas.storage_gas(doc, genesis.gas_params)
+        kind_bytes = canonical.canonical_serialize(registry.kind_to_canonical(kind))
+        intrinsic = gas.intrinsic_gas(kind_bytes, genesis.gas_params)
+        full = intrinsic + gas.storage_gas(kind, genesis.gas_params)
         balances = dict(genesis.initial_balances)
         poor_balance = (intrinsic + (full - intrinsic) // 2) * PRICE
         balances[keys["manufacturer"].address] = poor_balance
