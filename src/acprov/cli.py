@@ -12,6 +12,7 @@ stdout and is deterministic given the chain; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import gas as gas_model
-from . import ledger, qr, registry, simnet
+from . import ledger, qr, registry
 from .canonical import from_hex
 from .crypto import SEED_BYTES, KeyPair
 
@@ -34,9 +35,24 @@ class UsageError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _reading():
+    """Reads of input files: one that exists but cannot be read (a
+    directory, no permission) is a usage error; a missing one is left
+    to main's "file not found"."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise UsageError(f"cannot read {exc.filename}: {exc.strerror}") from None
+
+
 def _load_key(path) -> KeyPair:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        with _reading():
+            text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(text)
         key = KeyPair(secret_key=doc["secret_key"], public_key=doc["public_key"])
         address = key.address
         if len(from_hex(key.secret_key)) != SEED_BYTES:
@@ -59,15 +75,22 @@ def _write_key(path: Path, key: KeyPair, role: registry.Role) -> None:
     os.chmod(path, 0o600)
 
 
+def _load_genesis(args) -> ledger.GenesisConfig:
+    with _reading():
+        return ledger.GenesisConfig.load(args.genesis)
+
+
 def _open_store(args) -> ledger.LedgerStore:
-    genesis = ledger.GenesisConfig.load(args.genesis)
-    return ledger.load_chain(args.db, genesis)
+    genesis = _load_genesis(args)
+    with _reading():
+        return ledger.load_chain(args.db, genesis)
 
 
 def _read_state(args):
     """(genesis, tip state) for a read; see ledger.read_state."""
-    genesis = ledger.GenesisConfig.load(args.genesis)
-    return genesis, ledger.read_state(args.db, genesis)
+    genesis = _load_genesis(args)
+    with _reading():
+        return genesis, ledger.read_state(args.db, genesis)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +187,7 @@ def _resolve_sealer(args, store: ledger.LedgerStore, sender_key: KeyPair) -> Key
     for candidate in sorted(key_dir.glob("*.json")):
         try:
             key = _load_key(candidate)
-        except (UsageError, FileNotFoundError):
+        except (UsageError, OSError):
             continue
         if key.address == due:
             return key
@@ -268,8 +291,9 @@ def cmd_gas_report(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    genesis = ledger.GenesisConfig.load(args.genesis)
-    raw = Path(args.db).read_bytes()
+    genesis = _load_genesis(args)
+    with _reading():
+        raw = Path(args.db).read_bytes()
     try:
         blocks = ledger.parse_chain_bytes(raw)
     except ledger.TornTailError as exc:
@@ -294,11 +318,17 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = simnet.Scenario.load(args.scenario)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-        scenario.validate()
-    result = simnet.run_scenario(scenario, args.out)
+    from . import simnet  # only this command needs it; the others start faster
+
+    try:
+        with _reading():
+            scenario = simnet.Scenario.load(args.scenario)
+        if args.seed is not None:
+            scenario = replace(scenario, seed=args.seed)
+            scenario.validate()
+        result = simnet.run_scenario(scenario, args.out)
+    except simnet.ScenarioInvalidError as exc:
+        raise UsageError(f"invalid scenario: {exc}") from None
     tx_count = sum(len(block.txs) for block in result.blocks)
     print(f"blocks: {len(result.blocks)}")
     print(f"txs: {tx_count}")
@@ -419,9 +449,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CHAIN_FAILURE
     except ledger.StorageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except simnet.ScenarioInvalidError as exc:
-        print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

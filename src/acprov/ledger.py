@@ -44,7 +44,7 @@ from .canonical import (
     is_hash_str,
     to_hex,
 )
-from .crypto import KeyPair, derive_address, verify
+from .crypto import KeyPair, derive_address, verify, verify_batch
 from .gas import GasParams
 
 EMPTY_TX_ROOT = hash_of(b"")
@@ -265,9 +265,14 @@ class BlockHeader:
     state_root: str
 
     @cached_property
+    def canonical_bytes(self) -> bytes:
+        """The header's canonical encoding, computed on first use."""
+        return canonical_serialize(self.to_canonical())
+
+    @cached_property
     def hash(self) -> str:
         """The header's hash, computed on first use: linkage and seal share it."""
-        return hash_obj(self.to_canonical())
+        return hash_of(self.canonical_bytes)
 
     def to_canonical(self) -> dict:
         return {
@@ -437,6 +442,30 @@ def _execute(
     return state, receipts
 
 
+def _verify_signatures(
+    blocks: Sequence[Block], genesis: GenesisConfig, with_txs: bool
+) -> None:
+    """Check the seals of blocks, and with_txs the signatures of their
+    transactions, in one batch ahead of the rules that read them.
+
+    A signature is checked when its signer has a genesis key, since
+    apply_tx and the seal rule verify only those.  Nothing is decided
+    here: the answers wait in verify's memo, and the rules run in their
+    usual order.  On an invalid chain this checks signatures past the
+    first bad block, which a one-by-one replay would never reach.
+    """
+    key_of, chain_id = genesis.public_key_of, genesis.chain_id
+    items = []
+    for block in blocks:
+        items.append((key_of(block.header.sealer), from_hex(block.header.hash), block.seal))
+        if with_txs:
+            items += (
+                (key_of(tx.sender), tx.signing_payload(chain_id), tx.signature)
+                for tx in block.txs
+            )
+    verify_batch([item for item in items if item[0] is not None])
+
+
 def _seal_verifies(block: Block, genesis: GenesisConfig) -> bool:
     public_key = genesis.public_key_of(block.header.sealer)
     return public_key is not None and verify(
@@ -491,10 +520,7 @@ def _check_block(
 def _check_genesis(blocks: Sequence[Block], genesis: GenesisConfig) -> None:
     if not blocks:
         raise _invalid(0, RULE_GENESIS, "chain is empty")
-    expected = genesis_block(genesis)
-    if canonical_serialize(blocks[0].to_canonical()) != canonical_serialize(
-        expected.to_canonical()
-    ):
+    if block_line(blocks[0]) != block_line(genesis_block(genesis)):
         raise _invalid(0, RULE_GENESIS, "block 0 does not match the genesis config")
 
 
@@ -506,6 +532,7 @@ def _replay(
     Raises ValidationFailedError on the first offense.
     """
     _check_genesis(blocks, genesis)
+    _verify_signatures(blocks[1:], genesis, with_txs=True)
     state = genesis_state(genesis)
     receipts_per_block: List[List[registry.Receipt]] = [[]]
     prev = blocks[0].header
@@ -530,7 +557,12 @@ def validate_chain(blocks: Sequence[Block], genesis: GenesisConfig) -> Validatio
 
 
 def block_line(block: Block) -> bytes:
-    return canonical_serialize(block.to_canonical()) + b"\n"
+    """The block's line in the ledger file, joined from cached encodings."""
+    return b'{"header":%s,"seal":%s,"txs":[%s]}\n' % (
+        block.header.canonical_bytes,
+        canonical_serialize(block.seal),
+        b",".join(tx.canonical_bytes for tx in block.txs),
+    )
 
 
 @dataclass
@@ -652,10 +684,10 @@ def _parse_line(line: bytes) -> Block:
     try:
         block = Block.from_canonical(doc)
         # a string escaping a lone surrogate parses but cannot re-encode
-        encoded = canonical_serialize(block.to_canonical())
+        encoded = block_line(block)
     except (KeyError, TypeError) as exc:
         raise ValueError(str(exc)) from exc
-    if encoded != line:
+    if encoded[:-1] != line:
         raise ValueError("line is not the canonical block encoding")
     return block
 
@@ -735,6 +767,7 @@ def _from_checkpoint(
     k = _as_int(doc["index"], "index")
     _require(k < len(blocks), f"sidecar block {k} is past the tip")
     _check_genesis(blocks, genesis)
+    _verify_signatures(blocks[1 : k + 1], genesis, with_txs=False)
     prev = blocks[0].header
     for block in blocks[1 : k + 1]:
         _check_header(block, prev, genesis)

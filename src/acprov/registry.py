@@ -188,21 +188,29 @@ class TxEnvelope:
     gas_price: int
     signature: str
     # Canonical bytes, encoded once at construction: the kind (the metered
-    # calldata), the signing payload after its chain_id member, and the
-    # hash of the whole envelope.
+    # calldata) and the signing payload after its chain_id member.
     kind_bytes: bytes = field(init=False, repr=False, compare=False)
     payload_tail: bytes = field(init=False, repr=False, compare=False)
-    hash: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         kind_bytes = canonical_serialize(kind_to_canonical(self.kind))
-        tail = _payload_tail(self.sender, self.nonce, kind_bytes, self.gas_price)
-        # The envelope has the payload's members less chain_id, plus the
-        # signature, which sorts last.
-        encoded = b'{%s,"signature":%s}' % (tail[:-1], canonical_serialize(self.signature))
         object.__setattr__(self, "kind_bytes", kind_bytes)
-        object.__setattr__(self, "payload_tail", tail)
-        object.__setattr__(self, "hash", hash_of(encoded))
+        object.__setattr__(
+            self, "payload_tail", _payload_tail(self.sender, self.nonce, kind_bytes, self.gas_price)
+        )
+
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        """The envelope's canonical encoding: the payload's members less
+        chain_id, plus the signature, which sorts last."""
+        return b'{%s,"signature":%s}' % (
+            self.payload_tail[:-1],
+            canonical_serialize(self.signature),
+        )
+
+    @cached_property
+    def hash(self) -> str:
+        return hash_of(self.canonical_bytes)
 
     def signing_payload(self, chain_id: int) -> bytes:
         """Canonical bytes the sender signs; chain_id binding bars cross-chain replay."""
@@ -255,10 +263,11 @@ def _signing_payload(chain_id: int, tail: bytes) -> bytes:
 def make_tx(
     key: KeyPair, chain_id: int, nonce: int, kind: TxKind, gas_price: int
 ) -> TxEnvelope:
-    sender = key.address
-    kind_bytes = canonical_serialize(kind_to_canonical(kind))
-    payload = _signing_payload(chain_id, _payload_tail(sender, nonce, kind_bytes, gas_price))
-    return TxEnvelope(sender, nonce, kind, gas_price, key.sign(payload))
+    tx = TxEnvelope(key.address, nonce, kind, gas_price, signature="")
+    # Signed in place before it is returned, so nothing has read the empty
+    # signature and the kind and payload tail are encoded once.
+    object.__setattr__(tx, "signature", key.sign(tx.signing_payload(chain_id)))
+    return tx
 
 
 def tx_hash(tx: TxEnvelope) -> str:

@@ -607,6 +607,79 @@ class TestSimulate:
             assert "invalid scenario" in res.stderr and "Traceback" not in res.stderr, raw
 
 
+class TestUnreadableInputs:
+    """An input path that exists but cannot be read is a usage error, not a
+    traceback: error: cannot read <path>: <reason>, exit 2."""
+
+    COMMANDS = {
+        "validate": ["validate"],
+        "history": ["history", "--id", "P-100"],
+        "verify": ["verify", "--qr", "{qr}"],
+        "gas-report": ["gas-report"],
+        "tx": ["tx", "faucet", "--key", "c.json"],
+        "simulate": ["simulate", "--scenario", "scenario.json", "--out", "sim"],
+    }
+    CASES = [
+        (command, flag)
+        for command in ("validate", "history", "verify", "gas-report", "tx")
+        for flag in ("--db", "--genesis")
+    ] + [("tx", "--key"), ("simulate", "--scenario")]
+
+    def argv(self, workspace, command, flag, path):
+        args = ["--db", "chain.jsonl", "--genesis", "genesis.json"]
+        qr_text = qr.encode_payload(5, workspace["contract"], "P-100")
+        args += [arg.format(qr=qr_text) for arg in self.COMMANDS[command]]
+        args[args.index(flag) + 1] = path
+        return args
+
+    @pytest.mark.parametrize("command, flag", CASES)
+    def test_directory(self, workspace, tmp_path, monkeypatch, capsys, command, flag):
+        clone(workspace, tmp_path)
+        (tmp_path / "adir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(self.argv(workspace, command, flag, "adir"))
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "error: cannot read adir: Is a directory\n")
+
+    def test_no_traceback_from_the_command_line(self, workspace, tmp_path):
+        clone(workspace, tmp_path)
+        (tmp_path / "adir").mkdir()
+        for flag in ("--db", "--genesis"):
+            res = run_cli(*self.argv(workspace, "validate", flag, "adir"), cwd=tmp_path)
+            assert (res.returncode, res.stdout) == (2, "")
+            assert res.stderr == "error: cannot read adir: Is a directory\n"
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads any file")
+    def test_no_permission(self, workspace, tmp_path, monkeypatch, capsys):
+        clone(workspace, tmp_path)
+        (tmp_path / "chain.jsonl").chmod(0)
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(self.argv(workspace, "validate", "--db", "chain.jsonl"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot read chain.jsonl: Permission denied\n"
+
+    def test_missing_file_is_still_not_found(self, workspace, tmp_path, monkeypatch, capsys):
+        clone(workspace, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(self.argv(workspace, "history", "--db", "nowhere.jsonl")) == 2
+        assert capsys.readouterr().err == "error: file not found: nowhere.jsonl\n"
+
+
+def test_cold_commands_import_neither_simnet_nor_key_serialization():
+    res = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, acprov.cli; print(sorted(m for m in ('acprov.simnet', "
+            "'cryptography.hazmat.primitives.serialization') if m in sys.modules))",
+        ],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert (res.returncode, res.stdout) == (0, "[]\n"), res.stderr
+
+
 class TestUsage:
     def test_no_command_is_usage_error(self, tmp_path):
         res = run_cli(cwd=tmp_path)

@@ -1,7 +1,17 @@
 import hashlib
+import os
+import sys
+
+import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acprov import crypto
 from acprov.canonical import from_hex
+
+import support
 
 # Ed25519 test vector 1 (empty message) from the signature scheme's
 # original published vectors.
@@ -32,8 +42,6 @@ class TestKeyPair:
         assert crypto.verify(kp.public_key, msg, kp.sign(msg))
 
     def test_seed_length_enforced(self):
-        import pytest
-
         with pytest.raises(ValueError):
             crypto.KeyPair.from_seed(b"\x01" * 31)
 
@@ -87,3 +95,135 @@ class TestAddress:
     def test_distinct_keys_distinct_addresses(self):
         seen = {crypto.KeyPair.from_seed(bytes([i]) * 32).address for i in range(1, 30)}
         assert len(seen) == 29, "address derivation collided on trivial seeds"
+
+
+def reference_verify(public_key, message, signature):
+    """A one-off check with no memo, straight from the library."""
+    try:
+        key = Ed25519PublicKey.from_public_bytes(from_hex(public_key))
+        key.verify(from_hex(signature), message)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
+
+
+SIGNERS = [crypto.KeyPair.from_seed(bytes([i]) * 32) for i in range(10, 13)]
+
+
+def flip_bit(data: bytes, bit: int) -> bytes:
+    raw = bytearray(data)
+    raw[bit // 8 % len(raw)] ^= 1 << bit % 8
+    return bytes(raw)
+
+
+@st.composite
+def checks(draw):
+    """One (public_key, message, signature), good or spoiled in one way."""
+    signer = draw(st.sampled_from(SIGNERS))
+    message = draw(st.binary(min_size=1, max_size=40))
+    signature = signer.sign(message)
+    spoil = draw(
+        st.sampled_from(("good", "message", "other_key", "non_hex", "short_sig", "short_key"))
+    )
+    key = signer.public_key
+    if spoil == "message":
+        message = flip_bit(message, draw(st.integers(0, 319)))
+    elif spoil == "other_key":
+        key = draw(st.sampled_from([s.public_key for s in SIGNERS if s is not signer]))
+    elif spoil == "non_hex":
+        signature = "0x" + draw(st.sampled_from(("zz", "g" * 128, "0x"))) + signature[2:]
+    elif spoil == "short_sig":
+        signature = signature[: draw(st.integers(0, len(signature) - 2))]
+    elif spoil == "short_key":
+        key = key[: draw(st.integers(0, len(key) - 2))]
+    return key, message, signature
+
+
+@pytest.fixture()
+def forking(monkeypatch):
+    """An empty memo and batches that fork from a single item."""
+    monkeypatch.setattr(crypto, "_memo", {})
+    monkeypatch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
+    monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
+    return monkeypatch
+
+
+def batch_agrees(items):
+    """verify_batch answers every item, and as the library does."""
+    crypto.verify_batch(items)
+    assert all(item in crypto._memo for item in items)
+    assert [crypto.verify(*item) for item in items] == [reference_verify(*i) for i in items]
+
+
+class TestVerifyBatch:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(items=st.lists(checks(), max_size=12))
+    def test_answers_equal_one_off_checks(self, cpus, items):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crypto, "_memo", {})
+            patch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
+            patch.setattr(crypto, "_usable_cpus", lambda: cpus)
+            batch_agrees(items)
+
+    def test_one_cpu_never_forks(self, forking):
+        forking.setattr(crypto, "_usable_cpus", lambda: 1)
+        forking.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
+        batch_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS])
+
+    def test_small_batches_stay_in_process(self, monkeypatch):
+        monkeypatch.setattr(crypto, "_memo", {})
+        monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a small batch"))
+        batch_agrees([(s.public_key, bytes([n]), s.sign(bytes([n]))) for s in SIGNERS for n in range(80)])
+
+    def test_other_threads_stay_in_process(self, forking):
+        forking.setattr(crypto.threading, "active_count", lambda: 2)
+        forking.setattr(os, "fork", lambda: pytest.fail("forked with other threads running"))
+        batch_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS])
+
+    def test_each_item_is_checked_once(self, forking):
+        signer = SIGNERS[0]
+        good = (signer.public_key, b"m", signer.sign(b"m"))
+        bad = (signer.public_key, b"n", signer.sign(b"m"))
+        checked = support.count_calls(forking, crypto, "_check")
+        forking.setattr(crypto, "_usable_cpus", lambda: 1)
+        crypto.verify_batch([good, bad, good, bad])
+        crypto.verify_batch([bad])
+        assert (crypto.verify(*good), crypto.verify(*bad)) == (True, False)
+        assert checked == [good, bad]
+
+    @pytest.mark.parametrize(
+        "answers",
+        [
+            lambda items: os._exit(0),  # exits before writing
+            lambda items: os._exit(7),  # dies
+            lambda items: b"\x01",  # short
+            lambda items: b"\x01" * (len(items) + 1),  # long
+            lambda items: b"\x02" * len(items),  # not 0/1
+            lambda items: 1 / 0,  # raises
+        ],
+        ids=["exits_early", "dies", "short", "long", "not_0_or_1", "raises"],
+    )
+    def test_a_failed_worker_has_its_share_checked_here(self, forking, answers):
+        # The parent checks its own share with _check; only workers call _answers.
+        forking.setattr(crypto, "_answers", answers)
+        items = [(s.public_key, bytes([n]), s.sign(bytes([n]))) for s in SIGNERS for n in range(4)]
+        items += [(s.public_key, b"x", SIGNERS[0].sign(b"y")) for s in SIGNERS]
+        batch_agrees(items)
+
+    def test_fork_failure_checks_everything_here(self, forking):
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        forking.setattr(os, "fork", no_fork)
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        batch_agrees([(s.public_key, b"m", s.sign(b"n" if s is SIGNERS[1] else b"m")) for s in SIGNERS])
+        if fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == fds, "a pipe was left open"
+
+    def test_workers_leave_buffered_output_alone(self, forking, capfd):
+        sys.stdout.write("written once")  # still in the buffer when the workers fork
+        batch_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS])
+        sys.stdout.flush()
+        assert capfd.readouterr().out == "written once"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from acprov import canonical, ledger, registry
+from acprov import canonical, cli, crypto, ledger, registry
 from acprov.canonical import from_hex
 from acprov.registry import Deploy, FaucetClaim, Register, Transfer
 
@@ -572,3 +572,90 @@ class TestCheckpoint:
         ledger.load_chain(store.path, genesis)
         extend(store, keys, [registry.make_tx(keys["retailer"], 5, 0, FaucetClaim(), PRICE)], 50)
         assert not sidecar_of(store.path).exists()
+
+
+@pytest.fixture(scope="module")
+def long_chain(genesis, keys, tmp_path_factory):
+    """640 blocks of one faucet claim each: 1,280 signatures, enough to fork."""
+    path = tmp_path_factory.mktemp("long") / "chain.jsonl"
+    store = ledger.create_store(path, genesis)
+    claimers = [keys[role] for role in ("consumer", "retailer", "distributor", "manufacturer")]
+    for index in range(1, 641):
+        claimer = claimers[index % len(claimers)]
+        nonce = store.state.accounts[claimer.address].nonce
+        extend(store, keys, [registry.make_tx(claimer, 5, nonce, FaucetClaim(), PRICE)], index)
+    return store
+
+
+def workers(monkeypatch, cpus):
+    """A fresh verify memo, and `cpus` usable CPUs for verify_batch."""
+    monkeypatch.setattr(crypto, "_memo", {})
+    monkeypatch.setattr(crypto, "_usable_cpus", lambda: cpus)
+
+
+class TestBatchedSignatures:
+    """Replays check every signature in one batch, maybe across forked
+    workers; the answers and the report are those of one-by-one checks."""
+
+    LATE = 600  # in the second half of the batch, which a worker checks
+
+    def reseal(self, genesis, keys, header):
+        key = authority_key_map(genesis, keys)[header.sealer]
+        return key.sign(from_hex(ledger.header_hash(header)))
+
+    def bad_seal(self, genesis, keys, blocks):
+        seal = blocks[self.LATE].seal
+        flipped = seal[:-1] + ("0" if seal[-1] != "0" else "1")
+        return blocks[: self.LATE] + [replace(blocks[self.LATE], seal=flipped)] + blocks[self.LATE + 1 :]
+
+    def bad_tx_signature(self, genesis, keys, blocks):
+        block = blocks[self.LATE]
+        tx = block.txs[0]
+        other = replace(tx, signature=keys["authority"].sign(tx.signing_payload(5)))
+        header = replace(block.header, tx_root=ledger.tx_root_of([other]))
+        bad = replace(block, header=header, txs=(other,), seal=self.reseal(genesis, keys, header))
+        return blocks[: self.LATE] + [bad] + blocks[self.LATE + 1 :]
+
+    def test_an_intact_chain_forks_and_passes(self, genesis, long_chain, monkeypatch):
+        workers(monkeypatch, 2)
+        forks = support.count_calls(monkeypatch, crypto, "_check_in_worker")
+        checks = support.count_calls(monkeypatch, crypto, "_check")
+        state, receipts = ledger._replay(long_chain.blocks, genesis)
+        assert (state, receipts) == (long_chain.state, long_chain.receipts)
+        assert len(forks) == 1 and len(forks[0][0]) == 640
+        assert len(checks) == 640, "the parent checks its half and nothing twice"
+
+    @pytest.mark.parametrize(
+        "spoil, rule",
+        [("bad_seal", ledger.RULE_SEAL), ("bad_tx_signature", ledger.RULE_TX_SIGNATURE)],
+    )
+    def test_a_late_bad_signature_reports_the_same(
+        self, genesis, keys, long_chain, monkeypatch, spoil, rule
+    ):
+        blocks = getattr(self, spoil)(genesis, keys, list(long_chain.blocks))
+        reports = []
+        for cpus in (1, 2):
+            workers(monkeypatch, cpus)
+            reports.append(ledger.validate_chain(blocks, genesis))
+        assert reports[0] == reports[1]
+        assert (reports[0].block_index, reports[0].rule) == (self.LATE, rule)
+
+    def test_checkpoint_reads_batch_the_seals(self, genesis, long_chain, monkeypatch):
+        ledger.read_state(long_chain.path, genesis)  # writes the sidecar
+        workers(monkeypatch, 2)
+        batches = support.count_calls(monkeypatch, ledger, "verify_batch")
+        replays = support.count_calls(monkeypatch, ledger, "_replay")
+        assert ledger.read_state(long_chain.path, genesis) == long_chain.state
+        assert replays == []
+        assert [len(items) for (items,) in batches] == [640]
+
+    def test_validate_prints_its_line_once(self, genesis, long_chain, monkeypatch, capsys):
+        workers(monkeypatch, 2)
+        forks = support.count_calls(monkeypatch, crypto, "_check_in_worker")
+        genesis_path = long_chain.path.with_name("genesis.json")
+        genesis.save(genesis_path)
+        code = cli.main(["--db", str(long_chain.path), "--genesis", str(genesis_path), "validate"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out == f"OK blocks=641 tip={long_chain.tip_commitment}\n"
+        assert len(forks) == 1

@@ -544,6 +544,28 @@ class TestCachedBytes:
         assert tx.hash == canonical.hash_of(whole) == registry.tx_hash(tx)
         assert tx.signing_payload(chain_id) == reference_payload(chain_id, tx)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        header=st.builds(
+            ledger.BlockHeader,
+            index=UINT,
+            timestamp=UINT,
+            prev_hash=TEXT,
+            tx_root=TEXT,
+            sealer=TEXT,
+            state_root=TEXT,
+        ),
+        seal=SIGNATURES,
+        txs=st.lists(
+            st.builds(registry.TxEnvelope, TEXT, UINT, KINDS, UINT, SIGNATURES), max_size=4
+        ),
+    )
+    def test_block_line(self, header, seal, txs):
+        block = ledger.Block(header=header, txs=tuple(txs), seal=seal)
+        expected = canonical.canonical_serialize(block.to_canonical()) + b"\n"
+        assert ledger.block_line(block) == expected
+        assert header.hash == canonical.hash_obj(header.to_canonical())
+
     @settings(max_examples=50, deadline=None)
     @given(kind=KINDS, nonce=UINT, gas_price=UINT, chain_id=st.integers(1, 2**63))
     def test_make_tx_signs_the_reference_payload(self, keys, kind, nonce, gas_price, chain_id):
