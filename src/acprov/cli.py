@@ -48,6 +48,16 @@ def _reading():
         raise UsageError(f"cannot read {exc.filename}: {exc.strerror}") from None
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Writes of output files: any failure (a directory in the way, a
+    missing parent, no permission) is a usage error naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
+
+
 def _load_key(path) -> KeyPair:
     try:
         with _reading():
@@ -147,7 +157,8 @@ def cmd_init(args) -> int:
         genesis.validate()
     except ValueError as exc:
         raise UsageError(f"invalid genesis: {exc}") from None
-    genesis.save(genesis_path)
+    with _writing(genesis_path):
+        genesis.save(genesis_path)
     store = ledger.create_store(db_path, genesis)
     print(f"chain_id: {genesis.chain_id}")
     print(f"genesis: {genesis_path}")
@@ -165,7 +176,8 @@ def cmd_keygen(args) -> int:
     if out_path.exists():
         raise UsageError(f"key file already exists: {out_path}")
     key = KeyPair.generate()
-    _write_key(out_path, key, role)
+    with _writing(out_path):
+        _write_key(out_path, key, role)
     print(key.address)
     print(
         f"warning: {out_path} holds an unencrypted secret key; guard it",
@@ -285,7 +297,8 @@ def cmd_gas_report(args) -> int:
     report = gas_model.gas_report(store.blocks, store.receipts)
     csv_text = report.to_csv()
     if args.csv:
-        Path(args.csv).write_text(csv_text, encoding="utf-8")
+        with _writing(args.csv):
+            Path(args.csv).write_text(csv_text, encoding="utf-8")
     sys.stdout.write(csv_text)
     return EXIT_OK
 
@@ -326,7 +339,8 @@ def cmd_simulate(args) -> int:
         if args.seed is not None:
             scenario = replace(scenario, seed=args.seed)
             scenario.validate()
-        result = simnet.run_scenario(scenario, args.out)
+        with _writing(args.out):
+            result = simnet.run_scenario(scenario, args.out)
     except simnet.ScenarioInvalidError as exc:
         raise UsageError(f"invalid scenario: {exc}") from None
     tx_count = sum(len(block.txs) for block in result.blocks)

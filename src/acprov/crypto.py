@@ -3,19 +3,23 @@
 Addresses follow the Ethereum convention of truncated key hashes: the
 trailing 20 bytes of the SHA-256 digest of the raw 32-byte public key.
 Signature verification is memoized because chain validation and the
-test oracles verify the same envelopes many times over.  ``verify_batch``
-fills that memo ahead of a replay, splitting the checks over forked
-copies of the process (POSIX only) when more than one CPU is usable.
+test oracles verify the same envelopes many times over.  Inside a
+``verify_ahead`` block, forked copies of the process (POSIX only) check
+a known list of signatures from its back while the caller verifies
+from its front, when more than one CPU is usable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import mmap
 import os
+import signal
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -89,19 +93,36 @@ def _remember(item: Check, ok: bool) -> bool:
     return ok
 
 
+# While a verify_ahead block runs: the position of each of its checks in
+# the shared answer map, and the map itself.
+_positions: Dict[Check, int] = {}
+_shared: Optional[mmap.mmap] = None
+_INVALID, _VALID = 1, 2  # the map's bytes; 0 means nobody has checked it yet
+
+
 def verify(public_key: str, message: bytes, signature: str) -> bool:
     """True iff signature is a valid Ed25519 signature of message.
 
     Malformed keys or signatures verify as False rather than raising;
     a transaction carrying garbage bytes is simply unauthenticated.
+    Inside a verify_ahead block an answer a worker already wrote is
+    taken from the shared map, and one checked here is written to it.
     """
     item = (public_key, message, signature)
     ok = _memo.get(item)
-    return _remember(item, _check(*item)) if ok is None else ok
+    if ok is not None:
+        return ok
+    position = _positions.get(item)
+    if position is None:
+        return _remember(item, _check(*item))
+    answer = _shared[position]
+    if not answer:
+        answer = _shared[position] = _VALID if _check(*item) else _INVALID
+    return _remember(item, answer == _VALID)
 
 
-# A fork round trip costs about as much as 15 checks; below this many
-# checks a worker would spend a noticeable share of its time starting.
+# A fork costs about as much as 15 checks; below this many checks a
+# worker would spend a noticeable share of its time starting.
 _MIN_CHECKS_PER_WORKER = 128
 
 
@@ -113,91 +134,68 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(checks: int) -> int:
-    """How many copies of the process share ``checks``: 1 means in-process.
+    """How many forked copies help this process with ``checks``.
 
-    A process with other threads is never forked, since a lock another
-    thread holds at the fork stays held in the copy.
+    One CPU stays with the caller.  A process with other threads is
+    never forked, since a lock another thread holds at the fork stays
+    held in the copy.
     """
     if threading.active_count() > 1:
-        return 1
-    return max(1, min(_usable_cpus(), checks // _MIN_CHECKS_PER_WORKER))
+        return 0
+    return min(_usable_cpus() - 1, checks // _MIN_CHECKS_PER_WORKER)
 
 
-def _answers(items: Sequence[Check]) -> bytes:
-    """A worker's result: one 0/1 byte per item."""
-    return bytes(_check(*item) for item in items)
+def _check_from_back(items: Sequence[Check], answers: mmap.mmap, first: int, step: int) -> None:
+    """A worker's job: answer items first, first - step, ... until one is
+    already answered, which means the caller has got that far."""
+    for position in range(first, -1, -step):
+        if answers[position]:
+            return
+        answers[position] = _VALID if _check(*items[position]) else _INVALID
 
 
-def _check_in_worker(items: Sequence[Check]) -> Tuple[int, int]:
-    """Fork a copy that checks items and writes one 0/1 byte per item.
+@contextlib.contextmanager
+def verify_ahead(items: Iterable[Check]) -> Iterator[None]:
+    """Check items in forked copies of the process while the block runs.
 
-    Returns (pid, read end of the pipe).  The copy leaves by os._exit, so
-    it runs no exit handler and never flushes the parent's stdio buffers.
+    Each distinct item not yet memoized gets one byte in a shared map.
+    With more than one usable CPU and enough items, workers answer them
+    from the back while ``verify`` answers the ones the caller reaches
+    first from the front, so neither waits for the other.  On exit the
+    workers are stopped and reaped and every answer is memoized.  A
+    worker that cannot be started or dies leaves its bytes at 0, and
+    the caller checks those items itself: the answers are the same
+    either way.  Workers leave by os._exit, so they run no exit handler
+    and never flush the parent's stdio buffers.
     """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            answers = memoryview(_answers(items))
-            while answers:
-                answers = answers[os.write(write_end, answers):]
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _collect(pid: int, read_end: int, count: int) -> Optional[List[bool]]:
-    """The answers of a worker, or None when it died or wrote a bad result."""
-    chunks = []
-    try:
-        while chunk := os.read(read_end, 65536):
-            chunks.append(chunk)
-    finally:
-        os.close(read_end)
-        _, status = os.waitpid(pid, 0)
-    answers = b"".join(chunks)
-    if status != 0 or len(answers) != count or not set(answers) <= {0, 1}:
-        return None
-    return [byte == 1 for byte in answers]
-
-
-def verify_batch(items: Iterable[Check]) -> None:
-    """Verify every (public_key, message, signature) not yet memoized.
-
-    Each distinct item is checked once and its answer stored where
-    ``verify`` looks first, so later calls return it without checking
-    again.  With more than one usable CPU and enough items, the list is
-    split between this process and forked copies of it; a copy that
-    cannot be started, dies, or sends a malformed result has its share
-    checked here.  The answers are the same either way.
-    """
+    global _positions, _shared
     todo = [item for item in dict.fromkeys(items) if item not in _memo]
-    if not todo:
+    workers = _worker_count(len(todo))
+    if not workers:
+        yield
         return
-    size = -(-len(todo) // _worker_count(len(todo)))
-    local, *shares = [todo[start : start + size] for start in range(0, len(todo), size)]
-    running = []
+    answers = mmap.mmap(-1, len(todo))
+    pids = []
     try:
-        for part in shares:
+        for worker in range(workers):
             try:
-                running.append((part, *_check_in_worker(part)))
+                pid = os.fork()
             except OSError:
-                local += part
-        for item in local:
-            _remember(item, _check(*item))
+                break
+            if pid == 0:
+                try:
+                    _check_from_back(todo, answers, len(todo) - 1 - worker, workers)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+        _positions, _shared = {item: position for position, item in enumerate(todo)}, answers
+        yield
     finally:
-        answered = [(part, _collect(pid, read_end, len(part))) for part, pid, read_end in running]
-    for part, answers in answered:
-        if answers is None:
-            answers = [_check(*item) for item in part]
-        for item, ok in zip(part, answers):
-            _remember(item, ok)
+        _positions, _shared = {}, None
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for item, answer in zip(todo, answers[:]):
+            if answer:
+                _remember(item, answer == _VALID)
+        answers.close()

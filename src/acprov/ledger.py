@@ -44,7 +44,7 @@ from .canonical import (
     is_hash_str,
     to_hex,
 )
-from .crypto import KeyPair, derive_address, verify, verify_batch
+from .crypto import Check, KeyPair, derive_address, verify, verify_ahead
 from .gas import GasParams
 
 EMPTY_TX_ROOT = hash_of(b"")
@@ -442,17 +442,16 @@ def _execute(
     return state, receipts
 
 
-def _verify_signatures(
+def _signatures(
     blocks: Sequence[Block], genesis: GenesisConfig, with_txs: bool
-) -> None:
-    """Check the seals of blocks, and with_txs the signatures of their
-    transactions, in one batch ahead of the rules that read them.
+) -> List[Check]:
+    """The seals of blocks, and with_txs the signatures of their
+    transactions, for verify_ahead to check while the rules run.
 
-    A signature is checked when its signer has a genesis key, since
+    A signature is listed when its signer has a genesis key, since
     apply_tx and the seal rule verify only those.  Nothing is decided
-    here: the answers wait in verify's memo, and the rules run in their
-    usual order.  On an invalid chain this checks signatures past the
-    first bad block, which a one-by-one replay would never reach.
+    here: the rules run in their usual order and read the answers
+    through verify.
     """
     key_of, chain_id = genesis.public_key_of, genesis.chain_id
     items = []
@@ -463,7 +462,7 @@ def _verify_signatures(
                 (key_of(tx.sender), tx.signing_payload(chain_id), tx.signature)
                 for tx in block.txs
             )
-    verify_batch([item for item in items if item[0] is not None])
+    return [item for item in items if item[0] is not None]
 
 
 def _seal_verifies(block: Block, genesis: GenesisConfig) -> bool:
@@ -532,14 +531,14 @@ def _replay(
     Raises ValidationFailedError on the first offense.
     """
     _check_genesis(blocks, genesis)
-    _verify_signatures(blocks[1:], genesis, with_txs=True)
     state = genesis_state(genesis)
     receipts_per_block: List[List[registry.Receipt]] = [[]]
     prev = blocks[0].header
-    for block in blocks[1:]:
-        state, receipts = _check_block(block, prev, state, genesis)
-        receipts_per_block.append(receipts)
-        prev = block.header
+    with verify_ahead(_signatures(blocks[1:], genesis, with_txs=True)):
+        for block in blocks[1:]:
+            state, receipts = _check_block(block, prev, state, genesis)
+            receipts_per_block.append(receipts)
+            prev = block.header
     return state, receipts_per_block
 
 
@@ -767,11 +766,11 @@ def _from_checkpoint(
     k = _as_int(doc["index"], "index")
     _require(k < len(blocks), f"sidecar block {k} is past the tip")
     _check_genesis(blocks, genesis)
-    _verify_signatures(blocks[1 : k + 1], genesis, with_txs=False)
     prev = blocks[0].header
-    for block in blocks[1 : k + 1]:
-        _check_header(block, prev, genesis)
-        prev = block.header
+    with verify_ahead(_signatures(blocks[1 : k + 1], genesis, with_txs=False)):
+        for block in blocks[1 : k + 1]:
+            _check_header(block, prev, genesis)
+            prev = block.header
     _require(doc["hash"] == prev.hash, f"sidecar names another block {k}")
     state = registry.state_from_canonical(json.loads(body))
     _require(
@@ -813,25 +812,25 @@ def _write_checkpoint(
 def read_state(path, genesis: GenesisConfig) -> registry.RegistryState:
     """The tip state of a chain file, for reads that need no receipts.
 
-    With a sidecar checkpoint at block k, blocks 0..k get the header
-    rules only and blocks after k are executed.  Any failure on that
-    path, whether from the sidecar or the chain, falls back to load_chain,
-    so the state, or the error raised, is always that of a full replay.
+    The file is read and parsed once.  With a sidecar checkpoint at
+    block k, blocks 0..k get the header rules only and blocks after k
+    are executed.  Any failure on that path, whether from the sidecar or
+    the chain, falls back to a full replay of the parsed blocks, so the
+    state, or the error raised, is always that of load_chain.
     A fallback or a checkpoint behind the tip rewrites the sidecar at the
     tip.  The checkpoint trusts the transitions up to k because a replay
     on this machine wrote it; ``validate`` always replays in full.
     """
     path = Path(path)
+    blocks = parse_chain_bytes(path.read_bytes())
     try:
-        blocks = parse_chain_bytes(path.read_bytes())
         k, state = _from_checkpoint(blocks, genesis, _tip_path(path).read_bytes())
         prev = blocks[k].header
         for block in blocks[k + 1 :]:
             state, _ = _check_block(block, prev, state, genesis)
             prev = block.header
     except (OSError, LedgerError, ValueError, KeyError, TypeError, RecursionError):
-        store = load_chain(path, genesis)
-        k, blocks, state = -1, store.blocks, store.state
+        k, (state, _) = -1, _replay(blocks, genesis)
     if k < len(blocks) - 1:
         _write_checkpoint(path, genesis, blocks[-1].header, state)
     return state

@@ -13,17 +13,18 @@ persisted chain, never in-memory state, after the honest run finishes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import ledger, registry
 from .canonical import canonical_serialize
-from .crypto import KeyPair
+from .crypto import Check, KeyPair, verify_ahead
 from .registry import (
     Deploy,
     FaucetClaim,
@@ -259,6 +260,11 @@ def apply_mutations(path, mutations: Sequence[Mutation]) -> None:
     path.write_bytes(b"\n".join(lines))
 
 
+# A transaction the scenario submitted: (step, actor address, action, trace
+# detail, the signed envelope).
+_Submitted = Tuple[int, str, str, dict, registry.TxEnvelope]
+
+
 def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     """Drive the scripted lifecycle and persist chain, trace, and genesis.
 
@@ -267,7 +273,9 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     consumer, and the buyer verifies.  All actors bootstrap through
     the fee-free faucet; senders occasionally re-claim mid-run, which
     exercises the cooldown both ways.  ``steps`` caps the total number
-    of submitted transactions.
+    of submitted transactions.  The whole run is scripted and signed
+    before the first block executes, so that forked workers can check
+    the transaction signatures alongside execution (crypto.verify_ahead).
     """
     scenario.validate()
     out = Path(out_dir)
@@ -287,21 +295,42 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     }
     nonces = {address: 0 for address in key_by_address}
     trace: List[TraceEvent] = []
-    pending: List[Tuple[int, str, str, dict, registry.TxEnvelope]] = []
+    # Scripting first is sound because the rng draws, nonces, block
+    # boundaries, clocks and trace order depend on the scenario alone,
+    # never on a receipt or the state.  Each entry of script seals one
+    # block or answers one scan.
+    script: List[Callable[[], None]] = []
+    signed: List[Check] = []
+    pending: List[_Submitted] = []
     clock = 0
     step = 0
     txs_sent = 0
 
-    def flush() -> None:
-        if not pending:
-            return
+    def seal(timestamp: int, entries: List[_Submitted]) -> None:
         sealer_key = key_by_address[genesis.sealer_of(store.tip.header.index + 1)]
-        _, receipts = ledger.extend(store, [entry[4] for entry in pending], sealer_key, clock)
-        for (event_step, actor_address, action, detail, _), receipt in zip(pending, receipts):
+        _, receipts = ledger.extend(store, [entry[4] for entry in entries], sealer_key, timestamp)
+        for (event_step, actor_address, action, detail, _), receipt in zip(entries, receipts):
             trace.append(
                 TraceEvent(event_step, actor_address, action, detail, receipt.to_canonical())
             )
-        pending.clear()
+
+    def scan(event_step: int, actor_address: str, product_id: str) -> None:
+        result = registry.verify_product(store.state, product_id)
+        outcome = {
+            "current_owner": result.current_owner,
+            "exists": result.exists,
+            "history": list(result.history),
+            "manufacturer": result.manufacturer,
+            "status": result.status.value if result.status else None,
+        }
+        trace.append(
+            TraceEvent(event_step, actor_address, "verify", {"product_id": product_id}, outcome)
+        )
+
+    def flush() -> None:
+        if pending:
+            script.append(functools.partial(seal, clock, pending.copy()))
+            pending.clear()
 
     def submit(actor: Actor, kind: registry.TxKind, detail: dict) -> None:
         nonlocal clock, step, txs_sent
@@ -317,6 +346,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
         )
         nonces[actor.address] += 1
         pending.append((step, actor.address, kind.TYPE, detail, tx))
+        signed.append((actor.key.public_key, tx.signing_payload(genesis.chain_id), tx.signature))
         if len(pending) >= scenario.txs_per_block:
             flush()
 
@@ -325,17 +355,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
         flush()
         step += 1
         clock += scenario.clock_step
-        result = registry.verify_product(store.state, product_id)
-        outcome = {
-            "current_owner": result.current_owner,
-            "exists": result.exists,
-            "history": list(result.history),
-            "manufacturer": result.manufacturer,
-            "status": result.status.value if result.status else None,
-        }
-        trace.append(
-            TraceEvent(step, actor.address, "verify", {"product_id": product_id}, outcome)
-        )
+        script.append(functools.partial(scan, step, actor.address, product_id))
 
     def budget_left() -> bool:
         return txs_sent < scenario.steps
@@ -409,6 +429,10 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
             )
             verify_event(buyer, product_id)
     flush()
+
+    with verify_ahead(signed):
+        for action in script:
+            action()
 
     with trace_path.open("wb") as handle:
         for event in trace:

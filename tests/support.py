@@ -9,9 +9,12 @@ import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
+
+import pytest
 
 import acprov
 from acprov import crypto, gas, ledger, registry
@@ -64,6 +67,36 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def record_forks(monkeypatch) -> list:
+    """Record the pid of every child os.fork starts; returns the record."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def wait_for_exit(pid: int, timeout: float = 10.0) -> None:
+    """Wait until child pid has exited, leaving it for its parent to reap."""
+    deadline = time.monotonic() + timeout
+    while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None:
+        assert time.monotonic() < deadline, f"child {pid} is still running"
+        time.sleep(0.001)
+
+
+def assert_reaped(pids) -> None:
+    """Every child in pids has exited and been reaped."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def key_for(tag: str) -> crypto.KeyPair:

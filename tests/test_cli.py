@@ -665,6 +665,39 @@ class TestUnreadableInputs:
         assert capsys.readouterr().err == "error: file not found: nowhere.jsonl\n"
 
 
+
+class TestUnwritableOutputs:
+    """An output path that cannot be written is a usage error, not a
+    traceback: error: cannot write <path>: <reason>, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, path, reason",
+        [
+            (["gas-report", "--csv", "adir"], "adir", "Is a directory"),
+            (["simulate", "--scenario", "scenario.json", "--out", "afile"], "afile", "File exists"),
+            (["keygen", "--role", "consumer", "--out", "nowhere/k.json"], "nowhere/k.json",
+             "No such file or directory"),
+            (["--db", "new.jsonl", "--genesis", "nowhere/g.json", "init", "--authority", "auth.json"],
+             "nowhere/g.json", "No such file or directory"),
+        ],
+        ids=["gas-report-csv-directory", "simulate-out-file", "keygen-out-missing-directory",
+             "init-genesis-missing-directory"],
+    )
+    def test_output_path(self, workspace, tmp_path, monkeypatch, capsys, argv, path, reason):
+        clone(workspace, tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_bytes(b"")
+        simnet.Scenario(seed=1, actors={"manufacturer": 1, "authority": 1}, products=1).save(
+            tmp_path / "scenario.json"
+        )
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["--db", "chain.jsonl", "--genesis", "genesis.json", *argv])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, f"error: cannot write {path}: {reason}\n")
+        assert (tmp_path / "afile").read_bytes() == b""
+        assert not (tmp_path / "nowhere").exists() and not (tmp_path / "new.jsonl").exists()
+
+
 def test_cold_commands_import_neither_simnet_nor_key_serialization():
     res = subprocess.run(
         [

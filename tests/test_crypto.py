@@ -1,6 +1,8 @@
 import hashlib
 import os
+import signal
 import sys
+import time
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -141,21 +143,44 @@ def checks(draw):
 
 @pytest.fixture()
 def forking(monkeypatch):
-    """An empty memo and batches that fork from a single item."""
+    """An empty memo, two usable CPUs, and a worker for a single item."""
     monkeypatch.setattr(crypto, "_memo", {})
     monkeypatch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
     monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
     return monkeypatch
 
 
-def batch_agrees(items):
-    """verify_batch answers every item, and as the library does."""
-    crypto.verify_batch(items)
+def workers_finished(timeout=10.0):
+    """Inside a verify_ahead block: wait until every item has an answer in
+    the shared map, which only the workers write until verify is called."""
+    deadline = time.monotonic() + timeout
+    while crypto._shared is not None and 0 in crypto._shared[:]:
+        assert time.monotonic() < deadline, "the workers left items unanswered"
+        time.sleep(0.001)
+
+
+def ahead_agrees(items, before_verify=lambda: None):
+    """verify_ahead answers every item, and as the library does."""
+    with crypto.verify_ahead(items):
+        before_verify()
+        inside = [crypto.verify(*item) for item in items]
     assert all(item in crypto._memo for item in items)
-    assert [crypto.verify(*item) for item in items] == [reference_verify(*i) for i in items]
+    assert inside == [reference_verify(*item) for item in items]
+    assert [crypto.verify(*item) for item in items] == inside
+
+
+def signed_items(count):
+    """count distinct valid items, spread over the signers."""
+    return [
+        (signer.public_key, n.to_bytes(2, "big"), signer.sign(n.to_bytes(2, "big")))
+        for n, signer in zip(range(count), SIGNERS * count)
+    ]
 
 
 class TestVerifyBatch:
+    """verify_ahead: a batch that forked workers check from the back while
+    the caller verifies from the front."""
+
     @pytest.mark.parametrize("cpus", [1, 2])
     @settings(max_examples=40, deadline=None)
     @given(items=st.lists(checks(), max_size=12))
@@ -164,53 +189,60 @@ class TestVerifyBatch:
             patch.setattr(crypto, "_memo", {})
             patch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
             patch.setattr(crypto, "_usable_cpus", lambda: cpus)
-            batch_agrees(items)
+            checked = support.count_calls(patch, crypto, "_check")
+            ahead_agrees(items, workers_finished)
+            # With a worker, every answer the caller reads is the worker's.
+            assert len(checked) == (0 if cpus == 2 else len(set(items)))
 
     def test_one_cpu_never_forks(self, forking):
         forking.setattr(crypto, "_usable_cpus", lambda: 1)
         forking.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
-        batch_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS])
+        ahead_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS])
 
     def test_small_batches_stay_in_process(self, monkeypatch):
         monkeypatch.setattr(crypto, "_memo", {})
         monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a small batch"))
-        batch_agrees([(s.public_key, bytes([n]), s.sign(bytes([n]))) for s in SIGNERS for n in range(80)])
+        ahead_agrees(signed_items(crypto._MIN_CHECKS_PER_WORKER - 1))
 
     def test_other_threads_stay_in_process(self, forking):
         forking.setattr(crypto.threading, "active_count", lambda: 2)
         forking.setattr(os, "fork", lambda: pytest.fail("forked with other threads running"))
-        batch_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS])
+        ahead_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS])
 
     def test_each_item_is_checked_once(self, forking):
         signer = SIGNERS[0]
         good = (signer.public_key, b"m", signer.sign(b"m"))
         bad = (signer.public_key, b"n", signer.sign(b"m"))
         checked = support.count_calls(forking, crypto, "_check")
-        forking.setattr(crypto, "_usable_cpus", lambda: 1)
-        crypto.verify_batch([good, bad, good, bad])
-        crypto.verify_batch([bad])
-        assert (crypto.verify(*good), crypto.verify(*bad)) == (True, False)
-        assert checked == [good, bad]
+        with crypto.verify_ahead([good, bad, good, bad]):
+            for item in (good, bad, good, bad):
+                crypto.verify(*item)
+        forking.setattr(os, "fork", lambda: pytest.fail("forked for memoized items"))
+        with crypto.verify_ahead([bad]):
+            assert (crypto.verify(*good), crypto.verify(*bad)) == (True, False)
+        assert len(checked) == len(set(checked)) and set(checked) <= {good, bad}
 
     @pytest.mark.parametrize(
-        "answers",
+        "work, answered",
         [
-            lambda items: os._exit(0),  # exits before writing
-            lambda items: os._exit(7),  # dies
-            lambda items: b"\x01",  # short
-            lambda items: b"\x01" * (len(items) + 1),  # long
-            lambda items: b"\x02" * len(items),  # not 0/1
-            lambda items: 1 / 0,  # raises
+            (lambda items, answers, first, step: os._exit(0), 0),
+            (lambda items, answers, first, step: os.kill(os.getpid(), signal.SIGKILL), 0),
+            (lambda items, answers, first, step: 1 / 0, 0),
+            # answers its first item only: the next position would be past the front
+            (lambda items, answers, first, step: CHECK_FROM_BACK(items, answers, first, first + 1), 1),
         ],
-        ids=["exits_early", "dies", "short", "long", "not_0_or_1", "raises"],
+        ids=["exits_early", "dies", "raises", "short"],
     )
-    def test_a_failed_worker_has_its_share_checked_here(self, forking, answers):
-        # The parent checks its own share with _check; only workers call _answers.
-        forking.setattr(crypto, "_answers", answers)
+    def test_a_failed_worker_has_its_share_checked_here(self, forking, work, answered):
+        forking.setattr(crypto, "_check_from_back", work)
+        pids = support.record_forks(forking)
+        checked = support.count_calls(forking, crypto, "_check")
         items = [(s.public_key, bytes([n]), s.sign(bytes([n]))) for s in SIGNERS for n in range(4)]
         items += [(s.public_key, b"x", SIGNERS[0].sign(b"y")) for s in SIGNERS]
-        batch_agrees(items)
+        ahead_agrees(items, lambda: support.wait_for_exit(pids[0]))
+        assert len(checked) == len(items) - answered
+        support.assert_reaped(pids)
 
     def test_fork_failure_checks_everything_here(self, forking):
         def no_fork():
@@ -218,12 +250,27 @@ class TestVerifyBatch:
 
         forking.setattr(os, "fork", no_fork)
         fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-        batch_agrees([(s.public_key, b"m", s.sign(b"n" if s is SIGNERS[1] else b"m")) for s in SIGNERS])
+        ahead_agrees([(s.public_key, b"m", s.sign(b"n" if s is SIGNERS[1] else b"m")) for s in SIGNERS])
         if fds is not None:
-            assert len(os.listdir("/proc/self/fd")) == fds, "a pipe was left open"
+            assert len(os.listdir("/proc/self/fd")) == fds, "a file was left open"
 
     def test_workers_leave_buffered_output_alone(self, forking, capfd):
         sys.stdout.write("written once")  # still in the buffer when the workers fork
-        batch_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS])
+        ahead_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS], workers_finished)
         sys.stdout.flush()
         assert capfd.readouterr().out == "written once"
+
+    def test_a_raising_block_reaps_its_workers(self, forking):
+        pids = support.record_forks(forking)
+        items = signed_items(6)
+        with pytest.raises(ZeroDivisionError):
+            with crypto.verify_ahead(items):
+                assert crypto.verify(*items[0])
+                1 / 0
+        assert len(pids) == 1
+        support.assert_reaped(pids)
+        assert crypto._shared is None and crypto._positions == {}
+        assert all(crypto.verify(*item) for item in items)
+
+
+CHECK_FROM_BACK = crypto._check_from_back

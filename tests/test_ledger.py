@@ -484,6 +484,23 @@ class TestCheckpoint:
         assert os.stat(sidecar_of(store.path)).st_mode & 0o777 == 0o644
         assert sorted(p.name for p in store.path.parent.iterdir()) == ["chain.jsonl", "chain.jsonl.tip"]
 
+    def test_first_read_parses_the_chain_once(self, genesis, store, monkeypatch):
+        parses = support.count_calls(monkeypatch, ledger, "parse_chain_bytes")
+        replays = support.count_calls(monkeypatch, ledger, "_replay")
+        assert ledger.read_state(store.path, genesis) == store.state
+        assert (len(parses), len(replays)) == (1, 1)
+
+    def test_a_corrupt_file_raises_the_parse_error(self, genesis, store):
+        store.path.write_bytes(store.path.read_bytes() + b"not a block\n")
+        with pytest.raises(ledger.ParseError) as via_read:
+            ledger.read_state(store.path, genesis)
+        with pytest.raises(ledger.ParseError) as via_load:
+            ledger.load_chain(store.path, genesis)
+        assert (str(via_read.value), via_read.value.line_number) == (
+            str(via_load.value), via_load.value.line_number
+        )
+        assert not sidecar_of(store.path).exists()
+
     def test_second_read_executes_nothing(self, genesis, store, monkeypatch):
         ledger.read_state(store.path, genesis)
         sidecar = sidecar_of(store.path).read_bytes()
@@ -588,42 +605,45 @@ def long_chain(genesis, keys, tmp_path_factory):
 
 
 def workers(monkeypatch, cpus):
-    """A fresh verify memo, and `cpus` usable CPUs for verify_batch."""
+    """A fresh verify memo, and `cpus` usable CPUs for verify_ahead."""
     monkeypatch.setattr(crypto, "_memo", {})
     monkeypatch.setattr(crypto, "_usable_cpus", lambda: cpus)
 
 
 class TestBatchedSignatures:
-    """Replays check every signature in one batch, maybe across forked
-    workers; the answers and the report are those of one-by-one checks."""
+    """Replays check their signatures in verify_ahead blocks, maybe with a
+    forked worker; the answers and the report are those of one-by-one checks."""
 
-    LATE = 600  # in the second half of the batch, which a worker checks
+    LATE = 600  # near the back of the batch, where a worker starts
+    EARLY = 2
 
     def reseal(self, genesis, keys, header):
         key = authority_key_map(genesis, keys)[header.sealer]
         return key.sign(from_hex(ledger.header_hash(header)))
 
-    def bad_seal(self, genesis, keys, blocks):
-        seal = blocks[self.LATE].seal
+    def bad_seal(self, genesis, keys, blocks, at=LATE):
+        seal = blocks[at].seal
         flipped = seal[:-1] + ("0" if seal[-1] != "0" else "1")
-        return blocks[: self.LATE] + [replace(blocks[self.LATE], seal=flipped)] + blocks[self.LATE + 1 :]
+        return blocks[:at] + [replace(blocks[at], seal=flipped)] + blocks[at + 1 :]
 
-    def bad_tx_signature(self, genesis, keys, blocks):
-        block = blocks[self.LATE]
+    def bad_tx_signature(self, genesis, keys, blocks, at=LATE):
+        block = blocks[at]
         tx = block.txs[0]
         other = replace(tx, signature=keys["authority"].sign(tx.signing_payload(5)))
         header = replace(block.header, tx_root=ledger.tx_root_of([other]))
         bad = replace(block, header=header, txs=(other,), seal=self.reseal(genesis, keys, header))
-        return blocks[: self.LATE] + [bad] + blocks[self.LATE + 1 :]
+        return blocks[:at] + [bad] + blocks[at + 1 :]
 
     def test_an_intact_chain_forks_and_passes(self, genesis, long_chain, monkeypatch):
         workers(monkeypatch, 2)
-        forks = support.count_calls(monkeypatch, crypto, "_check_in_worker")
+        forks = support.record_forks(monkeypatch)
         checks = support.count_calls(monkeypatch, crypto, "_check")
         state, receipts = ledger._replay(long_chain.blocks, genesis)
         assert (state, receipts) == (long_chain.state, long_chain.receipts)
-        assert len(forks) == 1 and len(forks[0][0]) == 640
-        assert len(checks) == 640, "the parent checks its half and nothing twice"
+        assert len(forks) == 1
+        support.assert_reaped(forks)
+        assert len(checks) == len(set(checks)), "the caller checks nothing twice"
+        assert len(crypto._memo) == 1280, "every seal and signature is memoized"
 
     @pytest.mark.parametrize(
         "spoil, rule",
@@ -640,10 +660,19 @@ class TestBatchedSignatures:
         assert reports[0] == reports[1]
         assert (reports[0].block_index, reports[0].rule) == (self.LATE, rule)
 
+    def test_an_early_bad_block_reaps_the_workers(self, genesis, keys, long_chain, monkeypatch):
+        blocks = self.bad_seal(genesis, keys, list(long_chain.blocks), at=self.EARLY)
+        workers(monkeypatch, 2)
+        forks = support.record_forks(monkeypatch)
+        report = ledger.validate_chain(blocks, genesis)
+        assert (report.block_index, report.rule) == (self.EARLY, ledger.RULE_SEAL)
+        assert len(forks) == 1
+        support.assert_reaped(forks)
+
     def test_checkpoint_reads_batch_the_seals(self, genesis, long_chain, monkeypatch):
         ledger.read_state(long_chain.path, genesis)  # writes the sidecar
         workers(monkeypatch, 2)
-        batches = support.count_calls(monkeypatch, ledger, "verify_batch")
+        batches = support.count_calls(monkeypatch, ledger, "verify_ahead")
         replays = support.count_calls(monkeypatch, ledger, "_replay")
         assert ledger.read_state(long_chain.path, genesis) == long_chain.state
         assert replays == []
@@ -651,7 +680,7 @@ class TestBatchedSignatures:
 
     def test_validate_prints_its_line_once(self, genesis, long_chain, monkeypatch, capsys):
         workers(monkeypatch, 2)
-        forks = support.count_calls(monkeypatch, crypto, "_check_in_worker")
+        forks = support.record_forks(monkeypatch)
         genesis_path = long_chain.path.with_name("genesis.json")
         genesis.save(genesis_path)
         code = cli.main(["--db", str(long_chain.path), "--genesis", str(genesis_path), "validate"])

@@ -1,8 +1,10 @@
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from acprov import gas, ledger, registry, simnet
+from acprov import crypto, gas, ledger, registry, simnet
 from acprov.registry import Role, Status
 
 import support
@@ -12,6 +14,7 @@ SMALL = simnet.Scenario(
     actors={"manufacturer": 1, "distributor": 1, "retailer": 1, "consumer": 1, "authority": 2},
     products=2,
 )
+MAKE_FIXTURES = Path(__file__).parent.parent / "scripts" / "make_fixtures.py"
 LIFECYCLE = simnet.Scenario(
     seed=42,
     actors={"manufacturer": 1, "distributor": 1, "retailer": 1, "consumer": 1, "authority": 1},
@@ -77,6 +80,28 @@ class TestDeterminism:
         second = simnet.run_scenario(replace(SMALL, seed=8), tmp_path / "b")
         assert first.chain_path.read_bytes() != second.chain_path.read_bytes()
 
+
+    def test_workers_change_no_byte(self, tmp_path, monkeypatch):
+        """The signatures checked alongside execution leave the files as an
+        all-in-process run writes them."""
+        runs = []
+        for cpus, name in ((1, "alone"), (2, "workers")):
+            monkeypatch.setattr(crypto, "_memo", {})
+            monkeypatch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
+            monkeypatch.setattr(crypto, "_usable_cpus", lambda: cpus)
+            forks = support.record_forks(monkeypatch)
+            result = simnet.run_scenario(SMALL, tmp_path / name)
+            assert len(forks) == cpus - 1
+            runs.append([path.read_bytes() for path in (
+                result.genesis_path, result.chain_path, result.trace_path
+            )])
+        assert runs[0] == runs[1]
+
+    def test_fixture_script_reproduces_the_committed_files(self, capsys):
+        spec = importlib.util.spec_from_file_location("make_fixtures", MAKE_FIXTURES)
+        make_fixtures = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_fixtures)
+        assert make_fixtures.check() == 0, capsys.readouterr().err
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
