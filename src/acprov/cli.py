@@ -23,7 +23,7 @@ from typing import List, Optional
 from . import gas as gas_model
 from . import ledger, qr, registry
 from .canonical import from_hex
-from .crypto import SEED_BYTES, KeyPair
+from .crypto import KeyPair
 
 EXIT_OK = 0
 EXIT_CHAIN_FAILURE = 1
@@ -63,13 +63,12 @@ def _load_key(path) -> KeyPair:
         with _reading():
             text = Path(path).read_text(encoding="utf-8")
         doc = json.loads(text)
-        key = KeyPair(secret_key=doc["secret_key"], public_key=doc["public_key"])
-        address = key.address
-        if len(from_hex(key.secret_key)) != SEED_BYTES:
-            raise ValueError(f"secret_key is not {SEED_BYTES} bytes")
+        key = KeyPair.from_seed(from_hex(doc["secret_key"]))
+        if key.public_key != doc["public_key"]:
+            raise ValueError("secret_key does not derive public_key")
     except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise UsageError(f"not a key file: {path} ({exc})") from exc
-    if doc.get("address") != address:
+    if doc.get("address") != key.address:
         raise UsageError(f"key file {path} address does not match its public key")
     return key
 
@@ -236,13 +235,15 @@ def cmd_tx(args) -> int:
         if args.gas_price is not None
         else genesis.gas_params.default_gas_price
     )
-    tx = registry.make_tx(sender_key, genesis.chain_id, account.nonce, kind, gas_price)
     timestamp = (
         args.timestamp if args.timestamp is not None else store.tip.header.timestamp + 1
     )
     sealer_key = _resolve_sealer(args, store, sender_key)
     try:
+        tx = registry.make_tx(sender_key, genesis.chain_id, account.nonce, kind, gas_price)
         block, (receipt,) = ledger.extend(store, [tx], sealer_key, timestamp)
+    except ValueError as exc:  # a member no block may hold: the loader would refuse it
+        raise UsageError(f"bad transaction: {exc}") from None
     except (ledger.NotAuthorityError, ledger.WrongTurnError, ledger.ClockRegressionError) as exc:
         raise UsageError(str(exc)) from None
     doc = receipt.to_canonical()

@@ -13,9 +13,10 @@ Design notes that matter for interoperability:
   UTF-8 with LF endings.  Loading is strict: every line must re-encode
   byte-identically, so any single-byte edit of the file surfaces as a
   parse or validation failure.
-* A sidecar ``<chain>.tip`` caches the state at one block so that reads
-  (``read_state``) check headers and seals instead of re-executing every
-  block.  It is a cache: any doubt about it means a full replay.
+* Every check of a chain is one walk (``_replay``) that checks every
+  header and seal and executes the blocks after k.  A full replay has
+  k = 0; a read (``read_state``) takes k and the state after block k from
+  a sidecar ``<chain>.tip``, a cache: any doubt about it means k = 0.
 """
 
 from __future__ import annotations
@@ -442,11 +443,9 @@ def _execute(
     return state, receipts
 
 
-def _signatures(
-    blocks: Sequence[Block], genesis: GenesisConfig, with_txs: bool
-) -> List[Check]:
-    """The seals of blocks, and with_txs the signatures of their
-    transactions, for verify_ahead to check while the rules run.
+def _signatures(blocks: Sequence[Block], genesis: GenesisConfig, k: int) -> List[Check]:
+    """The seals of blocks 1.., and the signatures of the transactions in
+    the blocks after k, for verify_ahead to check while the rules run.
 
     A signature is listed when its signer has a genesis key, since
     apply_tx and the seal rule verify only those.  Nothing is decided
@@ -455,9 +454,9 @@ def _signatures(
     """
     key_of, chain_id = genesis.public_key_of, genesis.chain_id
     items = []
-    for block in blocks:
+    for position, block in enumerate(blocks[1:], start=1):
         items.append((key_of(block.header.sealer), from_hex(block.header.hash), block.seal))
-        if with_txs:
+        if position > k:
             items += (
                 (key_of(tx.sender), tx.signing_payload(chain_id), tx.signature)
                 for tx in block.txs
@@ -494,51 +493,40 @@ def _check_header(block: Block, prev: BlockHeader, genesis: GenesisConfig) -> No
         raise _invalid(index, RULE_TX_ROOT, f"tx_root {h.tx_root} != {recomputed_root}")
 
 
-def _check_block(
-    block: Block,
-    prev: BlockHeader,
-    state: registry.RegistryState,
+def _replay(
+    blocks: Sequence[Block],
     genesis: GenesisConfig,
-) -> Tuple[registry.RegistryState, List[registry.Receipt]]:
-    """Validate one block against its parent and pre-state.
+    k: int = 0,
+    state: Optional[registry.RegistryState] = None,
+) -> Tuple[registry.RegistryState, List[List[registry.Receipt]]]:
+    """The one walk over a chain; raises ValidationFailedError on the first offense.
 
-    Returns the post-state and receipts; raises ValidationFailedError
-    naming the violated rule otherwise.
+    Block 0 must match the genesis config and every later block must meet
+    the header rules.  Blocks after k are executed from state, the state
+    after block k (the genesis state when k is 0), and must commit to
+    their state_root.  Returns the tip state and a receipt list for each
+    of blocks k.., block k's empty: for k = 0, one for every block.
     """
-    _check_header(block, prev, genesis)
-    h = block.header
-    state, receipts = _execute(
-        state, block.txs, make_context(genesis, h.index, h.timestamp, h.sealer)
-    )
-    commitment = registry.state_commitment(state)
-    if h.state_root != commitment:
-        raise _invalid(h.index, RULE_STATE_ROOT, f"state_root {h.state_root} != {commitment}")
-    return state, receipts
-
-
-def _check_genesis(blocks: Sequence[Block], genesis: GenesisConfig) -> None:
     if not blocks:
         raise _invalid(0, RULE_GENESIS, "chain is empty")
     if block_line(blocks[0]) != block_line(genesis_block(genesis)):
         raise _invalid(0, RULE_GENESIS, "block 0 does not match the genesis config")
-
-
-def _replay(
-    blocks: Sequence[Block], genesis: GenesisConfig
-) -> Tuple[registry.RegistryState, List[List[registry.Receipt]]]:
-    """Full-chain validation; returns (final state, receipts per block).
-
-    Raises ValidationFailedError on the first offense.
-    """
-    _check_genesis(blocks, genesis)
-    state = genesis_state(genesis)
+    state = genesis_state(genesis) if state is None else state
     receipts_per_block: List[List[registry.Receipt]] = [[]]
     prev = blocks[0].header
-    with verify_ahead(_signatures(blocks[1:], genesis, with_txs=True)):
+    with verify_ahead(_signatures(blocks, genesis, k)):
         for block in blocks[1:]:
-            state, receipts = _check_block(block, prev, state, genesis)
+            _check_header(block, prev, genesis)
+            h = prev = block.header
+            if h.index <= k:
+                continue
+            state, receipts = _execute(
+                state, block.txs, make_context(genesis, h.index, h.timestamp, h.sealer)
+            )
+            commitment = registry.state_commitment(state)
+            if h.state_root != commitment:
+                raise _invalid(h.index, RULE_STATE_ROOT, f"state_root {h.state_root} != {commitment}")
             receipts_per_block.append(receipts)
-            prev = block.header
     return state, receipts_per_block
 
 
@@ -657,10 +645,13 @@ def extend(
     """Execute txs once on the tip state, seal the next block, and append it.
 
     This is the one way the package writes a block.  It raises
-    ValidationFailedError (rules tx_signature, tx_nonce, seal) instead of
-    writing a block that load_chain would reject, and the seal_block
-    errors for a sealer out of turn or a clock that runs backwards.
+    ValueError (a member the decoder rejects) or ValidationFailedError
+    (rules tx_signature, tx_nonce, seal) instead of writing a block that
+    load_chain would reject, and the seal_block errors for a sealer out
+    of turn or a clock that runs backwards.
     """
+    for tx in txs:
+        tx.check_fields()
     parent = store.tip.header
     index = parent.index + 1
     ctx = make_context(store.genesis, index, timestamp, sealer_key.address)
@@ -749,11 +740,11 @@ def _genesis_digest(genesis: GenesisConfig) -> str:
 def _from_checkpoint(
     blocks: Sequence[Block], genesis: GenesisConfig, sidecar: bytes
 ) -> Tuple[int, registry.RegistryState]:
-    """(k, state after block k) from a sidecar, executing nothing.
+    """(k, state after block k) from a sidecar, checking no block.
 
-    Blocks 0..k must meet every header rule, header k must be the one the
-    sidecar names, and the rebuilt state must commit to its state_root.
-    Raises ValueError or ValidationFailedError otherwise.
+    The sidecar must be for this genesis, name header k of blocks, and hold
+    a state that commits to header k's state_root; _replay from k checks
+    the blocks.  Raises ValueError otherwise.
     """
     head, body, rest = sidecar.split(b"\n", 2)
     _require(rest == b"", "sidecar has more than two lines")
@@ -765,16 +756,11 @@ def _from_checkpoint(
     _require(doc["genesis"] == _genesis_digest(genesis), "sidecar is for another genesis")
     k = _as_int(doc["index"], "index")
     _require(k < len(blocks), f"sidecar block {k} is past the tip")
-    _check_genesis(blocks, genesis)
-    prev = blocks[0].header
-    with verify_ahead(_signatures(blocks[1 : k + 1], genesis, with_txs=False)):
-        for block in blocks[1 : k + 1]:
-            _check_header(block, prev, genesis)
-            prev = block.header
-    _require(doc["hash"] == prev.hash, f"sidecar names another block {k}")
+    header = blocks[k].header
+    _require(doc["hash"] == header.hash, f"sidecar names another block {k}")
     state = registry.state_from_canonical(json.loads(body))
     _require(
-        registry.state_commitment(state) == prev.state_root,
+        registry.state_commitment(state) == header.state_root,
         f"sidecar state does not commit to block {k}'s state_root",
     )
     return k, state
@@ -813,10 +799,11 @@ def read_state(path, genesis: GenesisConfig) -> registry.RegistryState:
     """The tip state of a chain file, for reads that need no receipts.
 
     The file is read and parsed once.  With a sidecar checkpoint at
-    block k, blocks 0..k get the header rules only and blocks after k
-    are executed.  Any failure on that path, whether from the sidecar or
-    the chain, falls back to a full replay of the parsed blocks, so the
-    state, or the error raised, is always that of load_chain.
+    block k, the chain is replayed from k: every block gets the header
+    rules and only the blocks after k are executed.  Any failure on that
+    path, whether from the sidecar or the chain, falls back to a full
+    replay of the parsed blocks, so the state, or the error raised, is
+    always that of load_chain.
     A fallback or a checkpoint behind the tip rewrites the sidecar at the
     tip.  The checkpoint trusts the transitions up to k because a replay
     on this machine wrote it; ``validate`` always replays in full.
@@ -825,10 +812,7 @@ def read_state(path, genesis: GenesisConfig) -> registry.RegistryState:
     blocks = parse_chain_bytes(path.read_bytes())
     try:
         k, state = _from_checkpoint(blocks, genesis, _tip_path(path).read_bytes())
-        prev = blocks[k].header
-        for block in blocks[k + 1 :]:
-            state, _ = _check_block(block, prev, state, genesis)
-            prev = block.header
+        state, _ = _replay(blocks, genesis, k, state)
     except (OSError, LedgerError, ValueError, KeyError, TypeError, RecursionError):
         k, (state, _) = -1, _replay(blocks, genesis)
     if k < len(blocks) - 1:

@@ -179,6 +179,11 @@ def kind_from_canonical(doc: Mapping[str, Any]) -> TxKind:
 # ---------------------------------------------------------------------------
 # Envelopes and receipts
 
+# How each envelope member but the kind is checked when decoded.
+_ENVELOPE_CHECKS = (
+    ("sender", _as_address), ("nonce", _as_int), ("gas_price", _as_int), ("signature", _as_str),
+)
+
 
 @dataclass(frozen=True)
 class TxEnvelope:
@@ -233,12 +238,17 @@ class TxEnvelope:
             "transaction has fields gas_price, kind, nonce, sender, signature",
         )
         return cls(
-            sender=_as_address(doc["sender"], "sender"),
-            nonce=_as_int(doc["nonce"], "nonce"),
+            **{name: check(doc[name], name) for name, check in _ENVELOPE_CHECKS},
             kind=kind_from_canonical(doc["kind"]),
-            gas_price=_as_int(doc["gas_price"], "gas_price"),
-            signature=_as_str(doc["signature"], "signature"),
         )
+
+    def check_fields(self) -> None:
+        """Raise ValueError for a member that from_canonical would reject."""
+        for name, check in _ENVELOPE_CHECKS:
+            check(getattr(self, name), name)
+        _, _, _, kind_checks = _KIND_CODECS[self.kind.TYPE]
+        for name, check in kind_checks:
+            check(getattr(self.kind, name), name)
 
 
 def _payload_tail(sender: str, nonce: int, kind_bytes: bytes, gas_price: int) -> bytes:

@@ -158,24 +158,50 @@ class TestTx:
         assert receipt["fee"] == receipt["gas_used"] * 2 * 10**9
 
     @pytest.mark.parametrize(
-        "role, flag, rule",
-        [("sender", "--key", "tx_signature"), ("sealer", "--sealer-key", "seal")],
+        "victim, argv",
+        [
+            ("c.json", ["tx", "faucet", "--key", "forged.json", "--sealer-key", "auth.json"]),
+            ("auth.json", ["tx", "faucet", "--key", "c.json", "--sealer-key", "forged.json"]),
+            ("auth.json", ["--db", "new.jsonl", "--genesis", "new.json", "init",
+                           "--authority", "forged.json"]),
+        ],
+        ids=["sender", "sealer", "init"],
     )
-    def test_mismatched_key_writes_nothing(self, workspace, tmp_path, role, flag, rule):
-        """A key file whose secret does not match its public key."""
+    def test_mismatched_key_writes_nothing(self, workspace, tmp_path, victim, argv):
+        """A key file whose secret does not derive its public key is no key file."""
         ws = clone(workspace, tmp_path)
-        victim = "c.json" if role == "sender" else "auth.json"
         doc = json.loads((ws / victim).read_text())
         doc["secret_key"] = json.loads((ws / "d.json").read_text())["secret_key"]
         (ws / "forged.json").write_text(json.dumps(doc))
+        before = sorted((path.name, path.read_bytes()) for path in ws.iterdir())
+        res = run_cli(*argv, cwd=ws)
+        assert res.returncode == 2, res.stderr
+        assert "error: not a key file: forged.json" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert sorted((path.name, path.read_bytes()) for path in ws.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("deploy", "--key", "m.json", "--code-size", "-1"),
+            ("faucet", "--key", "c.json", "--gas-price", "-1"),
+            ("sell", "--key", "d.json", "--id", "P-100", "--to", "bob"),
+            ("transfer", "--key", "m.json", "--id", "P-100", "--to", "0xABC"),
+            ("register", "--key", "m.json", "--id", "P-200", "--name", "\udcff"),
+        ],
+        ids=["negative-code-size", "negative-gas-price", "sell-to-name", "short-address",
+             "name-not-utf8"],
+    )
+    def test_a_transaction_no_block_may_hold_is_usage_error(self, workspace, tmp_path, argv):
+        ws = clone(workspace, tmp_path)
         before = (ws / "chain.jsonl").read_bytes()
-        args = ["--key", "c.json", "--sealer-key", "auth.json"]
-        args[args.index(flag) + 1] = "forged.json"
-        res = run_cli("tx", "faucet", *args, cwd=ws)
-        assert res.returncode == 1, res.stderr
-        assert f"rule={rule}" in res.stderr
+        res = run_cli("tx", *argv, cwd=ws)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: bad transaction: ")
         assert "Traceback" not in res.stderr
         assert (ws / "chain.jsonl").read_bytes() == before
+        res = run_cli("validate", cwd=ws)
+        assert (res.returncode, res.stdout[:3]) == (0, "OK "), res.stdout
 
     def test_missing_key_file(self, workspace, tmp_path):
         ws = clone(workspace, tmp_path)
@@ -462,7 +488,8 @@ class TestSidecar:
         applied = count_calls(monkeypatch, registry, "apply_tx")
         assert cli.main(argv) == 0
         assert capsys.readouterr() == first
-        assert (replays, applied) == ([], [])
+        assert [start for _, _, start, _ in replays] == [4]  # one walk, from the sidecar's block
+        assert applied == []
 
     def test_every_product_of_the_fixture(self, tmp_path, capsys):
         for name in ("genesis50.json", "chain50.jsonl"):

@@ -1,6 +1,7 @@
 """Fuzz of the input files: ``cli.main`` over mutated genesis, scenario, key
 and chain files must end with a code of the exit table (0, 1, 2, 3) and let
-no exception escape.
+no exception escape.  So must ``tx`` with drawn arguments, and the chain it
+leaves must still validate.
 
 Each example copies a small workspace built once through the CLI, mutates
 one of its files and runs one command that reads that file.  A mutation is
@@ -50,6 +51,10 @@ VALUES = st.one_of(
     st.lists(st.integers(-1, 3), max_size=2),
     st.dictionaries(st.text("abxyz", max_size=3), st.integers(-1, 3), max_size=2),
 )
+
+# Argument text: any code point, lone surrogates (what an argument that is
+# not UTF-8 decodes to) drawn often.
+TEXT = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])), max_size=8)
 
 SETTINGS = settings(
     max_examples=60,
@@ -215,3 +220,34 @@ def test_scenario_file(workspace, data):
         return [["simulate", "--scenario", ws / "scenario.json", "--out", ws / "sim"]]
 
     run_in_copy(workspace, data, lambda ws: fuzz_json_file(data, ws / "scenario.json", compact), commands)
+
+
+def tx_arguments(data, ws: Path) -> list:
+    """One `tx` subcommand with drawn values for its options."""
+    command = data.draw(st.sampled_from(["deploy", "register", "transfer", "sell", "faucet"]))
+    options = {"--key": ws / data.draw(st.sampled_from(["maker.json", "buyer.json"]))}
+    if data.draw(st.booleans()):
+        options["--gas-price"] = data.draw(st.integers())
+    if command == "deploy" and data.draw(st.booleans()):
+        options["--code-size"] = data.draw(st.integers())
+    if command in ("register", "transfer", "sell"):
+        options["--id"] = data.draw(st.one_of(st.just("P-001"), TEXT))
+    if command == "register":
+        options["--name"] = data.draw(TEXT)
+        options["--metadata"] = data.draw(TEXT)
+    if command in ("transfer", "sell"):
+        address = support.key_for("fuzz:buyer").address
+        options["--to"] = data.draw(st.one_of(st.just(address), TEXT))
+    # --OPTION=VALUE, so that a value starting with "-" is not read as an option
+    return ["tx", command] + [f"{option}={value}" for option, value in options.items()]
+
+
+@SETTINGS
+@given(data=st.data())
+def test_tx_arguments(workspace, data):
+    ws, _ = workspace
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "ws"
+        shutil.copytree(ws, copy)
+        assert _run(chain_args(copy) + tx_arguments(data, copy)) in EXIT_CODES
+        assert _run(chain_args(copy) + ["validate"]) == 0

@@ -508,7 +508,8 @@ class TestCheckpoint:
         applied = support.count_calls(monkeypatch, registry, "apply_tx")
         seals = support.count_calls(monkeypatch, ledger, "_seal_verifies")
         assert ledger.read_state(store.path, genesis) == store.state
-        assert (replays, applied) == ([], [])
+        assert [start for _, _, start, _ in replays] == [store.tip.header.index]  # one walk, from k
+        assert applied == []
         assert len(seals) == store.tip.header.index  # every header is still checked
         assert sidecar_of(store.path).read_bytes() == sidecar  # nothing rewritten
 
@@ -520,7 +521,7 @@ class TestCheckpoint:
         replays = support.count_calls(monkeypatch, ledger, "_replay")
         applied = support.count_calls(monkeypatch, registry, "apply_tx")
         assert ledger.read_state(store.path, genesis) == store.state
-        assert replays == [] and len(applied) == 2
+        assert [start for _, _, start, _ in replays] == [4] and len(applied) == 2
         assert sidecar_of(store.path).read_bytes().startswith(
             b'{"genesis":"0x%s","hash":"%s","index":5}'
             % (canonical.hash_obj(genesis.to_canonical())[2:].encode(), store.tip.header.hash.encode())
@@ -589,6 +590,52 @@ class TestCheckpoint:
         ledger.load_chain(store.path, genesis)
         extend(store, keys, [registry.make_tx(keys["retailer"], 5, 0, FaucetClaim(), PRICE)], 50)
         assert not sidecar_of(store.path).exists()
+
+
+@pytest.fixture()
+def twelve(genesis, keys, tmp_path):
+    """Twelve stored blocks: genesis, a deploy, five registers, then five
+    blocks that each transfer a product and make a faucet claim."""
+    m, d, c = keys["manufacturer"], keys["distributor"], keys["consumer"]
+    store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
+    extend(store, keys, [registry.make_tx(m, 5, 0, Deploy(code_size=100), PRICE)], 1)
+    for n in range(1, 6):
+        register = Register(product_id=f"P-{n}", name="W", metadata="")
+        extend(store, keys, [registry.make_tx(m, 5, n, register, PRICE)], 1 + n)
+    for n in range(1, 6):
+        transfer = Transfer(product_id=f"P-{n}", new_owner=d.address)
+        extend(store, keys, [registry.make_tx(m, 5, 5 + n, transfer, PRICE),
+                             registry.make_tx(c, 5, n - 1, FaucetClaim(), PRICE)], 100_000 * n)
+    return store
+
+
+class TestReplayFrom:
+    """_replay from a block k and the state after it answers as a full replay."""
+
+    def test_every_k_gives_the_full_replay(self, genesis, twelve):
+        blocks = twelve.blocks
+        assert len(blocks) == 12
+        full_state, full_receipts = ledger._replay(blocks, genesis)
+        for k in range(len(blocks)):
+            state_k, _ = ledger._replay(blocks[: k + 1], genesis)
+            state, receipts = ledger._replay(blocks, genesis, k, state_k)
+            assert state == full_state
+            assert receipts == [[]] + full_receipts[k + 1 :]
+
+    def test_a_bad_signature_after_k_reports_the_same(self, genesis, keys, twelve):
+        blocks = list(twelve.blocks)
+        last = blocks[-1]
+        forged = replace(last.txs[1], signature=keys["authority"].sign(last.txs[1].signing_payload(5)))
+        header = replace(last.header, tx_root=ledger.tx_root_of([last.txs[0], forged]))
+        seal = authority_key_map(genesis, keys)[header.sealer].sign(from_hex(header.hash))
+        blocks[-1] = replace(last, header=header, txs=(last.txs[0], forged), seal=seal)
+        full = ledger.validate_chain(blocks, genesis)
+        assert (full.block_index, full.rule) == (11, ledger.RULE_TX_SIGNATURE)
+        for k in range(len(blocks) - 1):
+            state_k, _ = ledger._replay(blocks[: k + 1], genesis)
+            with pytest.raises(ledger.ValidationFailedError) as err:
+                ledger._replay(blocks, genesis, k, state_k)
+            assert err.value.report == full
 
 
 @pytest.fixture(scope="module")
@@ -675,8 +722,28 @@ class TestBatchedSignatures:
         batches = support.count_calls(monkeypatch, ledger, "verify_ahead")
         replays = support.count_calls(monkeypatch, ledger, "_replay")
         assert ledger.read_state(long_chain.path, genesis) == long_chain.state
-        assert replays == []
+        assert [start for _, _, start, _ in replays] == [640]
         assert [len(items) for (items,) in batches] == [640]
+
+    def test_a_stale_sidecar_batches_the_tail_signatures(self, genesis, long_chain, monkeypatch):
+        """Blocks after the sidecar's k are executed, so their transaction
+        signatures join every block's seal in the one verify_ahead batch."""
+        blocks, k = long_chain.blocks, 600
+        state_k, _ = ledger._replay(blocks[: k + 1], genesis)
+        ledger._write_checkpoint(long_chain.path, genesis, blocks[k].header, state_k)
+        workers(monkeypatch, 2)
+        forks = support.record_forks(monkeypatch)
+        batches = support.count_calls(monkeypatch, ledger, "verify_ahead")
+        replays = support.count_calls(monkeypatch, ledger, "_replay")
+        assert ledger.read_state(long_chain.path, genesis) == long_chain.state
+        assert [start for _, _, start, _ in replays] == [600]
+        [(items,)] = batches
+        tail = {tx.signature for block in blocks[k + 1 :] for tx in block.txs}
+        assert len(tail) == 40
+        assert len(items) == 640 + 40
+        assert tail <= {signature for _, _, signature in items}
+        assert len(forks) == 1
+        support.assert_reaped(forks)
 
     def test_validate_prints_its_line_once(self, genesis, long_chain, monkeypatch, capsys):
         workers(monkeypatch, 2)
