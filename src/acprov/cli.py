@@ -158,7 +158,11 @@ def cmd_init(args) -> int:
         raise UsageError(f"invalid genesis: {exc}") from None
     with _writing(genesis_path):
         genesis.save(genesis_path)
-    store = ledger.create_store(db_path, genesis)
+    try:
+        store = ledger.create_store(db_path, genesis)
+    except Exception:
+        genesis_path.unlink()  # a retry must not find a half-made chain's genesis
+        raise
     print(f"chain_id: {genesis.chain_id}")
     print(f"genesis: {genesis_path}")
     print(f"db: {db_path}")
@@ -239,13 +243,15 @@ def cmd_tx(args) -> int:
         args.timestamp if args.timestamp is not None else store.tip.header.timestamp + 1
     )
     sealer_key = _resolve_sealer(args, store, sender_key)
+    if timestamp < store.tip.header.timestamp:
+        raise UsageError(
+            f"timestamp {timestamp} precedes parent timestamp {store.tip.header.timestamp}"
+        )
     try:
         tx = registry.make_tx(sender_key, genesis.chain_id, account.nonce, kind, gas_price)
         block, (receipt,) = ledger.extend(store, [tx], sealer_key, timestamp)
     except ValueError as exc:  # a member no block may hold: the loader would refuse it
         raise UsageError(f"bad transaction: {exc}") from None
-    except (ledger.NotAuthorityError, ledger.WrongTurnError, ledger.ClockRegressionError) as exc:
-        raise UsageError(str(exc)) from None
     doc = receipt.to_canonical()
     doc["block_index"] = block.header.index
     print(json.dumps(doc, sort_keys=True))

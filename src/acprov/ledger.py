@@ -68,18 +68,6 @@ class LedgerError(Exception):
     pass
 
 
-class NotAuthorityError(LedgerError):
-    pass
-
-
-class WrongTurnError(LedgerError):
-    pass
-
-
-class ClockRegressionError(LedgerError):
-    pass
-
-
 class StorageError(LedgerError):
     pass
 
@@ -390,26 +378,18 @@ def seal_block(
     state_root: str,
     sealer_key: KeyPair,
     timestamp: int,
-    genesis: GenesisConfig,
 ) -> Block:
-    """Build and sign the next block; enforces the round-robin schedule."""
-    sealer = sealer_key.address
-    if sealer not in genesis.authority_addresses:
-        raise NotAuthorityError(f"{sealer} is not a genesis authority")
-    index = parent.index + 1
-    due = genesis.sealer_of(index)
-    if sealer != due:
-        raise WrongTurnError(f"block {index} is {due}'s turn, not {sealer}'s")
-    if timestamp < parent.timestamp:
-        raise ClockRegressionError(
-            f"timestamp {timestamp} precedes parent timestamp {parent.timestamp}"
-        )
+    """Build the block after parent and sign its header with sealer_key.
+
+    Nothing is checked here: the turn, the clock and the seal are rules of
+    _check_header, which extend gives the block before writing it.
+    """
     header = BlockHeader(
-        index=index,
+        index=parent.index + 1,
         timestamp=timestamp,
         prev_hash=header_hash(parent),
         tx_root=tx_root_of(pending),
-        sealer=sealer,
+        sealer=sealer_key.address,
         state_root=state_root,
     )
     seal = sealer_key.sign(from_hex(header_hash(header)))
@@ -464,13 +444,6 @@ def _signatures(blocks: Sequence[Block], genesis: GenesisConfig, k: int) -> List
     return [item for item in items if item[0] is not None]
 
 
-def _seal_verifies(block: Block, genesis: GenesisConfig) -> bool:
-    public_key = genesis.public_key_of(block.header.sealer)
-    return public_key is not None and verify(
-        public_key, from_hex(header_hash(block.header)), block.seal
-    )
-
-
 def _check_header(block: Block, prev: BlockHeader, genesis: GenesisConfig) -> None:
     """The rules a block meets without executing it: index, timestamp,
     linkage, turn, seal and tx_root.  Raises ValidationFailedError."""
@@ -486,7 +459,7 @@ def _check_header(block: Block, prev: BlockHeader, genesis: GenesisConfig) -> No
     due = genesis.sealer_of(index)
     if h.sealer != due:
         raise _invalid(index, RULE_SEALER, f"sealer {h.sealer} out of turn, expected {due}")
-    if not _seal_verifies(block, genesis):
+    if not verify(genesis.public_key_of(h.sealer), from_hex(header_hash(h)), block.seal):
         raise _invalid(index, RULE_SEAL, "seal signature does not verify")
     recomputed_root = tx_root_of(block.txs)
     if h.tx_root != recomputed_root:
@@ -642,25 +615,22 @@ def extend(
     sealer_key: KeyPair,
     timestamp: int,
 ) -> Tuple[Block, List[registry.Receipt]]:
-    """Execute txs once on the tip state, seal the next block, and append it.
+    """Execute txs once on the tip state, seal the next block, give it the
+    replay's header rules, and append it.
 
     This is the one way the package writes a block.  It raises
-    ValueError (a member the decoder rejects) or ValidationFailedError
-    (rules tx_signature, tx_nonce, seal) instead of writing a block that
-    load_chain would reject, and the seal_block errors for a sealer out
-    of turn or a clock that runs backwards.
+    ValueError (a member the decoder rejects) or ValidationFailedError,
+    with the report load_chain would give the block (rules tx_signature,
+    tx_nonce, timestamp, sealer, seal), instead of writing a block that
+    load_chain would reject.
     """
     for tx in txs:
         tx.check_fields()
     parent = store.tip.header
-    index = parent.index + 1
-    ctx = make_context(store.genesis, index, timestamp, sealer_key.address)
+    ctx = make_context(store.genesis, parent.index + 1, timestamp, sealer_key.address)
     state, receipts = _execute(store.state, txs, ctx)
-    block = seal_block(
-        txs, parent, registry.state_commitment(state), sealer_key, timestamp, store.genesis
-    )
-    if not _seal_verifies(block, store.genesis):
-        raise _invalid(index, RULE_SEAL, "seal signature does not verify")
+    block = seal_block(txs, parent, registry.state_commitment(state), sealer_key, timestamp)
+    _check_header(block, parent, store.genesis)
     _write(store, block, state, receipts)
     return block, receipts
 

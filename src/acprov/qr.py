@@ -60,10 +60,6 @@ class QrPayload:
     product_id: str
     checksum: int
 
-    def serialize(self) -> str:
-        prefix = f"acp:v{self.version}:{self.chain_id}:{self.contract}:{self.product_id}"
-        return f"{prefix}:{self.checksum:08x}"
-
 
 def checksum(data: bytes) -> int:
     """CRC-32, IEEE 802.3 polynomial, standard reflected form."""

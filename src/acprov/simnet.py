@@ -140,11 +140,8 @@ class Scenario:
             seed=doc["seed"],
             actors=dict(doc["actors"]),
             products=doc["products"],
-            steps=doc.get("steps", 10_000),
-            clock_step=doc.get("clock_step", 3600),
-            txs_per_block=doc.get("txs_per_block", 4),
-            chain_id=doc.get("chain_id", 5),
             tamper_plan=tuple(Mutation.from_canonical(m) for m in plan),
+            **{name: doc[name] for name in optional - {"tamper_plan"} if name in doc},
         )
         scenario.validate()
         return scenario

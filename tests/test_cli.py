@@ -123,6 +123,16 @@ class TestInit:
         res = run_cli("init", "--authority", "a.json", "--fund", "nonsense", cwd=tmp_path)
         assert res.returncode == 2
 
+    def test_failed_chain_leaves_no_genesis_behind(self, tmp_path):
+        assert run_cli("keygen", "--role", "authority", "--out", "a.json", cwd=tmp_path).returncode == 0
+        res = run_cli("--genesis", "g.json", "--db", "nodir/chain.jsonl", "init",
+                      "--authority", "a.json", cwd=tmp_path)
+        assert res.returncode == 2 and "cannot create chain file" in res.stderr
+        assert not (tmp_path / "g.json").exists()
+        res = run_cli("--genesis", "g.json", "--db", "chain.jsonl", "init",
+                      "--authority", "a.json", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+
 
 class TestTx:
     def test_rejected_tx_exits_one_with_receipt(self, workspace, tmp_path):
@@ -202,6 +212,33 @@ class TestTx:
         assert (ws / "chain.jsonl").read_bytes() == before
         res = run_cli("validate", cwd=ws)
         assert (res.returncode, res.stdout[:3]) == (0, "OK "), res.stdout
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["earlier", "equal"])
+    def test_timestamp_against_the_tip(self, workspace, tmp_path, offset):
+        ws = clone(workspace, tmp_path)
+        before = (ws / "chain.jsonl").read_bytes()
+        tip = ledger.parse_chain_bytes(before)[-1].header.timestamp
+        res = run_cli("tx", "faucet", "--key", "c.json", f"--timestamp={tip + offset}", cwd=ws)
+        if offset < 0:
+            assert res.returncode == 2
+            assert res.stderr == f"error: timestamp {tip - 1} precedes parent timestamp {tip}\n"
+            assert (ws / "chain.jsonl").read_bytes() == before
+        else:
+            assert res.returncode == 0, res.stderr
+            blocks = ledger.parse_chain_bytes((ws / "chain.jsonl").read_bytes())
+            assert blocks[-1].header.timestamp == tip and len(blocks) == 6
+
+    def test_sealer_key_out_of_turn_is_usage_error(self, tmp_path):
+        for tag, role in (("a1", "authority"), ("a2", "authority"), ("c", "consumer")):
+            assert run_cli("keygen", "--role", role, "--out", f"{tag}.json", cwd=tmp_path).returncode == 0
+        res = run_cli("init", "--authority", "a1.json", "--authority", "a2.json",
+                      "--account", "c.json:consumer", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        before = (tmp_path / "chain.jsonl").read_bytes()
+        # block 1 is a2's to seal
+        res = run_cli("tx", "faucet", "--key", "c.json", "--sealer-key", "a1.json", cwd=tmp_path)
+        assert res.returncode == 2 and res.stderr.startswith("error: block 1 is "), res.stderr
+        assert (tmp_path / "chain.jsonl").read_bytes() == before
 
     def test_missing_key_file(self, workspace, tmp_path):
         ws = clone(workspace, tmp_path)

@@ -228,6 +228,8 @@ def tx_arguments(data, ws: Path) -> list:
     options = {"--key": ws / data.draw(st.sampled_from(["maker.json", "buyer.json"]))}
     if data.draw(st.booleans()):
         options["--gas-price"] = data.draw(st.integers())
+    if data.draw(st.booleans()):
+        options["--timestamp"] = data.draw(st.integers())
     if command == "deploy" and data.draw(st.booleans()):
         options["--code-size"] = data.draw(st.integers())
     if command in ("register", "transfer", "sell"):

@@ -119,37 +119,39 @@ class TestSealing:
         ]
         assert [b.header.sealer for b in blocks[1:]] == due
 
-    def test_non_authority_cannot_seal(self, genesis, keys, chain):
-        blocks, state = chain
-        with pytest.raises(ledger.NotAuthorityError):
-            ledger.seal_block(
-                [], blocks[-1].header, registry.state_commitment(state),
-                keys["manufacturer"], 99_999, genesis,
-            )
+    def refused(self, genesis, tmp_path, sealer_key, timestamp):
+        """(index, rule) of the block extend refuses to append to the chain
+        fixture's file, which must be left as it was."""
+        store = ledger.load_chain(tmp_path / "fixture-chain.jsonl", genesis)
+        before = store.path.read_bytes()
+        with pytest.raises(ledger.ValidationFailedError) as err:
+            ledger.extend(store, [], sealer_key, timestamp)
+        assert store.path.read_bytes() == before and len(store.blocks) == 6
+        return err.value.report.block_index, err.value.report.rule
 
-    def test_out_of_turn_authority_rejected(self, genesis, keys, chain):
-        blocks, state = chain
+    def test_non_authority_cannot_seal(self, genesis, keys, chain, tmp_path):
+        assert self.refused(genesis, tmp_path, keys["manufacturer"], 99_999) == (
+            6, ledger.RULE_SEALER
+        )
+
+    def test_out_of_turn_authority_rejected(self, genesis, keys, chain, tmp_path):
+        blocks, _ = chain
         index = blocks[-1].header.index + 1
         due = genesis.authority_addresses[index % 3]
         wrong = next(
             keys[t] for t in ("authority", "authority_b", "authority_c")
             if keys[t].address != due
         )
-        with pytest.raises(ledger.WrongTurnError):
-            ledger.seal_block(
-                [], blocks[-1].header, registry.state_commitment(state),
-                wrong, 99_999, genesis,
-            )
+        assert self.refused(genesis, tmp_path, wrong, 99_999) == (6, ledger.RULE_SEALER)
 
-    def test_clock_regression_rejected(self, genesis, keys, chain):
-        blocks, state = chain
+    def test_clock_regression_rejected(self, genesis, keys, chain, tmp_path):
+        blocks, _ = chain
         index = blocks[-1].header.index + 1
         due_key = authority_key_map(genesis, keys)[genesis.authority_addresses[index % 3]]
-        with pytest.raises(ledger.ClockRegressionError):
-            ledger.seal_block(
-                [], blocks[-1].header, registry.state_commitment(state),
-                due_key, blocks[-1].header.timestamp - 1, genesis,
-            )
+        timestamp = blocks[-1].header.timestamp - 1
+        assert self.refused(genesis, tmp_path, due_key, timestamp) == (
+            6, ledger.RULE_TIMESTAMP
+        )
 
     def test_equal_timestamp_is_allowed(self, genesis, keys, chain):
         blocks, state = chain
@@ -157,7 +159,7 @@ class TestSealing:
         due_key = authority_key_map(genesis, keys)[genesis.authority_addresses[index % 3]]
         block = ledger.seal_block(
             [], blocks[-1].header, registry.state_commitment(state),
-            due_key, blocks[-1].header.timestamp, genesis,
+            due_key, blocks[-1].header.timestamp,
         )
         assert ledger.validate_chain(blocks + [block], genesis).ok
 
@@ -234,7 +236,7 @@ class TestValidation:
         )
         sealer = authority_key_map(genesis, keys)[genesis.authority_addresses[1]]
         bad = ledger.seal_block(
-            [corrupt], blocks[0].header, blocks[0].header.state_root, sealer, 10, genesis,
+            [corrupt], blocks[0].header, blocks[0].header.state_root, sealer, 10,
         )
         report = ledger.validate_chain(blocks + [bad], genesis)
         assert (report.block_index, report.rule) == (1, ledger.RULE_TX_SIGNATURE)
@@ -244,7 +246,7 @@ class TestValidation:
         tx = registry.make_tx(keys["manufacturer"], 5, 3, Deploy(code_size=5), PRICE)
         sealer = authority_key_map(genesis, keys)[genesis.authority_addresses[1]]
         bad = ledger.seal_block(
-            [tx], blocks[0].header, blocks[0].header.state_root, sealer, 10, genesis,
+            [tx], blocks[0].header, blocks[0].header.state_root, sealer, 10,
         )
         report = ledger.validate_chain(blocks + [bad], genesis)
         assert (report.block_index, report.rule) == (1, ledger.RULE_TX_NONCE)
@@ -254,7 +256,7 @@ class TestValidation:
         tx = registry.make_tx(keys["manufacturer"], 5, 0, Deploy(code_size=5), PRICE)
         sealer = authority_key_map(genesis, keys)[genesis.authority_addresses[1]]
         bad = ledger.seal_block(
-            [tx], blocks[0].header, blocks[0].header.state_root, sealer, 10, genesis,
+            [tx], blocks[0].header, blocks[0].header.state_root, sealer, 10,
         )
         report = ledger.validate_chain(blocks + [bad], genesis)
         assert (report.block_index, report.rule) == (1, ledger.RULE_STATE_ROOT)
@@ -349,10 +351,10 @@ class TestExtend:
         store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
         before = store.path.read_bytes()
         tx = registry.make_tx(keys["manufacturer"], 5, 0, FaucetClaim(), PRICE)
-        with pytest.raises(ledger.NotAuthorityError):
-            ledger.extend(store, [tx], keys["manufacturer"], 10)
-        with pytest.raises(ledger.WrongTurnError):
-            ledger.extend(store, [tx], keys["authority"], 10)  # block 1 is authority_b's
+        for sealer in (keys["manufacturer"], keys["authority"]):  # block 1 is authority_b's
+            with pytest.raises(ledger.ValidationFailedError) as err:
+                ledger.extend(store, [tx], sealer, 10)
+            assert (err.value.report.block_index, err.value.report.rule) == (1, ledger.RULE_SEALER)
         assert store.path.read_bytes() == before and len(store.blocks) == 1
 
     @pytest.mark.parametrize("role", ["sender", "sealer"])
@@ -506,11 +508,11 @@ class TestCheckpoint:
         sidecar = sidecar_of(store.path).read_bytes()
         replays = support.count_calls(monkeypatch, ledger, "_replay")
         applied = support.count_calls(monkeypatch, registry, "apply_tx")
-        seals = support.count_calls(monkeypatch, ledger, "_seal_verifies")
+        headers = support.count_calls(monkeypatch, ledger, "_check_header")
         assert ledger.read_state(store.path, genesis) == store.state
         assert [start for _, _, start, _ in replays] == [store.tip.header.index]  # one walk, from k
         assert applied == []
-        assert len(seals) == store.tip.header.index  # every header is still checked
+        assert len(headers) == store.tip.header.index  # every header is still checked
         assert sidecar_of(store.path).read_bytes() == sidecar  # nothing rewritten
 
     def test_stale_sidecar_executes_only_the_newer_blocks(self, genesis, keys, store, monkeypatch):

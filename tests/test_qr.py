@@ -72,7 +72,7 @@ class TestDecode:
         assert decoded.contract == CONTRACT
         assert decoded.product_id == "P-001"
         assert decoded.version == 1
-        assert decoded.serialize() == payload
+        assert qr.encode_payload(decoded.chain_id, decoded.contract, decoded.product_id) == payload
 
     def test_bad_prefix(self):
         with pytest.raises(qr.BadPrefix):
