@@ -170,20 +170,40 @@ def _copy_state(state: dict) -> dict:
     }
 
 
-def _apply_one(state: dict, tx, block_index: int, timestamp: int, sealer: str, genesis) -> None:
-    """Apply one transaction to state in place; rejected ones leave it as it was."""
-    kind = tx.kind
-    name = type(kind).__name__
-    kind_doc = _kind_doc(kind)
+# Encodings of recently applied transactions, by object identity, so a
+# fold that applies one envelope many times encodes it once.  Each entry
+# holds its transaction: an id cannot be reused while it is cached.
+_ENCODED_LIMIT = 4096
+_encoded: dict = {}
+
+
+def _encodings(tx, chain_id: int) -> Tuple[bytes, bytes]:
+    """(signing payload, kind blob) of tx on chain chain_id."""
+    entry = _encoded.get(id(tx))
+    if entry is not None and entry[0] is tx and entry[1] == chain_id:
+        return entry[2], entry[3]
+    kind_doc = _kind_doc(tx.kind)
     payload = _dumps(
         {
-            "chain_id": state["chain_id"],
+            "chain_id": chain_id,
             "gas_price": tx.gas_price,
             "kind": kind_doc,
             "nonce": tx.nonce,
             "sender": tx.sender,
         }
     )
+    blob = _dumps(kind_doc)
+    if len(_encoded) >= _ENCODED_LIMIT:
+        _encoded.clear()
+    _encoded[id(tx)] = (tx, chain_id, payload, blob)
+    return payload, blob
+
+
+def _apply_one(state: dict, tx, block_index: int, timestamp: int, sealer: str, genesis) -> None:
+    """Apply one transaction to state in place; rejected ones leave it as it was."""
+    kind = tx.kind
+    name = type(kind).__name__
+    payload, blob = _encodings(tx, state["chain_id"])
     if tx.sender not in state["accounts"]:
         return
     acct = state["accounts"][tx.sender]
@@ -201,7 +221,6 @@ def _apply_one(state: dict, tx, block_index: int, timestamp: int, sealer: str, g
         return
 
     params = genesis.gas_params
-    blob = _dumps(kind_doc)
     zero_bytes = blob.count(0)
     calldata = (
         zero_bytes * params.calldata_zero_byte

@@ -327,7 +327,7 @@ class Account:
             "last_faucet_claim": self.last_faucet_claim,
             "nonce": self.nonce,
             "public_key": self.public_key,
-            "role": self.role.value,
+            "role": self.role._value_,
         }
 
 
@@ -356,7 +356,7 @@ class ProductRecord:
             "name": self.name,
             "product_id": self.product_id,
             "registered_at": self.registered_at,
-            "status": self.status.value,
+            "status": self.status._value_,
         }
 
 
