@@ -14,9 +14,15 @@ Run after any change to GasParams or the canonical kind encodings:
 from __future__ import annotations
 
 import argparse
+import sys
 from decimal import Decimal
+from pathlib import Path
 
-from acprov import gas, simnet
+# The checkout's own sources come first, so the script runs from a
+# checkout without an installed acprov or a PYTHONPATH.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from acprov import gas, simnet  # noqa: E402
 
 TARGET_ETH = Decimal("0.00064428")
 WEI_PER_ETH = 10**18

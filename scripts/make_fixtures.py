@@ -22,9 +22,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-from acprov import gas, ledger, simnet
+ROOT = Path(__file__).resolve().parent.parent
+# The checkout's own sources come first, so the script runs from a
+# checkout without an installed acprov or a PYTHONPATH.
+sys.path.insert(0, str(ROOT / "src"))
 
-FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+from acprov import gas, ledger, simnet  # noqa: E402
+
+FIXTURES = ROOT / "tests" / "fixtures"
 
 # Tuned so the persisted chain is exactly 50 blocks (genesis + 49 sealed).
 SCENARIO_50 = simnet.Scenario(

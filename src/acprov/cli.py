@@ -66,7 +66,8 @@ def _load_key(path) -> KeyPair:
         key = KeyPair.from_seed(from_hex(doc["secret_key"]))
         if key.public_key != doc["public_key"]:
             raise ValueError("secret_key does not derive public_key")
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad UTF-8 and JSON
+    # ValueError covers bad UTF-8 and JSON, RecursionError JSON nested too deeply
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"not a key file: {path} ({exc})") from exc
     if doc.get("address") != key.address:
         raise UsageError(f"key file {path} address does not match its public key")

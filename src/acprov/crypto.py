@@ -3,10 +3,12 @@
 Addresses follow the Ethereum convention of truncated key hashes: the
 trailing 20 bytes of the SHA-256 digest of the raw 32-byte public key.
 Signature verification is memoized because chain validation and the
-test oracles verify the same envelopes many times over.  Inside a
-``verify_ahead`` block, forked copies of the process (POSIX only) check
-a known list of signatures from its back while the caller verifies
-from its front, when more than one CPU is usable.
+test oracles verify the same envelopes many times over.  When more than
+one CPU is usable, forked copies of the process (POSIX only) share
+known lists of work with the caller, taking them from the back while
+the caller takes them from the front: ``sign_batch`` signs a list of
+messages, and inside a ``verify_ahead`` block the copies check a list
+of signatures as the caller verifies them.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -30,6 +32,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from .canonical import ADDRESS_BYTES, from_hex, to_hex
 
 SEED_BYTES = 32
+SIGNATURE_BYTES = 64
 
 # (public_key, message, signature): the arguments of one verify.
 Check = Tuple[str, bytes, str]
@@ -121,8 +124,8 @@ def verify(public_key: str, message: bytes, signature: str) -> bool:
     return _remember(item, answer == _VALID)
 
 
-# A fork costs about as much as 15 checks; below this many checks a
-# worker would spend a noticeable share of its time starting.
+# A fork costs about as much as 15 checks; below this many checks (or
+# signatures) a worker would spend a noticeable share of its time starting.
 _MIN_CHECKS_PER_WORKER = 128
 
 
@@ -140,41 +143,24 @@ def _worker_count(checks: int) -> int:
     never forked, since a lock another thread holds at the fork stays
     held in the copy.
     """
-    if threading.active_count() > 1:
+    if checks < _MIN_CHECKS_PER_WORKER or threading.active_count() > 1:
         return 0
     return min(_usable_cpus() - 1, checks // _MIN_CHECKS_PER_WORKER)
 
 
-def _check_from_back(items: Sequence[Check], answers: mmap.mmap, first: int, step: int) -> None:
-    """A worker's job: answer items first, first - step, ... until one is
-    already answered, which means the caller has got that far."""
-    for position in range(first, -1, -step):
-        if answers[position]:
-            return
-        answers[position] = _VALID if _check(*items[position]) else _INVALID
-
-
 @contextlib.contextmanager
-def verify_ahead(items: Iterable[Check]) -> Iterator[None]:
-    """Check items in forked copies of the process while the block runs.
+def _forked(workers: int, count: int, work: Callable[[int, int], None]) -> Iterator[None]:
+    """Run ``work(first, step)`` in up to ``workers`` forked copies of the
+    process while the block runs.
 
-    Each distinct item not yet memoized gets one byte in a shared map.
-    With more than one usable CPU and enough items, workers answer them
-    from the back while ``verify`` answers the ones the caller reaches
-    first from the front, so neither waits for the other.  On exit the
-    workers are stopped and reaped and every answer is memoized.  A
-    worker that cannot be started or dies leaves its bytes at 0, and
-    the caller checks those items itself: the answers are the same
-    either way.  Workers leave by os._exit, so they run no exit handler
-    and never flush the parent's stdio buffers.
+    Worker w takes positions count - 1 - w, count - 1 - w - workers, ...
+    of a list of ``count`` items, from its back; what it does with them
+    it writes to a shared map the caller made before entering.  A copy
+    that cannot be forked is not started.  On exit every copy is killed
+    and reaped, so whatever it wrote is in the map and no more will be.
+    Copies leave by os._exit, so they run no exit handler and never
+    flush the parent's stdio buffers.
     """
-    global _positions, _shared
-    todo = [item for item in dict.fromkeys(items) if item not in _memo]
-    workers = _worker_count(len(todo))
-    if not workers:
-        yield
-        return
-    answers = mmap.mmap(-1, len(todo))
     pids = []
     try:
         for worker in range(workers):
@@ -184,18 +170,103 @@ def verify_ahead(items: Iterable[Check]) -> Iterator[None]:
                 break
             if pid == 0:
                 try:
-                    _check_from_back(todo, answers, len(todo) - 1 - worker, workers)
+                    work(count - 1 - worker, workers)
                 finally:
                     os._exit(0)
             pids.append(pid)
-        _positions, _shared = {item: position for position, item in enumerate(todo)}, answers
         yield
     finally:
-        _positions, _shared = {}, None
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for item, answer in zip(todo, answers[:]):
-            if answer:
-                _remember(item, answer == _VALID)
-        answers.close()
+
+
+# A sign_batch slot: a state byte, then the 64 signature bytes.  The
+# state is 0 until the caller takes the slot or a worker has filled it.
+_SLOT_BYTES = 1 + SIGNATURE_BYTES
+_TAKEN, _SIGNED = 1, 2
+
+
+def _sign_from_back(
+    requests: Sequence[Tuple[KeyPair, bytes]], slots: mmap.mmap, first: int, step: int
+) -> None:
+    """A worker's job: sign requests first, first - step, ..., 0, skipping
+    any the caller has taken.  The signature goes in first, then the
+    state byte that says it is there."""
+    for position in range(first, -1, -step):
+        start = position * _SLOT_BYTES
+        if not slots[start]:
+            key, message = requests[position]
+            slots[start + 1 : start + _SLOT_BYTES] = from_hex(key.sign(message))
+            slots[start] = _SIGNED
+
+
+def sign_batch(requests: Sequence[Tuple[KeyPair, bytes]]) -> List[str]:
+    """``key.sign(message)`` for each (key, message) of ``requests``.
+
+    With more than one usable CPU and enough requests, forked workers
+    sign from the back of the list into a shared map while the caller
+    signs from the front, each skipping what the other has done.  Ed25519
+    signing is deterministic (RFC 8032), so a worker's signature is the
+    caller's byte for byte.  The caller signs every slot no worker had
+    filled when it got there, and reads the workers' slots only once
+    they are reaped, so a worker that dies or cannot be forked costs
+    time but changes no signature.  The map holds signatures, never a key.
+    """
+    workers = _worker_count(len(requests))
+    if not workers:
+        return [key.sign(message) for key, message in requests]
+    signatures: List[Optional[str]] = [None] * len(requests)
+    with mmap.mmap(-1, len(requests) * _SLOT_BYTES) as slots:
+        with _forked(workers, len(requests), partial(_sign_from_back, requests, slots)):
+            for position, (key, message) in enumerate(requests):
+                if not slots[position * _SLOT_BYTES]:
+                    slots[position * _SLOT_BYTES] = _TAKEN
+                    signatures[position] = key.sign(message)
+        for position, signature in enumerate(signatures):
+            if signature is None:  # a worker had signed it
+                start = position * _SLOT_BYTES + 1
+                signatures[position] = to_hex(slots[start : start + SIGNATURE_BYTES])
+    return signatures
+
+
+def _check_from_back(items: Sequence[Check], answers: mmap.mmap, first: int, step: int) -> None:
+    """A worker's job: answer items first, first - step, ..., 0, skipping
+    any already answered, which the caller may have reached first."""
+    for position in range(first, -1, -step):
+        if not answers[position]:
+            answers[position] = _VALID if _check(*items[position]) else _INVALID
+
+
+@contextlib.contextmanager
+def verify_ahead(items: Iterable[Check]) -> Iterator[None]:
+    """Check items in forked copies of the process while the block runs.
+
+    Each distinct item not yet memoized gets one byte in a shared map.
+    With more than one usable CPU and enough items, workers answer them
+    from the back of the list while ``verify`` answers the ones the
+    caller reaches first, each skipping what the other has answered, so
+    neither waits for the other.  A caller that works through its checks
+    in the list's order meets the workers in the middle; one that lists
+    them last first has the workers lead it.  On exit the workers are
+    stopped and reaped and every answer is memoized.  A worker that
+    cannot be started or dies leaves its bytes at 0, and the caller
+    checks those items itself: the answers are the same either way.
+    """
+    global _positions, _shared
+    todo = [item for item in dict.fromkeys(items) if item not in _memo]
+    workers = _worker_count(len(todo))
+    if not workers:
+        yield
+        return
+    with mmap.mmap(-1, len(todo)) as answers:
+        try:
+            with _forked(workers, len(todo), partial(_check_from_back, todo, answers)):
+                _positions = {item: position for position, item in enumerate(todo)}
+                _shared = answers
+                yield
+        finally:
+            _positions, _shared = {}, None
+            for item, answer in zip(todo, answers[:]):
+                if answer:
+                    _remember(item, answer == _VALID)

@@ -234,6 +234,8 @@ class GenesisConfig:
             raise ParseError(1, f"genesis file is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(exc.lineno, f"genesis file: {exc.msg}") from exc
+        except RecursionError as exc:  # nested deeper than the decoder goes
+            raise ParseError(1, f"genesis file: {exc}") from exc
         try:
             return cls.from_canonical(doc)
         except (ValueError, KeyError, TypeError) as exc:

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from typing import Any, ClassVar, Mapping, Optional, Tuple, Union, get_args
+from typing import Any, ClassVar, Mapping, Optional, Sequence, Tuple, Union, get_args
 
 from . import gas as gas_model
 from .canonical import (
@@ -40,7 +40,7 @@ from .canonical import (
     hash_of,
     to_hex,
 )
-from .crypto import KeyPair, verify
+from .crypto import KeyPair, sign_batch, verify
 
 
 class Role(str, Enum):
@@ -270,13 +270,23 @@ def _signing_payload(chain_id: int, tail: bytes) -> bytes:
     return b'{"chain_id":%d,' % chain_id + tail
 
 
+def sign_txs(chain_id: int, unsigned: Sequence[Tuple[KeyPair, TxEnvelope]]) -> None:
+    """Sign each envelope in place with its sender's key (crypto.sign_batch).
+
+    Every envelope must still hold the empty signature it was built
+    with, unread, so that no cached encoding holds it; its kind and
+    payload tail are then encoded once.  make_tx is the one-item case.
+    """
+    signatures = sign_batch([(key, tx.signing_payload(chain_id)) for key, tx in unsigned])
+    for (_, tx), signature in zip(unsigned, signatures):
+        object.__setattr__(tx, "signature", signature)
+
+
 def make_tx(
     key: KeyPair, chain_id: int, nonce: int, kind: TxKind, gas_price: int
 ) -> TxEnvelope:
     tx = TxEnvelope(key.address, nonce, kind, gas_price, signature="")
-    # Signed in place before it is returned, so nothing has read the empty
-    # signature and the kind and payload tail are encoded once.
-    object.__setattr__(tx, "signature", key.sign(tx.signing_payload(chain_id)))
+    sign_txs(chain_id, [(key, tx)])
     return tx
 
 

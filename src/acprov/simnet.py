@@ -155,7 +155,7 @@ class Scenario:
     def load(cls, path) -> "Scenario":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ScenarioInvalidError(f"scenario file is not valid JSON: {exc}") from exc
         return cls.from_canonical(doc)
 
@@ -258,7 +258,7 @@ def apply_mutations(path, mutations: Sequence[Mutation]) -> None:
 
 
 # A transaction the scenario submitted: (step, actor address, action, trace
-# detail, the signed envelope).
+# detail, the envelope, signed before the first block executes).
 _Submitted = Tuple[int, str, str, dict, registry.TxEnvelope]
 
 
@@ -270,9 +270,10 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     consumer, and the buyer verifies.  All actors bootstrap through
     the fee-free faucet; senders occasionally re-claim mid-run, which
     exercises the cooldown both ways.  ``steps`` caps the total number
-    of submitted transactions.  The whole run is scripted and signed
-    before the first block executes, so that forked workers can check
-    the transaction signatures alongside execution (crypto.verify_ahead).
+    of submitted transactions.  The whole run is scripted before the
+    first block executes, so that its envelopes are signed in one batch
+    (registry.sign_txs) and forked workers can check their signatures
+    ahead of execution (crypto.verify_ahead).
     """
     scenario.validate()
     out = Path(out_dir)
@@ -297,7 +298,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     # never on a receipt or the state.  Each entry of script seals one
     # block or answers one scan.
     script: List[Callable[[], None]] = []
-    signed: List[Check] = []
+    unsigned: List[Tuple[KeyPair, registry.TxEnvelope]] = []
     pending: List[_Submitted] = []
     clock = 0
     step = 0
@@ -334,16 +335,16 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
         step += 1
         clock += scenario.clock_step
         txs_sent += 1
-        tx = registry.make_tx(
-            actor.key,
-            genesis.chain_id,
+        tx = registry.TxEnvelope(
+            actor.address,
             nonces[actor.address],
             kind,
             genesis.gas_params.default_gas_price,
+            signature="",
         )
         nonces[actor.address] += 1
         pending.append((step, actor.address, kind.TYPE, detail, tx))
-        signed.append((actor.key.public_key, tx.signing_payload(genesis.chain_id), tx.signature))
+        unsigned.append((actor.key, tx))
         if len(pending) >= scenario.txs_per_block:
             flush()
 
@@ -427,7 +428,15 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
             verify_event(buyer, product_id)
     flush()
 
-    with verify_ahead(signed):
+    registry.sign_txs(genesis.chain_id, unsigned)
+    # Listed from the last transaction to the first: a verify_ahead worker
+    # checks its list from the back, so it starts where execution starts
+    # and stays ahead of it.
+    checks: List[Check] = [
+        (key.public_key, tx.signing_payload(genesis.chain_id), tx.signature)
+        for key, tx in reversed(unsigned)
+    ]
+    with verify_ahead(checks):
         for action in script:
             action()
 

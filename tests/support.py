@@ -92,6 +92,15 @@ def wait_for_exit(pid: int, timeout: float = 10.0) -> None:
         time.sleep(0.001)
 
 
+def verify_workers_finished(timeout: float = 10.0) -> None:
+    """Inside a verify_ahead block: wait until every item has an answer in
+    the shared map, which only the workers write until verify is called."""
+    deadline = time.monotonic() + timeout
+    while crypto._shared is not None and 0 in crypto._shared[:]:
+        assert time.monotonic() < deadline, "the workers left items unanswered"
+        time.sleep(0.001)
+
+
 def assert_reaped(pids) -> None:
     """Every child in pids has exited and been reaped."""
     for pid in pids:

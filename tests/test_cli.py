@@ -247,8 +247,8 @@ class TestTx:
 
     @pytest.mark.parametrize(
         "field, value",
-        [(None, b"\xff{"), ("public_key", 5), ("secret_key", "0x12")],
-        ids=["not-utf8", "numeric-public-key", "short-secret-key"],
+        [(None, b"\xff{"), ("public_key", 5), ("secret_key", "0x12"), (None, b"[" * 100000)],
+        ids=["not-utf8", "numeric-public-key", "short-secret-key", "nested-too-deeply"],
     )
     def test_malformed_key_file_is_usage_error(self, workspace, tmp_path, field, value):
         ws = clone(workspace, tmp_path)
@@ -373,6 +373,7 @@ class TestValidate:
             ("gas_params", {"base_tx": "21000"}),
             ("gas_params", {"base_tx": True}),
             (None, b"\xff{"),  # the whole file, not UTF-8
+            pytest.param(None, b"[" * 100000, id="nested-too-deeply"),
         ],
     )
     def test_malformed_genesis_is_corrupt_file(self, workspace, tmp_path, field, value):
@@ -650,6 +651,7 @@ class TestSimulate:
         for raw in (
             b"{not json",
             b"\xff",  # not UTF-8
+            b"[" * 100000,  # deeper than the JSON decoder goes
             *(
                 json.dumps(doc).encode()
                 for doc in (

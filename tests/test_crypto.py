@@ -1,8 +1,9 @@
+import contextlib
 import hashlib
 import os
 import signal
+import mmap
 import sys
-import time
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -150,15 +151,6 @@ def forking(monkeypatch):
     return monkeypatch
 
 
-def workers_finished(timeout=10.0):
-    """Inside a verify_ahead block: wait until every item has an answer in
-    the shared map, which only the workers write until verify is called."""
-    deadline = time.monotonic() + timeout
-    while crypto._shared is not None and 0 in crypto._shared[:]:
-        assert time.monotonic() < deadline, "the workers left items unanswered"
-        time.sleep(0.001)
-
-
 def ahead_agrees(items, before_verify=lambda: None):
     """verify_ahead answers every item, and as the library does."""
     with crypto.verify_ahead(items):
@@ -190,7 +182,7 @@ class TestVerifyBatch:
             patch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
             patch.setattr(crypto, "_usable_cpus", lambda: cpus)
             checked = support.count_calls(patch, crypto, "_check")
-            ahead_agrees(items, workers_finished)
+            ahead_agrees(items, support.verify_workers_finished)
             # With a worker, every answer the caller reads is the worker's.
             assert len(checked) == (0 if cpus == 2 else len(set(items)))
 
@@ -244,6 +236,16 @@ class TestVerifyBatch:
         assert len(checked) == len(items) - answered
         support.assert_reaped(pids)
 
+    def test_a_worker_skips_what_the_caller_answered(self):
+        """The caller may answer a worker's first items before it runs; the
+        worker goes on past them instead of stopping."""
+        items = signed_items(6)
+        with mmap.mmap(-1, len(items)) as answers:
+            answers[5] = answers[3] = crypto._INVALID
+            crypto._check_from_back(items, answers, len(items) - 1, 1)
+            valid, invalid = crypto._VALID, crypto._INVALID
+            assert answers[:] == bytes([valid, valid, valid, invalid, valid, invalid])
+
     def test_fork_failure_checks_everything_here(self, forking):
         def no_fork():
             raise OSError(11, "Resource temporarily unavailable")
@@ -256,7 +258,7 @@ class TestVerifyBatch:
 
     def test_workers_leave_buffered_output_alone(self, forking, capfd):
         sys.stdout.write("written once")  # still in the buffer when the workers fork
-        ahead_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS], workers_finished)
+        ahead_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS], support.verify_workers_finished)
         sys.stdout.flush()
         assert capfd.readouterr().out == "written once"
 
@@ -273,4 +275,122 @@ class TestVerifyBatch:
         assert all(crypto.verify(*item) for item in items)
 
 
+def workers_exited_first(monkeypatch, pids):
+    """Make sign_batch start its own signing only once every worker it
+    forked has exited: a worker that runs to its end has then signed all."""
+    forked = crypto._forked
+
+    @contextlib.contextmanager
+    def forked_then_wait(*args):
+        with forked(*args):
+            for pid in pids:
+                support.wait_for_exit(pid)
+            yield
+
+    monkeypatch.setattr(crypto, "_forked", forked_then_wait)
+
+
+def requests(count):
+    """count (key, message) pairs, spread over the signers."""
+    return [(signer, n.to_bytes(2, "big")) for n, signer in zip(range(count), SIGNERS * count)]
+
+
+def in_process(batch):
+    return [key.sign(message) for key, message in batch]
+
+
+def signatures_without_state_byte(batch, slots, first, step):
+    """A faulty worker: the signature bytes of every slot, no state byte."""
+    for position in range(first + 1):
+        start = position * crypto._SLOT_BYTES + 1
+        key, message = batch[position]
+        slots[start : start + crypto.SIGNATURE_BYTES] = from_hex(key.sign(message))
+
+
+class TestSignBatch:
+    """sign_batch: forked workers sign from the back of the list while the
+    caller signs from the front."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @settings(max_examples=20, deadline=None)
+    @given(messages=st.lists(st.binary(max_size=40), max_size=12))
+    def test_signatures_equal_in_process_signing(self, cpus, messages):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
+            patch.setattr(crypto, "_usable_cpus", lambda: cpus)
+            workers_exited_first(patch, support.record_forks(patch))
+            batch = [(SIGNERS[len(m) % len(SIGNERS)], m) for m in messages]
+            expected = in_process(batch)
+            signed = support.count_calls(patch, crypto.KeyPair, "sign")
+            assert crypto.sign_batch(batch) == expected
+            # With a worker, every signature the caller returns is the worker's.
+            assert len(signed) == (0 if cpus == 2 else len(batch))
+
+    @pytest.mark.parametrize(
+        "work, signed_there",
+        [
+            (lambda batch, slots, first, step: os._exit(0), 0),
+            (lambda batch, slots, first, step: os.kill(os.getpid(), signal.SIGKILL), 0),
+            (signatures_without_state_byte, 0),
+            # signs its first slot only: the next position would be past the front
+            (lambda batch, slots, first, step: SIGN_FROM_BACK(batch, slots, first, first + 1), 1),
+        ],
+        ids=["exits_early", "dies", "no_state_byte", "short"],
+    )
+    def test_a_failed_worker_has_its_share_signed_here(self, forking, work, signed_there):
+        forking.setattr(crypto, "_sign_from_back", work)
+        pids = support.record_forks(forking)
+        workers_exited_first(forking, pids)
+        batch = requests(12)
+        expected = in_process(batch)
+        signed = support.count_calls(forking, crypto.KeyPair, "sign")
+        assert crypto.sign_batch(batch) == expected
+        assert len(signed) == len(batch) - signed_there
+        assert len(pids) == 1
+        support.assert_reaped(pids)
+
+    @pytest.mark.parametrize("case", ["fork_fails", "other_threads", "small_batch"])
+    def test_signs_in_process(self, forking, case):
+        def no_fork():
+            if case != "fork_fails":
+                pytest.fail(f"forked: {case}")
+            raise OSError(11, "Resource temporarily unavailable")
+
+        forking.setattr(os, "fork", no_fork)
+        if case == "other_threads":
+            forking.setattr(crypto.threading, "active_count", lambda: 2)
+        batch = requests(6)
+        if case == "small_batch":
+            forking.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 128)
+            batch = requests(127)
+        expected = in_process(batch)
+        signed = support.count_calls(forking, crypto.KeyPair, "sign")
+        assert crypto.sign_batch(batch) == expected
+        assert len(signed) == len(batch)
+
+    def test_a_raising_block_reaps_its_worker(self, forking):
+        pids = support.record_forks(forking)
+        parent, sign = os.getpid(), crypto.KeyPair.sign
+
+        def caller_fails(key, message):
+            if os.getpid() == parent:
+                raise ZeroDivisionError
+            return sign(key, message)
+
+        forking.setattr(crypto.KeyPair, "sign", caller_fails)
+        with pytest.raises(ZeroDivisionError):
+            crypto.sign_batch(requests(6))
+        assert len(pids) == 1
+        support.assert_reaped(pids)
+
+    def test_workers_leave_buffered_output_alone(self, forking, capfd):
+        sys.stdout.write("written once")  # still in the buffer when the worker forks
+        workers_exited_first(forking, support.record_forks(forking))
+        batch = requests(6)
+        assert crypto.sign_batch(batch) == in_process(batch)
+        sys.stdout.flush()
+        assert capfd.readouterr().out == "written once"
+
+
 CHECK_FROM_BACK = crypto._check_from_back
+SIGN_FROM_BACK = crypto._sign_from_back

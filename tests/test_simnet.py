@@ -1,4 +1,8 @@
+import contextlib
 import importlib.util
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -91,17 +95,56 @@ class TestDeterminism:
             monkeypatch.setattr(crypto, "_usable_cpus", lambda: cpus)
             forks = support.record_forks(monkeypatch)
             result = simnet.run_scenario(SMALL, tmp_path / name)
-            assert len(forks) == cpus - 1
+            # per further CPU, one worker signs the script and one checks it
+            assert len(forks) == 2 * (cpus - 1)
             runs.append([path.read_bytes() for path in (
                 result.genesis_path, result.chain_path, result.trace_path
             )])
         assert runs[0] == runs[1]
+
+    def test_the_verify_worker_leads_execution(self, tmp_path, monkeypatch):
+        """verify_ahead gets the checks last first, so its worker, which
+        starts at the back, starts where execution starts.  Once it has
+        finished, the caller checks only the seals, which nobody knows
+        ahead of execution."""
+        monkeypatch.setattr(crypto, "_memo", {})
+        monkeypatch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
+        monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
+        batches = []
+
+        @contextlib.contextmanager
+        def verify_ahead_after_the_worker(items):
+            batches.append(list(items))
+            with crypto.verify_ahead(batches[-1]):
+                support.verify_workers_finished()
+                yield
+
+        monkeypatch.setattr(simnet, "verify_ahead", verify_ahead_after_the_worker)
+        checked = support.count_calls(monkeypatch, crypto, "_check")
+        result = simnet.run_scenario(SMALL, tmp_path)
+        [items] = batches
+        assert items[-1][2] == result.blocks[1].txs[0].signature
+        assert sorted(signature for _, _, signature in checked) == sorted(
+            block.seal for block in result.blocks[1:]
+        )
 
     def test_fixture_script_reproduces_the_committed_files(self, capsys):
         spec = importlib.util.spec_from_file_location("make_fixtures", MAKE_FIXTURES)
         make_fixtures = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(make_fixtures)
         assert make_fixtures.check() == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "script", [["make_fixtures.py", "--check"], ["calibrate_gas_price.py"]], ids=lambda s: s[0]
+    )
+    def test_scripts_run_from_the_checkout_alone(self, script):
+        """The README runs the scripts from the repository root, with no
+        PYTHONPATH and no installed acprov needed."""
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+        root = MAKE_FIXTURES.resolve().parents[1]
+        command = [sys.executable, str(Path("scripts") / script[0]), *script[1:]]
+        res = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
