@@ -117,11 +117,7 @@ def cmd_init(args) -> int:
     authorities = []
     roles = {}
     account_keys = {}
-    for key_file in args.authority:
-        key = _load_key(key_file)
-        authorities.append((key.address, key.public_key))
-        roles[key.address] = registry.Role.AUTHORITY
-    for entry in args.account:
+    for entry in [f"{key_file}:authority" for key_file in args.authority] + args.account:
         if ":" not in entry:
             raise UsageError(f"--account expects KEYFILE:ROLE, got {entry!r}")
         key_file, role_name = entry.rsplit(":", 1)
@@ -130,6 +126,8 @@ def cmd_init(args) -> int:
         except ValueError:
             raise UsageError(f"unknown role {role_name!r}") from None
         key = _load_key(key_file)
+        if key.address in roles:
+            raise UsageError(f"{key_file} names account {key.address} a second time")
         roles[key.address] = role
         if role is not registry.Role.AUTHORITY:
             account_keys[key.address] = key.public_key
@@ -140,6 +138,8 @@ def cmd_init(args) -> int:
         if "=" not in entry:
             raise UsageError(f"--fund expects ADDRESS=WEI, got {entry!r}")
         address, amount = entry.split("=", 1)
+        if address in balances:
+            raise UsageError(f"--fund names {address} a second time")
         try:
             balances[address] = int(amount)
         except ValueError:

@@ -3,12 +3,14 @@
 Addresses follow the Ethereum convention of truncated key hashes: the
 trailing 20 bytes of the SHA-256 digest of the raw 32-byte public key.
 Signature verification is memoized because chain validation and the
-test oracles verify the same envelopes many times over.  When more than
-one CPU is usable, forked copies of the process (POSIX only) share
-known lists of work with the caller, taking them from the back while
-the caller takes them from the front: ``sign_batch`` signs a list of
-messages, and inside a ``verify_ahead`` block the copies check a list
-of signatures as the caller verifies them.
+test oracles verify the same envelopes many times over.  A signature
+this process makes is memoized as valid under the key its secret
+derives, under which it always verifies (RFC 8032, section 5.1); a
+reader is a fresh process and checks every signature.  With more than
+one usable CPU, forked copies of the process (POSIX only) take known
+lists of work from the back while the caller takes them from the
+front: ``sign_batch`` signs messages, and inside a ``verify_ahead``
+block the copies check the signatures the caller verifies.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ def _private_key_obj(secret_key: str) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(from_hex(secret_key))
 
 
+@lru_cache(maxsize=4096)
+def _public_key_of(secret_key: str) -> str:
+    return to_hex(_private_key_obj(secret_key).public_key().public_bytes_raw())
+
+
 @dataclass(frozen=True)
 class KeyPair:
     secret_key: str = field(repr=False)  # 32-byte seed, 0x hex; kept out of repr
@@ -63,15 +70,16 @@ class KeyPair:
         if len(seed) != SEED_BYTES:
             raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
         secret_key = to_hex(seed)
-        public = _private_key_obj(secret_key).public_key().public_bytes_raw()
-        return cls(secret_key=secret_key, public_key=to_hex(public))
+        return cls(secret_key=secret_key, public_key=_public_key_of(secret_key))
 
     @classmethod
     def generate(cls) -> "KeyPair":
         return cls.from_seed(os.urandom(SEED_BYTES))
 
     def sign(self, message: bytes) -> str:
-        return to_hex(_private_key_obj(self.secret_key).sign(message))
+        signature = to_hex(_private_key_obj(self.secret_key).sign(message))
+        _remember((_public_key_of(self.secret_key), message, signature), True)
+        return signature
 
 
 def _check(public_key: str, message: bytes, signature: str) -> bool:
@@ -226,7 +234,9 @@ def sign_batch(requests: Sequence[Tuple[KeyPair, bytes]]) -> List[str]:
         for position, signature in enumerate(signatures):
             if signature is None:  # a worker had signed it
                 start = position * _SLOT_BYTES + 1
-                signatures[position] = to_hex(slots[start : start + SIGNATURE_BYTES])
+                signatures[position] = signature = to_hex(slots[start : start + SIGNATURE_BYTES])
+                key, message = requests[position]
+                _remember((_public_key_of(key.secret_key), message, signature), True)
     return signatures
 
 
@@ -246,12 +256,11 @@ def verify_ahead(items: Iterable[Check]) -> Iterator[None]:
     With more than one usable CPU and enough items, workers answer them
     from the back of the list while ``verify`` answers the ones the
     caller reaches first, each skipping what the other has answered, so
-    neither waits for the other.  A caller that works through its checks
-    in the list's order meets the workers in the middle; one that lists
-    them last first has the workers lead it.  On exit the workers are
-    stopped and reaped and every answer is memoized.  A worker that
-    cannot be started or dies leaves its bytes at 0, and the caller
-    checks those items itself: the answers are the same either way.
+    neither waits for the other: a caller that works through its checks
+    in the list's order meets the workers in the middle.  On exit the
+    workers are stopped and reaped and every answer is memoized.  A
+    worker that cannot be started or dies leaves its bytes at 0, and the
+    caller checks those items itself: the answers are the same either way.
     """
     global _positions, _shared
     todo = [item for item in dict.fromkeys(items) if item not in _memo]

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import ledger, registry
 from .canonical import canonical_serialize
-from .crypto import Check, KeyPair, verify_ahead
+from .crypto import KeyPair
 from .registry import (
     Deploy,
     FaucetClaim,
@@ -272,8 +272,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     exercises the cooldown both ways.  ``steps`` caps the total number
     of submitted transactions.  The whole run is scripted before the
     first block executes, so that its envelopes are signed in one batch
-    (registry.sign_txs) and forked workers can check their signatures
-    ahead of execution (crypto.verify_ahead).
+    (registry.sign_txs); signatures made here are memoized, so not rechecked.
     """
     scenario.validate()
     out = Path(out_dir)
@@ -429,16 +428,8 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     flush()
 
     registry.sign_txs(genesis.chain_id, unsigned)
-    # Listed from the last transaction to the first: a verify_ahead worker
-    # checks its list from the back, so it starts where execution starts
-    # and stays ahead of it.
-    checks: List[Check] = [
-        (key.public_key, tx.signing_payload(genesis.chain_id), tx.signature)
-        for key, tx in reversed(unsigned)
-    ]
-    with verify_ahead(checks):
-        for action in script:
-            action()
+    for action in script:
+        action()
 
     with trace_path.open("wb") as handle:
         for event in trace:

@@ -133,6 +133,24 @@ class TestInit:
                       "--authority", "a.json", cwd=tmp_path)
         assert res.returncode == 0, res.stderr
 
+    @pytest.mark.parametrize(
+        "repeat",
+        [
+            ["--account", "m.json:consumer"],
+            ["--fund", "{m}=1", "--fund", "{m}=2"],
+        ],
+        ids=["account", "fund"],
+    )
+    def test_a_repeated_address_is_usage_error(self, tmp_path, repeat):
+        for name, role in (("a.json", "authority"), ("m.json", "manufacturer")):
+            assert run_cli("keygen", "--role", role, "--out", name, cwd=tmp_path).returncode == 0
+        address = json.loads((tmp_path / "m.json").read_text())["address"]
+        res = run_cli("--genesis", "g.json", "--db", "chain.jsonl", "init",
+                      "--authority", "a.json", "--account", "m.json:manufacturer",
+                      *(arg.format(m=address) for arg in repeat), cwd=tmp_path)
+        assert res.returncode == 2 and "a second time" in res.stderr
+        assert not (tmp_path / "g.json").exists() and not (tmp_path / "chain.jsonl").exists()
+
 
 class TestTx:
     def test_rejected_tx_exits_one_with_receipt(self, workspace, tmp_path):

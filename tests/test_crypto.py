@@ -161,6 +161,13 @@ def ahead_agrees(items, before_verify=lambda: None):
     assert [crypto.verify(*item) for item in items] == inside
 
 
+def unmemoized(items):
+    """items, with the memo emptied of what signing them put there, so that
+    a worker or the caller checks each one for real."""
+    crypto._memo.clear()
+    return items
+
+
 def signed_items(count):
     """count distinct valid items, spread over the signers."""
     return [
@@ -189,23 +196,24 @@ class TestVerifyBatch:
     def test_one_cpu_never_forks(self, forking):
         forking.setattr(crypto, "_usable_cpus", lambda: 1)
         forking.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
-        ahead_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS])
+        ahead_agrees(unmemoized([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS]))
 
     def test_small_batches_stay_in_process(self, monkeypatch):
         monkeypatch.setattr(crypto, "_memo", {})
         monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a small batch"))
-        ahead_agrees(signed_items(crypto._MIN_CHECKS_PER_WORKER - 1))
+        ahead_agrees(unmemoized(signed_items(crypto._MIN_CHECKS_PER_WORKER - 1)))
 
     def test_other_threads_stay_in_process(self, forking):
         forking.setattr(crypto.threading, "active_count", lambda: 2)
         forking.setattr(os, "fork", lambda: pytest.fail("forked with other threads running"))
-        ahead_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS])
+        ahead_agrees(unmemoized([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS]))
 
     def test_each_item_is_checked_once(self, forking):
         signer = SIGNERS[0]
         good = (signer.public_key, b"m", signer.sign(b"m"))
         bad = (signer.public_key, b"n", signer.sign(b"m"))
+        unmemoized([good, bad])
         checked = support.count_calls(forking, crypto, "_check")
         with crypto.verify_ahead([good, bad, good, bad]):
             for item in (good, bad, good, bad):
@@ -232,7 +240,7 @@ class TestVerifyBatch:
         checked = support.count_calls(forking, crypto, "_check")
         items = [(s.public_key, bytes([n]), s.sign(bytes([n]))) for s in SIGNERS for n in range(4)]
         items += [(s.public_key, b"x", SIGNERS[0].sign(b"y")) for s in SIGNERS]
-        ahead_agrees(items, lambda: support.wait_for_exit(pids[0]))
+        ahead_agrees(unmemoized(items), lambda: support.wait_for_exit(pids[0]))
         assert len(checked) == len(items) - answered
         support.assert_reaped(pids)
 
@@ -252,19 +260,21 @@ class TestVerifyBatch:
 
         forking.setattr(os, "fork", no_fork)
         fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-        ahead_agrees([(s.public_key, b"m", s.sign(b"n" if s is SIGNERS[1] else b"m")) for s in SIGNERS])
+        items = [(s.public_key, b"m", s.sign(b"n" if s is SIGNERS[1] else b"m")) for s in SIGNERS]
+        ahead_agrees(unmemoized(items))
         if fds is not None:
             assert len(os.listdir("/proc/self/fd")) == fds, "a file was left open"
 
     def test_workers_leave_buffered_output_alone(self, forking, capfd):
         sys.stdout.write("written once")  # still in the buffer when the workers fork
-        ahead_agrees([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS], support.verify_workers_finished)
+        items = unmemoized([(s.public_key, b"m", s.sign(b"m")) for s in SIGNERS])
+        ahead_agrees(items, support.verify_workers_finished)
         sys.stdout.flush()
         assert capfd.readouterr().out == "written once"
 
     def test_a_raising_block_reaps_its_workers(self, forking):
         pids = support.record_forks(forking)
-        items = signed_items(6)
+        items = unmemoized(signed_items(6))
         with pytest.raises(ZeroDivisionError):
             with crypto.verify_ahead(items):
                 assert crypto.verify(*items[0])
@@ -390,6 +400,48 @@ class TestSignBatch:
         assert crypto.sign_batch(batch) == in_process(batch)
         sys.stdout.flush()
         assert capfd.readouterr().out == "written once"
+
+
+# Signs with SIGNERS[0]'s secret but claims SIGNERS[1]'s public key.
+MISMATCHED = crypto.KeyPair(secret_key=SIGNERS[0].secret_key, public_key=SIGNERS[1].public_key)
+
+
+class TestSignedHere:
+    """A signature this process makes is memoized as valid, under the key
+    its secret derives rather than the key pair's public_key field."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        messages=st.lists(st.binary(max_size=40), min_size=1, max_size=12),
+        one=st.binary(max_size=40),
+    )
+    def test_every_signature_made_here_is_memoized(self, cpus, messages, one):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crypto, "_memo", {})
+            patch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
+            patch.setattr(crypto, "_usable_cpus", lambda: cpus)
+            pids = support.record_forks(patch)
+            workers_exited_first(patch, pids)
+            signers = SIGNERS + [MISMATCHED]
+            batch = [(signers[len(m) % len(signers)], m) for m in messages]
+            made = list(zip(batch, crypto.sign_batch(batch)))
+            # With a worker, which has signed everything, every slot is the worker's.
+            assert len(pids) == cpus - 1
+            made.append(((MISMATCHED, one), MISMATCHED.sign(one)))
+            for (key, message), signature in made:
+                item = (crypto._public_key_of(key.secret_key), message, signature)
+                assert crypto._memo[item] is reference_verify(*item) is True
+                if key is MISMATCHED:
+                    assert (key.public_key, message, signature) not in crypto._memo
+
+    def test_a_mismatched_public_key_is_checked(self, forking):
+        checked = support.count_calls(forking, crypto, "_check")
+        signature = MISMATCHED.sign(b"m")
+        assert crypto.verify(SIGNERS[1].public_key, b"m", signature) is False
+        assert checked == [(SIGNERS[1].public_key, b"m", signature)]
+        assert crypto.verify(SIGNERS[0].public_key, b"m", signature) is True
+        assert len(checked) == 1
 
 
 CHECK_FROM_BACK = crypto._check_from_back

@@ -1,4 +1,3 @@
-import contextlib
 import importlib.util
 import os
 import subprocess
@@ -95,38 +94,35 @@ class TestDeterminism:
             monkeypatch.setattr(crypto, "_usable_cpus", lambda: cpus)
             forks = support.record_forks(monkeypatch)
             result = simnet.run_scenario(SMALL, tmp_path / name)
-            # per further CPU, one worker signs the script and one checks it
-            assert len(forks) == 2 * (cpus - 1)
+            # one worker per further CPU, which signs the script
+            assert len(forks) == cpus - 1
             runs.append([path.read_bytes() for path in (
                 result.genesis_path, result.chain_path, result.trace_path
             )])
         assert runs[0] == runs[1]
 
-    def test_the_verify_worker_leads_execution(self, tmp_path, monkeypatch):
-        """verify_ahead gets the checks last first, so its worker, which
-        starts at the back, starts where execution starts.  Once it has
-        finished, the caller checks only the seals, which nobody knows
-        ahead of execution."""
+    def test_execution_checks_no_signature_it_made(self, tmp_path, monkeypatch):
+        """Every signature a run checks, it made, and the memo holds those
+        as valid: the run checks none and starts no verify worker.  A
+        reader's memo is empty, so it checks each signature once."""
         monkeypatch.setattr(crypto, "_memo", {})
         monkeypatch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
         monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
-        batches = []
-
-        @contextlib.contextmanager
-        def verify_ahead_after_the_worker(items):
-            batches.append(list(items))
-            with crypto.verify_ahead(batches[-1]):
-                support.verify_workers_finished()
-                yield
-
-        monkeypatch.setattr(simnet, "verify_ahead", verify_ahead_after_the_worker)
         checked = support.count_calls(monkeypatch, crypto, "_check")
+        ahead = [
+            support.count_calls(monkeypatch, module, "verify_ahead")
+            for module in (crypto, ledger, simnet)
+            if hasattr(module, "verify_ahead")
+        ]
         result = simnet.run_scenario(SMALL, tmp_path)
-        [items] = batches
-        assert items[-1][2] == result.blocks[1].txs[0].signature
-        assert sorted(signature for _, _, signature in checked) == sorted(
-            block.seal for block in result.blocks[1:]
-        )
+        assert checked == [] and not any(ahead)
+
+        monkeypatch.setattr(crypto, "_memo", {})
+        monkeypatch.setattr(crypto, "_usable_cpus", lambda: 1)
+        ledger.load_chain(result.chain_path, result.genesis)
+        signatures = {block.seal for block in result.blocks[1:]}
+        signatures |= {tx.signature for block in result.blocks[1:] for tx in block.txs}
+        assert sorted(signature for _, _, signature in checked) == sorted(signatures)
 
     def test_fixture_script_reproduces_the_committed_files(self, capsys):
         spec = importlib.util.spec_from_file_location("make_fixtures", MAKE_FIXTURES)
