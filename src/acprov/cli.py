@@ -259,6 +259,11 @@ def cmd_tx(args) -> int:
     return EXIT_OK if receipt.accepted else EXIT_CHAIN_FAILURE
 
 
+def _counterfeit(product_id: str) -> int:
+    print(f"SUSPECTED COUNTERFEIT: product {product_id!r} is not in the registry")
+    return EXIT_VERIFICATION_NEGATIVE
+
+
 def cmd_verify(args) -> int:
     try:
         payload = qr.decode_payload(args.qr)
@@ -276,11 +281,7 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFICATION_NEGATIVE
     result = registry.verify_product(state, payload.product_id)
     if not result.exists:
-        print(
-            f"SUSPECTED COUNTERFEIT: product {payload.product_id!r} "
-            "is not in the registry"
-        )
-        return EXIT_VERIFICATION_NEGATIVE
+        return _counterfeit(payload.product_id)
     print(f"product: {payload.product_id}")
     print(f"status: {result.status.value}")
     print(f"manufacturer: {result.manufacturer}")
@@ -293,10 +294,19 @@ def cmd_history(args) -> int:
     _, state = _read_state(args)
     product = state.products.get(args.id)
     if product is None:
-        print(f"SUSPECTED COUNTERFEIT: product {args.id!r} is not in the registry")
-        return EXIT_VERIFICATION_NEGATIVE
+        return _counterfeit(args.id)
     for position, owner in enumerate(product.history):
         print(f"{position} {owner}")
+    return EXIT_OK
+
+
+def cmd_qr(args) -> int:
+    if not registry.is_valid_product_id(args.id):
+        raise UsageError(f"invalid product id {args.id!r}")
+    genesis, state = _read_state(args)
+    if args.id not in state.products:
+        return _counterfeit(args.id)
+    print(qr.encode_payload(genesis.chain_id, state.contract.address, args.id))
     return EXIT_OK
 
 
@@ -430,6 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_history = sub.add_parser("history", help="print a product's owner history")
     p_history.add_argument("--id", required=True)
     p_history.set_defaults(func=cmd_history)
+
+    p_qr = sub.add_parser("qr", help="print a registered product's QR payload")
+    p_qr.add_argument("--id", required=True)
+    p_qr.set_defaults(func=cmd_qr)
 
     p_report = sub.add_parser("gas-report", help="emit the per-category gas report")
     p_report.add_argument("--csv", help="also write the report to this path")

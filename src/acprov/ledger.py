@@ -30,19 +30,24 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, List, Mapping, Optional, Sequence, Tuple
 
 from . import registry
 from .canonical import (
     ZERO_HASH,
+    _as_address,
+    _as_hash,
     _as_int,
+    _as_str,
+    _canonical,
+    _decode,
+    _list_of,
+    _record,
     _require,
     canonical_serialize,
     from_hex,
     hash_of,
     hash_obj,
-    is_address_str,
-    is_hash_str,
     to_hex,
 )
 from .crypto import Check, KeyPair, derive_address, verify, verify_ahead
@@ -234,7 +239,8 @@ class GenesisConfig:
             raise ParseError(1, f"genesis file is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(exc.lineno, f"genesis file: {exc.msg}") from exc
-        except RecursionError as exc:  # nested deeper than the decoder goes
+        # nested deeper than the decoder goes, or an int longer than int() reads
+        except (RecursionError, ValueError) as exc:
             raise ParseError(1, f"genesis file: {exc}") from exc
         try:
             return cls.from_canonical(doc)
@@ -248,6 +254,14 @@ class GenesisConfig:
 
 @dataclass(frozen=True)
 class BlockHeader:
+    CHECKS: ClassVar[dict] = {
+        "index": _as_int,
+        "timestamp": _as_int,
+        "prev_hash": _as_hash,
+        "tx_root": _as_hash,
+        "sealer": _as_address,
+        "state_root": _as_hash,
+    }
     index: int
     timestamp: int
     prev_hash: str
@@ -265,59 +279,25 @@ class BlockHeader:
         """The header's hash, computed on first use: linkage and seal share it."""
         return hash_of(self.canonical_bytes)
 
-    def to_canonical(self) -> dict:
-        return {
-            "index": self.index,
-            "prev_hash": self.prev_hash,
-            "sealer": self.sealer,
-            "state_root": self.state_root,
-            "timestamp": self.timestamp,
-            "tx_root": self.tx_root,
-        }
-
-    @classmethod
-    def from_canonical(cls, doc: Mapping[str, Any]) -> "BlockHeader":
-        _require(isinstance(doc, Mapping), "header must be an object")
-        expected = {"index", "prev_hash", "sealer", "state_root", "timestamp", "tx_root"}
-        _require(set(doc) == expected, f"header must have fields {sorted(expected)}")
-        _require(is_hash_str(doc["prev_hash"]), "prev_hash must be a 32-byte 0x hash")
-        _require(is_hash_str(doc["tx_root"]), "tx_root must be a 32-byte 0x hash")
-        _require(is_hash_str(doc["state_root"]), "state_root must be a 32-byte 0x hash")
-        _require(is_address_str(doc["sealer"]), "sealer must be a 20-byte 0x address")
-        return cls(
-            index=_as_int(doc["index"], "index"),
-            timestamp=_as_int(doc["timestamp"], "timestamp"),
-            prev_hash=doc["prev_hash"],
-            tx_root=doc["tx_root"],
-            sealer=doc["sealer"],
-            state_root=doc["state_root"],
-        )
+    to_canonical = _canonical
 
 
 @dataclass(frozen=True)
 class Block:
+    CHECKS: ClassVar[dict] = {
+        "header": _record(BlockHeader),
+        "txs": _list_of(_record(registry.TxEnvelope)),
+        "seal": _as_str,
+    }
     header: BlockHeader
     txs: Tuple[registry.TxEnvelope, ...]
     seal: str
 
-    def to_canonical(self) -> dict:
-        return {
-            "header": self.header.to_canonical(),
-            "seal": self.seal,
-            "txs": [tx.to_canonical() for tx in self.txs],
-        }
+    to_canonical = _canonical
 
     @classmethod
-    def from_canonical(cls, doc: Mapping[str, Any]) -> "Block":
-        _require(isinstance(doc, Mapping), "block must be an object")
-        _require(set(doc) == {"header", "seal", "txs"}, "block has fields header, seal, txs")
-        _require(isinstance(doc["txs"], Sequence) and not isinstance(doc["txs"], str), "txs must be a list")
-        _require(isinstance(doc["seal"], str), "seal must be a string")
-        return cls(
-            header=BlockHeader.from_canonical(doc["header"]),
-            txs=tuple(registry.TxEnvelope.from_canonical(t) for t in doc["txs"]),
-            seal=doc["seal"],
-        )
+    def from_canonical(cls, doc: Any) -> "Block":
+        return _decode(cls, doc, "block")
 
 
 def header_hash(header: BlockHeader) -> str:

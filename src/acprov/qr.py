@@ -103,9 +103,13 @@ def decode_payload(payload: str) -> QrPayload:
     found = int(checksum_str, 16)
     if found != expected:
         raise ChecksumMismatch(f"checksum {found:08x} != expected {expected:08x}")
+    try:
+        chain_id = int(chain_id_str)
+    except ValueError:  # more digits than int() reads
+        raise BadStructure(f"chain_id field has {len(chain_id_str)} digits") from None
     return QrPayload(
         version=VERSION,
-        chain_id=int(chain_id_str),
+        chain_id=chain_id,
         contract=contract,
         product_id=product_id,
         checksum=found,

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, ClassVar, Mapping, Optional, Sequence, Tuple, Union, get_args
 
 from . import gas as gas_model
@@ -34,6 +34,14 @@ from .canonical import (
     _as_address,
     _as_int,
     _as_str,
+    _canonical,
+    _check_fields,
+    _decode,
+    _list_of,
+    _map_of,
+    _one_of,
+    _optional,
+    _record,
     _require,
     canonical_serialize,
     from_hex,
@@ -92,19 +100,22 @@ def is_valid_product_id(product_id: Any) -> bool:
 # Transaction kinds
 #
 # Each kind's class is the one place that names its wire form: TYPE is
-# the "type" member of its canonical object and its dataclass fields are
-# the other members.  The class name is its gas-report category.
+# the "type" member of its canonical object, its dataclass fields are the
+# other members, and CHECKS says how each is checked when decoded (see
+# canonical._decode).  The class name is its gas-report category.
 
 
 @dataclass(frozen=True)
 class Deploy:
     TYPE: ClassVar[str] = "deploy"
+    CHECKS: ClassVar[dict] = {"code_size": _as_int}
     code_size: int
 
 
 @dataclass(frozen=True)
 class Register:
     TYPE: ClassVar[str] = "register"
+    CHECKS: ClassVar[dict] = {"product_id": _as_str, "name": _as_str, "metadata": _as_str}
     product_id: str
     name: str
     metadata: str = ""
@@ -113,6 +124,7 @@ class Register:
 @dataclass(frozen=True)
 class Transfer:
     TYPE: ClassVar[str] = "transfer"
+    CHECKS: ClassVar[dict] = {"product_id": _as_str, "new_owner": _as_address}
     product_id: str
     new_owner: str
 
@@ -120,6 +132,7 @@ class Transfer:
 @dataclass(frozen=True)
 class Sell:
     TYPE: ClassVar[str] = "sell"
+    CHECKS: ClassVar[dict] = {"product_id": _as_str, "consumer": _as_address}
     product_id: str
     consumer: str
 
@@ -127,66 +140,37 @@ class Sell:
 @dataclass(frozen=True)
 class FaucetClaim:
     TYPE: ClassVar[str] = "faucet_claim"
+    CHECKS: ClassVar[dict] = {}
 
 
 TxKind = Union[Deploy, Register, Transfer, Sell, FaucetClaim]
 
-# How each kind field is checked when decoded.
-_FIELD_CHECKS = {
-    "code_size": _as_int,
-    "product_id": _as_str,
-    "name": _as_str,
-    "metadata": _as_str,
-    "new_owner": _as_address,
-    "consumer": _as_address,
-}
+_KIND_OF_TYPE = {cls.TYPE: cls for cls in get_args(TxKind)}
+
+kind_to_canonical = _canonical
 
 
-def _kind_codec(cls: type) -> tuple:
-    """(class, expected members, field-set message, (field, check) pairs)."""
-    names = tuple(f.name for f in fields(cls))
-    message = (
-        f"{cls.TYPE} kind has fields {', '.join(('type',) + names)}"
-        if names
-        else f"{cls.TYPE} kind has field type only"
-    )
-    checks = tuple((name, _FIELD_CHECKS[name]) for name in names)
-    return cls, frozenset(names + ("type",)), message, checks
-
-
-# Wire type -> codec, built once: parse_chain_bytes decodes every kind.
-_KIND_CODECS = {cls.TYPE: _kind_codec(cls) for cls in get_args(TxKind)}
-
-
-def kind_category(kind: TxKind) -> str:
-    return type(kind).__name__
-
-
-def kind_to_canonical(kind: TxKind) -> dict:
-    return dict(vars(kind), type=kind.TYPE)
-
-
-def kind_from_canonical(doc: Mapping[str, Any]) -> TxKind:
-    _require(isinstance(doc, Mapping), "kind must be an object")
+def kind_from_canonical(doc: Any, name: str = "kind") -> TxKind:
+    _require(isinstance(doc, Mapping), f"{name} must be an object")
     kind_type = doc.get("type")
-    codec = _KIND_CODECS.get(kind_type) if isinstance(kind_type, str) else None
-    _require(codec is not None, f"unknown transaction kind type {kind_type!r}")
-    cls, members, message, checks = codec
-    _require(set(doc) == members, message)
-    return cls(**{name: check(doc[name], name) for name, check in checks})
+    cls = _KIND_OF_TYPE.get(kind_type) if isinstance(kind_type, str) else None
+    _require(cls is not None, f"unknown transaction kind type {kind_type!r}")
+    return _decode(cls, doc, f"{kind_type} kind")
 
 
 # ---------------------------------------------------------------------------
 # Envelopes and receipts
 
-# How each envelope member but the kind is checked when decoded.
-_ENVELOPE_CHECKS = (
-    ("sender", _as_address), ("nonce", _as_int), ("gas_price", _as_int), ("signature", _as_str),
-)
-
 
 @dataclass(frozen=True)
 class TxEnvelope:
+    CHECKS: ClassVar[dict] = {
+        "sender": _as_address,
+        "nonce": _as_int,
+        "kind": kind_from_canonical,
+        "gas_price": _as_int,
+        "signature": _as_str,
+    }
     sender: str
     nonce: int
     kind: TxKind
@@ -221,34 +205,9 @@ class TxEnvelope:
         """Canonical bytes the sender signs; chain_id binding bars cross-chain replay."""
         return _signing_payload(chain_id, self.payload_tail)
 
-    def to_canonical(self) -> dict:
-        return {
-            "gas_price": self.gas_price,
-            "kind": kind_to_canonical(self.kind),
-            "nonce": self.nonce,
-            "sender": self.sender,
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_canonical(cls, doc: Mapping[str, Any]) -> "TxEnvelope":
-        _require(isinstance(doc, Mapping), "transaction must be an object")
-        _require(
-            set(doc) == {"gas_price", "kind", "nonce", "sender", "signature"},
-            "transaction has fields gas_price, kind, nonce, sender, signature",
-        )
-        return cls(
-            **{name: check(doc[name], name) for name, check in _ENVELOPE_CHECKS},
-            kind=kind_from_canonical(doc["kind"]),
-        )
-
-    def check_fields(self) -> None:
-        """Raise ValueError for a member that from_canonical would reject."""
-        for name, check in _ENVELOPE_CHECKS:
-            check(getattr(self, name), name)
-        _, _, _, kind_checks = _KIND_CODECS[self.kind.TYPE]
-        for name, check in kind_checks:
-            check(getattr(self.kind, name), name)
+    to_canonical = _canonical
+    # Raise ValueError for a member that the block decoder would reject.
+    check_fields = _check_fields
 
 
 def _payload_tail(sender: str, nonce: int, kind_bytes: bytes, gas_price: int) -> bytes:
@@ -302,14 +261,7 @@ class Receipt:
     fee: int
     error: Optional[str] = None
 
-    def to_canonical(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "error": self.error,
-            "fee": self.fee,
-            "gas_used": self.gas_used,
-            "tx_hash": self.tx_hash,
-        }
+    to_canonical = _canonical
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +270,14 @@ class Receipt:
 
 @dataclass(frozen=True)
 class Account:
+    CHECKS: ClassVar[dict] = {
+        "address": _as_address,
+        "role": _one_of(Role),
+        "balance": _as_int,
+        "nonce": _as_int,
+        "last_faucet_claim": _optional(_as_int),
+        "public_key": _as_str,
+    }
     address: str
     role: Role
     balance: int
@@ -330,19 +290,21 @@ class Account:
         """This account's ``"address":{...}`` member of the canonical state."""
         return canonical_serialize({self.address: self.to_canonical()})[1:-1]
 
-    def to_canonical(self) -> dict:
-        return {
-            "address": self.address,
-            "balance": self.balance,
-            "last_faucet_claim": self.last_faucet_claim,
-            "nonce": self.nonce,
-            "public_key": self.public_key,
-            "role": self.role._value_,
-        }
+    to_canonical = _canonical
 
 
 @dataclass(frozen=True)
 class ProductRecord:
+    CHECKS: ClassVar[dict] = {
+        "product_id": _as_str,
+        "name": _as_str,
+        "metadata": _as_str,
+        "manufacturer": _as_address,
+        "current_owner": _as_address,
+        "status": _one_of(Status),
+        "history": _list_of(_as_address),
+        "registered_at": _as_int,
+    }
     product_id: str
     name: str
     metadata: str
@@ -357,42 +319,33 @@ class ProductRecord:
         """This record's ``"product_id":{...}`` member of the canonical state."""
         return canonical_serialize({self.product_id: self.to_canonical()})[1:-1]
 
-    def to_canonical(self) -> dict:
-        return {
-            "current_owner": self.current_owner,
-            "history": list(self.history),
-            "manufacturer": self.manufacturer,
-            "metadata": self.metadata,
-            "name": self.name,
-            "product_id": self.product_id,
-            "registered_at": self.registered_at,
-            "status": self.status._value_,
-        }
+    to_canonical = _canonical
 
 
 @dataclass(frozen=True)
 class ContractInfo:
+    CHECKS: ClassVar[dict] = {"address": _as_address, "deployer": _as_address}
     address: str
     deployer: str
 
-    def to_canonical(self) -> dict:
-        return {"address": self.address, "deployer": self.deployer}
+    to_canonical = _canonical
 
 
 @dataclass(frozen=True)
 class RegistryState:
+    # A map's key must equal its record's own address or product_id.
+    CHECKS: ClassVar[dict] = {
+        "chain_id": partial(_as_int, minimum=1),
+        "contract": _optional(_record(ContractInfo)),
+        "accounts": _map_of(Account, "address"),
+        "products": _map_of(ProductRecord, "product_id"),
+    }
     chain_id: int
     contract: Optional[ContractInfo]
     accounts: Mapping[str, Account]
     products: Mapping[str, ProductRecord]
 
-    def to_canonical(self) -> dict:
-        return {
-            "accounts": {a: acct.to_canonical() for a, acct in self.accounts.items()},
-            "chain_id": self.chain_id,
-            "contract": self.contract.to_canonical() if self.contract else None,
-            "products": {p: rec.to_canonical() for p, rec in self.products.items()},
-        }
+    to_canonical = _canonical
 
 
 def state_bytes(state: RegistryState) -> bytes:
@@ -417,77 +370,9 @@ def state_commitment(state: RegistryState) -> str:
     return hash_of(state_bytes(state))
 
 
-def _fields(doc: Any, name: str, expected: set) -> Mapping[str, Any]:
-    _require(isinstance(doc, Mapping), f"{name} must be an object")
-    _require(set(doc) == expected, f"{name} must have fields {sorted(expected)}")
-    return doc
-
-
-def _account_from_canonical(address: str, doc: Any) -> Account:
-    doc = _fields(
-        doc,
-        f"account {address}",
-        {"address", "balance", "last_faucet_claim", "nonce", "public_key", "role"},
-    )
-    _require(doc["address"] == address, f"account {address} holds another address")
-    claim = doc["last_faucet_claim"]
-    return Account(
-        address=_as_address(address, "account address"),
-        role=Role(_as_str(doc["role"], "role")),
-        balance=_as_int(doc["balance"], "balance"),
-        nonce=_as_int(doc["nonce"], "nonce"),
-        last_faucet_claim=None if claim is None else _as_int(claim, "last_faucet_claim"),
-        public_key=_as_str(doc["public_key"], "public_key"),
-    )
-
-
-def _product_from_canonical(product_id: str, doc: Any) -> ProductRecord:
-    doc = _fields(
-        doc,
-        f"product {product_id}",
-        {
-            "current_owner",
-            "history",
-            "manufacturer",
-            "metadata",
-            "name",
-            "product_id",
-            "registered_at",
-            "status",
-        },
-    )
-    _require(doc["product_id"] == product_id, f"product {product_id} holds another id")
-    _require(isinstance(doc["history"], list), "history must be a list")
-    return ProductRecord(
-        product_id=_as_str(product_id, "product_id"),
-        name=_as_str(doc["name"], "name"),
-        metadata=_as_str(doc["metadata"], "metadata"),
-        manufacturer=_as_address(doc["manufacturer"], "manufacturer"),
-        current_owner=_as_address(doc["current_owner"], "current_owner"),
-        status=Status(_as_str(doc["status"], "status")),
-        history=tuple(_as_address(owner, "history entry") for owner in doc["history"]),
-        registered_at=_as_int(doc["registered_at"], "registered_at"),
-    )
-
-
 def state_from_canonical(doc: Any) -> RegistryState:
     """Strict inverse of ``RegistryState.to_canonical``; ValueError on any misfit."""
-    doc = _fields(doc, "state", {"accounts", "chain_id", "contract", "products"})
-    for name in ("accounts", "products"):
-        _require(isinstance(doc[name], Mapping), f"{name} must be an object")
-    contract = doc["contract"]
-    if contract is not None:
-        contract = _fields(contract, "contract", {"address", "deployer"})
-        contract = ContractInfo(
-            address=_as_address(contract["address"], "contract address"),
-            deployer=_as_address(contract["deployer"], "deployer"),
-        )
-    return RegistryState(
-        chain_id=_as_int(doc["chain_id"], "chain_id", minimum=1),
-        contract=contract,
-        accounts={a: _account_from_canonical(a, d) for a, d in doc["accounts"].items()},
-        products={p: _product_from_canonical(p, d) for p, d in doc["products"].items()},
-    )
+    return _decode(RegistryState, doc, "state")
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,8 @@ class Scenario:
     def load(cls, path) -> "Scenario":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # ValueError covers bad UTF-8 and JSON, and an int longer than int() reads
+        except (ValueError, RecursionError) as exc:
             raise ScenarioInvalidError(f"scenario file is not valid JSON: {exc}") from exc
         return cls.from_canonical(doc)
 

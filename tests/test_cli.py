@@ -11,6 +11,7 @@ import pytest
 
 import acprov
 from acprov import cli, ledger, qr, registry, simnet
+from acprov.canonical import canonical_serialize
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -330,6 +331,27 @@ class TestHistory:
         assert res.returncode == 3
 
 
+class TestQr:
+    def test_payload_round_trips_through_verify(self, workspace):
+        res = run_cli("qr", "--id", "P-100", cwd=workspace["dir"])
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == qr.encode_payload(5, workspace["contract"], "P-100") + "\n"
+        scan = run_cli("verify", "--qr", res.stdout.strip(), cwd=workspace["dir"])
+        assert scan.returncode == 0, scan.stdout + scan.stderr
+        assert scan.stdout.startswith("product: P-100\n")
+
+    def test_unregistered_id_exits_three_as_history_does(self, workspace):
+        res = run_cli("qr", "--id", "P-404", cwd=workspace["dir"])
+        history = run_cli("history", "--id", "P-404", cwd=workspace["dir"])
+        assert (res.returncode, res.stdout) == (3, history.stdout)
+        assert res.stdout == "SUSPECTED COUNTERFEIT: product 'P-404' is not in the registry\n"
+
+    def test_malformed_id_is_usage_error(self, workspace):
+        res = run_cli("qr", "--id", "no spaces", cwd=workspace["dir"])
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "error: invalid product id 'no spaces'\n"
+
+
 class TestGasReport:
     def test_stdout_report(self, workspace):
         res = run_cli("gas-report", cwd=workspace["dir"])
@@ -432,6 +454,51 @@ class TestValidate:
         shutil.copy(workspace["dir"] / "genesis.json", tmp_path / "genesis.json")
         res = run_cli("validate", cwd=tmp_path)
         assert res.returncode == 2
+
+
+HUGE = "9" * 5000  # more digits than int() reads from a string
+
+
+@pytest.mark.parametrize(
+    "source, code, stderr",
+    [
+        ("genesis", 1, "error: corrupt file: line 1: genesis file: "),
+        ("scenario", 2, "error: invalid scenario: "),
+        ("qr", 2, "error: bad payload: chain_id field has 5000 digits\n"),
+        ("chain", 1, "error: corrupt file: line 2: "),
+        ("header", 1, "error: corrupt file: line 3: header has fields index, timestamp, "
+                      "prev_hash, tx_root, sealer, state_root\n"),
+    ],
+    ids=["genesis", "scenario", "qr", "chain", "header"],
+)
+def test_a_misfit_input_is_named_without_traceback(workspace, tmp_path, source, code, stderr):
+    """A JSON int longer than int() reads, in each input file or in a QR
+    payload, and a chain header missing a member."""
+    ws = clone(workspace, tmp_path)
+    argv = ["history", "--id", "P-100"]
+    chain = (ws / "chain.jsonl").read_bytes().split(b"\n")
+    if source == "genesis":
+        text = (ws / "genesis.json").read_text()
+        (ws / "genesis.json").write_text(text.replace('"chain_id": 5', f'"chain_id": {HUGE}'))
+    elif source == "scenario":
+        (ws / "scenario.json").write_text(
+            '{"seed": %s, "actors": {"authority": 1}, "products": 1}' % HUGE
+        )
+        argv = ["simulate", "--scenario", "scenario.json"]
+    elif source == "qr":
+        body = f"acp:v1:{HUGE}:{workspace['contract']}:P-100"
+        argv = ["verify", "--qr", f"{body}:{qr.checksum(body.encode()):08x}"]
+    elif source == "chain":
+        chain[1] = chain[1].replace(b'"index":1,', b'"index":%s,' % HUGE.encode())
+    else:
+        block = json.loads(chain[2])
+        del block["header"]["tx_root"]
+        chain[2] = canonical_serialize(block)
+    (ws / "chain.jsonl").write_bytes(b"\n".join(chain))
+    res = run_cli(*argv, cwd=ws)
+    assert res.returncode == code, res.stdout
+    assert res.stderr.startswith(stderr), res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def answers(ws, argvs, genesis="genesis.json"):

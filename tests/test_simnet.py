@@ -276,7 +276,7 @@ class TestCostModelChain:
         genesis, blocks, _ = simnet.build_cost_model_chain()
         report = ledger.validate_chain(blocks, genesis)
         assert report.ok, f"{report.rule}: {report.detail}"
-        kinds = [registry.kind_category(tx.kind) for b in blocks for tx in b.txs]
+        kinds = [type(tx.kind).__name__ for b in blocks for tx in b.txs]
         assert kinds == ["Deploy", "Register", "Sell"]
 
     def test_candidate_price_flows_through(self):
