@@ -13,10 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable, FrozenSet, Mapping, Tuple
+from typing import Any, Callable, FrozenSet, Mapping, Optional, Tuple
 
 HASH_BYTES = 32
 ADDRESS_BYTES = 20
@@ -72,9 +72,10 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _as_int(value: Any, name: str, minimum: int = 0) -> int:
+def _as_int(value: Any, name: str, minimum: Optional[int] = 0) -> int:
+    """An integer of at least minimum; None means no bound."""
     _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
-    _require(value >= minimum, f"{name} must be >= {minimum}")
+    _require(minimum is None or value >= minimum, f"{name} must be >= {minimum}")
     return value
 
 
@@ -116,11 +117,26 @@ def _list_of(check: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
     return check_list
 
 
+def _dict_of(check: Callable[[Any, str], Any]) -> Callable[[Any, str], dict]:
+    """Check of a member mapping names to values that each pass check."""
+
+    def check_dict(value: Any, name: str) -> dict:
+        _require(isinstance(value, Mapping), f"{name} must be an object")
+        return {key: check(item, f"{name} entry {key}") for key, item in value.items()}
+
+    return check_dict
+
+
 # Records.  A record is a frozen dataclass whose CHECKS class attribute maps
 # each init field to its check.  Its canonical object has one member per
 # init field, plus "type" when the class has a TYPE, and nothing else; its
 # decoder requires exactly those members and checks each.  The field list
-# is thus written only in the dataclass and its CHECKS table.
+# is thus written only in the dataclass and its CHECKS table.  This holds
+# for the chain and state records and for the config files too: the
+# genesis, its gas parameters, a scenario and its tamper plan.  A config
+# record's validate() adds only the rules that span members.  A config
+# file may leave out the members of a scenario or of gas parameters that
+# have a dataclass default (_record's defaults); a chain record may not.
 
 
 @lru_cache(maxsize=None)
@@ -174,9 +190,15 @@ def _check_fields(record: Any) -> None:
         checks[name](_plain(getattr(record, name)), name)
 
 
-def _record(cls: type) -> Callable[[Any, str], Any]:
-    """Check of a member holding a record of class cls."""
-    return lambda value, name: _decode(cls, value, name)
+def _record(cls: type, defaults: bool = False) -> Callable[[Any, str], Any]:
+    """Check of a member holding a record of class cls; with defaults, each
+    member left out that has a dataclass default takes that default."""
+    if not defaults:
+        return lambda value, name: _decode(cls, value, name)
+    filled = {f.name: _plain(f.default) for f in fields(cls) if f.default is not MISSING}
+    return lambda value, name: _decode(
+        cls, {**filled, **value} if isinstance(value, Mapping) else value, name
+    )
 
 
 def _map_of(cls: type, key: str) -> Callable[[Any, str], dict]:

@@ -279,14 +279,14 @@ def cmd_verify(args) -> int:
     if state.contract is None or payload.contract != state.contract.address:
         print("REGISTRY MISMATCH: payload contract does not match this registry")
         return EXIT_VERIFICATION_NEGATIVE
-    result = registry.verify_product(state, payload.product_id)
-    if not result.exists:
+    product = state.products.get(payload.product_id)
+    if product is None:
         return _counterfeit(payload.product_id)
     print(f"product: {payload.product_id}")
-    print(f"status: {result.status.value}")
-    print(f"manufacturer: {result.manufacturer}")
-    print(f"current_owner: {result.current_owner}")
-    print("history: " + " ".join(result.history))
+    print(f"status: {product.status.value}")
+    print(f"manufacturer: {product.manufacturer}")
+    print(f"current_owner: {product.current_owner}")
+    print("history: " + " ".join(product.history))
     return EXIT_OK
 
 
@@ -324,7 +324,7 @@ def cmd_gas_report(args) -> int:
 def cmd_validate(args) -> int:
     genesis = _load_genesis(args)
     with _reading():
-        raw = Path(args.db).read_bytes()
+        raw = ledger.read_chain(args.db)
     try:
         blocks = ledger.parse_chain_bytes(raw)
     except ledger.TornTailError as exc:

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Iterable, Mapping
+from functools import partial
+from typing import Any, ClassVar, Iterable
+
+from .canonical import _as_int, _canonical, _check_fields, _record
 
 WEI_PER_ETH = 10**18
 WEI_PER_GWEI = 10**9
@@ -24,6 +27,7 @@ CATEGORIES = ("Deploy", "Register", "Transfer", "Sell", "FaucetClaim")
 
 @dataclass(frozen=True)
 class GasParams:
+    CHECKS: ClassVar[dict]  # every member a strictly positive integer; set below
     base_tx: int = 21_000
     calldata_zero_byte: int = 4
     calldata_nonzero_byte: int = 16
@@ -34,26 +38,16 @@ class GasParams:
     default_code_size: int = 2_000
     default_gas_price: int = DEFAULT_GAS_PRICE
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"gas parameter {f.name} must be strictly positive")
-
-    def to_canonical(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    __post_init__ = _check_fields
+    to_canonical = _canonical
 
     @classmethod
-    def from_canonical(cls, doc: Mapping[str, Any]) -> "GasParams":
-        if not isinstance(doc, Mapping):
-            raise ValueError("gas_params must be an object")
-        names = {f.name for f in fields(cls)}
-        unknown = set(doc) - names
-        if unknown:
-            raise ValueError(f"unknown gas parameters: {sorted(unknown)}")
-        for name, value in doc.items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"gas parameter {name} must be an integer")
-        return cls(**doc)
+    def from_canonical(cls, doc: Any) -> "GasParams":
+        """A gas_params document; members left out take their defaults."""
+        return _record(cls, defaults=True)(doc, "gas_params")
+
+
+GasParams.CHECKS = dict.fromkeys((f.name for f in fields(GasParams)), partial(_as_int, minimum=1))
 
 
 def calldata_gas(data: bytes, params: GasParams) -> int:
@@ -127,14 +121,6 @@ class GasReportRow:
 class GasReport:
     rows: tuple  # one GasReportRow per category, fixed order
     total: GasReportRow
-
-    @property
-    def total_fee_wei(self) -> int:
-        return self.total.total_fee
-
-    @property
-    def total_fee_eth(self) -> str:
-        return format_eth(self.total.total_fee)
 
     def to_csv(self) -> str:
         lines = ["category,tx_count,total_gas,avg_gas_per_tx,total_fee_wei,total_fee_eth"]

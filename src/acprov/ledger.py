@@ -28,7 +28,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, ClassVar, List, Mapping, Optional, Sequence, Tuple
 
@@ -40,8 +40,11 @@ from .canonical import (
     _as_int,
     _as_str,
     _canonical,
+    _check_fields,
     _decode,
+    _dict_of,
     _list_of,
+    _one_of,
     _record,
     _require,
     canonical_serialize,
@@ -117,8 +120,26 @@ class ValidationFailedError(LedgerError):
 # Genesis configuration
 
 
+def _key_pair(value: Any, name: str) -> Tuple[str, str]:
+    _require(
+        isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) for v in value),
+        f"{name} must be an [address, public_key] string pair",
+    )
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class GenesisConfig:
+    CHECKS: ClassVar[dict] = {
+        "chain_id": partial(_as_int, minimum=1),
+        "authorities": _list_of(_key_pair),
+        "roles": _dict_of(_one_of(registry.Role)),
+        "initial_balances": _dict_of(_as_int),
+        "gas_params": _record(GasParams, defaults=True),
+        "faucet_amount": _as_int,
+        "faucet_cooldown": _as_int,
+        "account_keys": _dict_of(_as_str),
+    }
     chain_id: int = 5
     authorities: Tuple[Tuple[str, str], ...] = ()
     roles: Mapping[str, registry.Role] = field(default_factory=dict)
@@ -146,10 +167,9 @@ class GenesisConfig:
         return self.account_keys.get(address)
 
     def validate(self) -> None:
-        _require(self.chain_id > 0, "chain_id must be > 0")
+        """The decoder's member checks, then the rules that span members."""
+        _check_fields(self)
         _require(len(self.authorities) >= 1, "at least one authority required")
-        _require(self.faucet_amount >= 0, "faucet_amount must be >= 0")
-        _require(self.faucet_cooldown >= 0, "faucet_cooldown must be >= 0")
         addresses = self.authority_addresses
         _require(len(set(addresses)) == len(addresses), "authority addresses must be distinct")
         for addr, pub in self.authorities:
@@ -161,69 +181,23 @@ class GenesisConfig:
                 self.roles.get(addr) is registry.Role.AUTHORITY,
                 f"authority {addr} must have role authority",
             )
-        for addr, role in self.roles.items():
-            _require(isinstance(role, registry.Role), f"bad role for {addr}")
+        for addr in self.roles:
             pub = self.public_key_of(addr)
             _require(pub is not None, f"no public key for account {addr}")
             _require(
                 derive_address(pub) == addr,
                 f"account {addr} does not match its public key",
             )
-        for addr, balance in self.initial_balances.items():
+        for addr in self.initial_balances:
             _require(addr in self.roles, f"balance for unknown account {addr}")
-            _require(balance >= 0, f"negative balance for {addr}")
         for addr in self.account_keys:
             _require(addr in self.roles, f"key for unknown account {addr}")
 
-    def to_canonical(self) -> dict:
-        return {
-            "account_keys": dict(self.account_keys),
-            "authorities": [[addr, pub] for addr, pub in self.authorities],
-            "chain_id": self.chain_id,
-            "faucet_amount": self.faucet_amount,
-            "faucet_cooldown": self.faucet_cooldown,
-            "gas_params": self.gas_params.to_canonical(),
-            "initial_balances": dict(self.initial_balances),
-            "roles": {addr: role.value for addr, role in self.roles.items()},
-        }
+    to_canonical = _canonical
 
     @classmethod
-    def from_canonical(cls, doc: Mapping[str, Any]) -> "GenesisConfig":
-        _require(isinstance(doc, Mapping), "genesis must be an object")
-        expected = {
-            "account_keys",
-            "authorities",
-            "chain_id",
-            "faucet_amount",
-            "faucet_cooldown",
-            "gas_params",
-            "initial_balances",
-            "roles",
-        }
-        _require(set(doc) == expected, f"genesis must have fields {sorted(expected)}")
-        for name in ("roles", "initial_balances", "account_keys"):
-            _require(isinstance(doc[name], Mapping), f"{name} must be an object")
-        _require(isinstance(doc["authorities"], list), "authorities must be a list")
-        for pair in doc["authorities"]:
-            _require(
-                isinstance(pair, list)
-                and len(pair) == 2
-                and all(isinstance(item, str) for item in pair),
-                "authority entries are [address, public_key] string pairs",
-            )
-        config = cls(
-            chain_id=_as_int(doc["chain_id"], "chain_id", minimum=1),
-            authorities=tuple((addr, pub) for addr, pub in doc["authorities"]),
-            roles={addr: registry.Role(role) for addr, role in doc["roles"].items()},
-            initial_balances={
-                addr: _as_int(v, f"balance of {addr}")
-                for addr, v in doc["initial_balances"].items()
-            },
-            gas_params=GasParams.from_canonical(doc["gas_params"]),
-            faucet_amount=_as_int(doc["faucet_amount"], "faucet_amount"),
-            faucet_cooldown=_as_int(doc["faucet_cooldown"], "faucet_cooldown"),
-            account_keys=dict(doc["account_keys"]),
-        )
+    def from_canonical(cls, doc: Any) -> "GenesisConfig":
+        config = _decode(cls, doc, "genesis")
         config.validate()
         return config
 
@@ -657,10 +631,19 @@ def parse_chain_bytes(raw: bytes) -> List[Block]:
     return blocks
 
 
+def read_chain(path) -> bytes:
+    """The chain file's bytes, read under a shared lock: an append holds
+    the exclusive lock for its write, so no read sees it half done.
+    OSError (FileNotFoundError included) propagates to the caller."""
+    with open(path, "rb") as handle:
+        fcntl.flock(handle, fcntl.LOCK_SH)
+        return handle.read()
+
+
 def load_chain(path, genesis: GenesisConfig) -> LedgerStore:
     """Load, strictly parse, and fully validate a chain file."""
     path = Path(path)
-    raw = path.read_bytes()  # FileNotFoundError propagates to the caller
+    raw = read_chain(path)
     blocks = parse_chain_bytes(raw)
     state, receipts = _replay(blocks, genesis)  # ValidationFailedError on bad chains
     return LedgerStore(
@@ -761,7 +744,7 @@ def read_state(path, genesis: GenesisConfig) -> registry.RegistryState:
     on this machine wrote it; ``validate`` always replays in full.
     """
     path = Path(path)
-    blocks = parse_chain_bytes(path.read_bytes())
+    blocks = parse_chain_bytes(read_chain(path))
     try:
         k, state = _from_checkpoint(blocks, genesis, _tip_path(path).read_bytes())
         state, _ = _replay(blocks, genesis, k, state)

@@ -62,10 +62,6 @@ class Role(str, Enum):
 TRUSTED_ROLES = frozenset({Role.MANUFACTURER, Role.DISTRIBUTOR, Role.RETAILER})
 
 
-def is_trusted(role: Role) -> bool:
-    return role in TRUSTED_ROLES
-
-
 class Status(str, Enum):
     AVAILABLE = "available"
     UNAVAILABLE = "unavailable"
@@ -385,15 +381,6 @@ class TxContext:
     faucet_cooldown: int
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    exists: bool
-    status: Optional[Status] = None
-    manufacturer: Optional[str] = None
-    current_owner: Optional[str] = None
-    history: Tuple[str, ...] = ()
-
-
 def contract_address(sender: str, nonce: int) -> str:
     """Trailing 20 bytes of sha256(sender bytes || nonce as 8 big-endian bytes)."""
     digest = hashlib.sha256(from_hex(sender) + nonce.to_bytes(8, "big")).digest()
@@ -419,7 +406,7 @@ def transition_error(state: RegistryState, sender: str, kind: TxKind) -> Optiona
     if isinstance(kind, Deploy):
         if state.contract is not None:
             return ALREADY_DEPLOYED
-        if sender_role is None or not (is_trusted(sender_role) or sender_role is Role.AUTHORITY):
+        if sender_role not in TRUSTED_ROLES and sender_role is not Role.AUTHORITY:
             return NOT_TRUSTED_NODE
         return None
 
@@ -446,7 +433,7 @@ def transition_error(state: RegistryState, sender: str, kind: TxKind) -> Optiona
             return NOT_OWNER
         if isinstance(kind, Transfer):
             target = state.accounts.get(kind.new_owner)
-            if target is None or not is_trusted(target.role):
+            if target is None or target.role not in TRUSTED_ROLES:
                 return NOT_TRUSTED_NODE
         else:
             target = state.accounts.get(kind.consumer)
@@ -572,16 +559,3 @@ def apply_tx(
         return charged, Receipt(txh, False, gas_used, fee_wei, err)
     return _apply_effect(charged, tx, ctx), Receipt(txh, True, gas_used, fee_wei, None)
 
-
-def verify_product(state: RegistryState, product_id: str) -> VerificationResult:
-    """Gas-free read; exists=False flags a suspected counterfeit."""
-    product = state.products.get(product_id)
-    if product is None:
-        return VerificationResult(exists=False)
-    return VerificationResult(
-        exists=True,
-        status=product.status,
-        manufacturer=product.manufacturer,
-        current_owner=product.current_owner,
-        history=product.history,
-    )

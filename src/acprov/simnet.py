@@ -18,12 +18,24 @@ import hashlib
 import json
 import random
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import ledger, registry
-from .canonical import canonical_serialize
+from .canonical import (
+    _as_address,
+    _as_int,
+    _as_str,
+    _canonical,
+    _check_fields,
+    _dict_of,
+    _list_of,
+    _optional,
+    _record,
+    _require,
+    canonical_serialize,
+)
 from .crypto import KeyPair
 from .registry import (
     Deploy,
@@ -41,30 +53,33 @@ class ScenarioInvalidError(Exception):
     pass
 
 
+def _as_byte(value: Any, name: str) -> int:
+    _require(_as_int(value, name) <= 255, f"{name} must fit in one byte")
+    return value
+
+
 @dataclass(frozen=True)
 class Mutation:
+    CHECKS: ClassVar[dict] = {"target": _as_int, "byte_offset": _as_int, "new_byte": _as_byte}
     target: int  # block index == 0-based line number in the chain file
     byte_offset: int  # offset within that block's line
     new_byte: int
 
-    def to_canonical(self) -> dict:
-        return {"byte_offset": self.byte_offset, "new_byte": self.new_byte, "target": self.target}
-
-    @classmethod
-    def from_canonical(cls, doc: Mapping[str, Any]) -> "Mutation":
-        if not isinstance(doc, Mapping) or set(doc) != {"target", "byte_offset", "new_byte"}:
-            raise ScenarioInvalidError("mutation has fields target, byte_offset, new_byte")
-        target, offset, new_byte = doc["target"], doc["byte_offset"], doc["new_byte"]
-        for name, value in (("target", target), ("byte_offset", offset), ("new_byte", new_byte)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ScenarioInvalidError(f"mutation {name} must be a non-negative integer")
-        if new_byte > 255:
-            raise ScenarioInvalidError("mutation new_byte must fit in one byte")
-        return cls(target=target, byte_offset=offset, new_byte=new_byte)
+    to_canonical = _canonical
 
 
 @dataclass(frozen=True)
 class Scenario:
+    CHECKS: ClassVar[dict] = {
+        "seed": functools.partial(_as_int, minimum=None),
+        "actors": _dict_of(_as_int),
+        "products": _as_int,
+        "steps": _as_int,
+        "clock_step": _as_int,
+        "txs_per_block": functools.partial(_as_int, minimum=1),
+        "chain_id": functools.partial(_as_int, minimum=1),
+        "tamper_plan": _optional(_list_of(_record(Mutation))),
+    }
     seed: int
     actors: Mapping[str, int]  # role value -> count
     products: int
@@ -72,77 +87,31 @@ class Scenario:
     clock_step: int = 3600
     txs_per_block: int = 4
     chain_id: int = 5
-    tamper_plan: Tuple[Mutation, ...] = ()
+    tamper_plan: Optional[Tuple[Mutation, ...]] = None
 
     def validate(self) -> None:
-        def fail(message: str):
-            raise ScenarioInvalidError(message)
-
-        for name in ("seed", "products", "steps", "clock_step", "txs_per_block", "chain_id"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                fail(f"{name} must be an integer")
-        known = {role.value for role in ROLE_ORDER}
-        unknown = set(self.actors) - known
-        if unknown:
-            fail(f"unknown actor roles: {sorted(unknown)}")
-        for role, count in self.actors.items():
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                fail(f"actor count for {role} must be a non-negative integer")
-        if self.actors.get(Role.MANUFACTURER.value, 0) < 1:
-            fail("at least one manufacturer required")
-        if self.actors.get(Role.AUTHORITY.value, 0) < 1:
-            fail("at least one authority required")
-        if self.products < 0:
-            fail("products must be >= 0")
-        if self.steps < 0:
-            fail("steps must be >= 0")
-        if self.clock_step < 0:
-            fail("clock_step must be >= 0")
-        if self.txs_per_block < 1:
-            fail("txs_per_block must be >= 1")
-        if self.chain_id < 1:
-            fail("chain_id must be >= 1")
+        """The decoder's member checks, then the rules that span members."""
+        try:
+            _check_fields(self)
+            unknown = set(self.actors) - {role.value for role in ROLE_ORDER}
+            _require(not unknown, f"unknown actor roles: {sorted(unknown)}")
+            _require(self.count(Role.MANUFACTURER) >= 1, "at least one manufacturer required")
+            _require(self.count(Role.AUTHORITY) >= 1, "at least one authority required")
+        except ValueError as exc:
+            raise ScenarioInvalidError(str(exc)) from None
 
     def count(self, role: Role) -> int:
         return self.actors.get(role.value, 0)
 
-    def to_canonical(self) -> dict:
-        return {
-            "actors": dict(self.actors),
-            "chain_id": self.chain_id,
-            "clock_step": self.clock_step,
-            "products": self.products,
-            "seed": self.seed,
-            "steps": self.steps,
-            "tamper_plan": [m.to_canonical() for m in self.tamper_plan] or None,
-            "txs_per_block": self.txs_per_block,
-        }
+    to_canonical = _canonical
 
     @classmethod
-    def from_canonical(cls, doc: Mapping[str, Any]) -> "Scenario":
-        if not isinstance(doc, Mapping):
-            raise ScenarioInvalidError("scenario must be an object")
-        required = {"seed", "actors", "products"}
-        optional = {"steps", "clock_step", "txs_per_block", "chain_id", "tamper_plan"}
-        missing = required - set(doc)
-        if missing:
-            raise ScenarioInvalidError(f"scenario missing fields: {sorted(missing)}")
-        unknown = set(doc) - required - optional
-        if unknown:
-            raise ScenarioInvalidError(f"scenario has unknown fields: {sorted(unknown)}")
-        if not isinstance(doc["actors"], Mapping):
-            raise ScenarioInvalidError("actors must be an object")
-        plan = doc.get("tamper_plan") or []
-        if not isinstance(plan, list):
-            raise ScenarioInvalidError("tamper_plan must be a list")
-        scenario = cls(
-            seed=doc["seed"],
-            actors=dict(doc["actors"]),
-            products=doc["products"],
-            tamper_plan=tuple(Mutation.from_canonical(m) for m in plan),
-            **{name: doc[name] for name in optional - {"tamper_plan"} if name in doc},
-        )
+    def from_canonical(cls, doc: Any) -> "Scenario":
+        """A scenario document; members left out take their defaults."""
+        try:
+            scenario = _record(cls, defaults=True)(doc, "scenario")
+        except ValueError as exc:
+            raise ScenarioInvalidError(str(exc)) from None
         scenario.validate()
         return scenario
 
@@ -161,22 +130,26 @@ class Scenario:
         return cls.from_canonical(doc)
 
 
+def _any(value: Any, name: str) -> Any:
+    return value
+
+
 @dataclass(frozen=True)
 class TraceEvent:
+    CHECKS: ClassVar[dict] = {
+        "step": _as_int,
+        "actor": _as_address,
+        "action": _as_str,
+        "detail": _dict_of(_any),
+        "outcome": _dict_of(_any),
+    }
     step: int
     actor: str
     action: str  # the wire type of the submitted kind, or verify
     detail: Mapping[str, Any]
     outcome: Mapping[str, Any]
 
-    def to_canonical(self) -> dict:
-        return {
-            "action": self.action,
-            "actor": self.actor,
-            "detail": dict(self.detail),
-            "outcome": dict(self.outcome),
-            "step": self.step,
-        }
+    to_canonical = _canonical
 
 
 @dataclass(frozen=True)
@@ -313,13 +286,13 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
             )
 
     def scan(event_step: int, actor_address: str, product_id: str) -> None:
-        result = registry.verify_product(store.state, product_id)
+        product = store.state.products.get(product_id)
         outcome = {
-            "current_owner": result.current_owner,
-            "exists": result.exists,
-            "history": list(result.history),
-            "manufacturer": result.manufacturer,
-            "status": result.status.value if result.status else None,
+            "current_owner": product and product.current_owner,
+            "exists": product is not None,
+            "history": list(product.history) if product else [],
+            "manufacturer": product and product.manufacturer,
+            "status": product and product.status.value,
         }
         trace.append(
             TraceEvent(event_step, actor_address, "verify", {"product_id": product_id}, outcome)

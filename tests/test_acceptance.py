@@ -121,7 +121,7 @@ def test_cost_ordering(capsys):
 def test_total_cost_calibration(capsys):
     t0 = time.monotonic()
     _, blocks, receipts = simnet.build_cost_model_chain()
-    total_wei = gas.gas_report(blocks, receipts).total_fee_wei
+    total_wei = gas.gas_report(blocks, receipts).total.total_fee
     actual_eth = Decimal(total_wei) / gas.WEI_PER_ETH
     deviation = (actual_eth - COST_TARGET_ETH) / COST_TARGET_ETH
     elapsed = time.monotonic() - t0

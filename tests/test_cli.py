@@ -743,6 +743,9 @@ class TestSimulate:
                     {"seed": 1, "actors": actors, "products": "9"},
                     {"seed": 1, "actors": ["manufacturer"], "products": 1},
                     {"seed": 1, "actors": actors, "products": 1, "tamper_plan": 5},
+                    # a falsy value that is not a list is no plan either
+                    *({"seed": 1, "actors": actors, "products": 1, "tamper_plan": plan}
+                      for plan in (0, False, "", {})),
                     {"seed": 1, "actors": actors, "products": 1, "tamper_plan": [5]},
                     # a target past the chain's end, an offset past its line
                     {"seed": 1, "actors": actors, "products": 1,

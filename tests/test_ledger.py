@@ -1,6 +1,8 @@
+import fcntl
 import hashlib
 import json
 import os
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -316,6 +318,52 @@ class TestStore:
         # the first writer still knows the file and appends on
         extend(first, keys, [registry.make_tx(keys["consumer"], 5, 0, FaucetClaim(), PRICE)], 20)
         assert ledger.load_chain(path, genesis).blocks == first.blocks
+
+    @pytest.mark.parametrize("reader", ["load_chain", "read_state", "validate"])
+    def test_a_read_waits_for_an_append_in_progress(self, genesis, chain, tmp_path, capsys, reader):
+        """A forked writer holds the exclusive lock over half of the last line;
+        the read waits for the lock and then sees the whole line."""
+        blocks, state = chain
+        path = tmp_path / "chain.jsonl"
+        path.write_bytes(b"".join(ledger.block_line(b) for b in blocks[:-1]))
+        genesis.save(tmp_path / "genesis.json")
+        line = ledger.block_line(blocks[-1])
+        ready_r, ready_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                os.write(fd, line[: len(line) // 2])
+                os.write(ready_w, b"1")
+                time.sleep(0.3)
+                os.write(fd, line[len(line) // 2 :])
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(ready_w)
+        try:
+            assert os.read(ready_r, 1) == b"1"
+            started = time.monotonic()
+            if reader == "load_chain":
+                assert ledger.load_chain(path, genesis).blocks == blocks
+            elif reader == "read_state":
+                assert ledger.read_state(path, genesis) == state
+            else:
+                argv = ["--db", str(path), "--genesis", str(tmp_path / "genesis.json"), "validate"]
+                assert cli.main(argv) == cli.EXIT_OK, capsys.readouterr().out
+            waited = time.monotonic() - started
+        finally:
+            os.close(ready_r)
+            support.wait_for_exit(pid)
+            _, status = os.waitpid(pid, 0)
+        assert status == 0
+        assert waited >= 0.1
+
+    def test_a_read_of_a_missing_file_is_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ledger.read_chain(tmp_path / "absent.jsonl")
 
 
 class TestExtend:

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from acprov import crypto, gas, ledger, registry, simnet
+from acprov import canonical, crypto, gas, ledger, registry, simnet
 from acprov.registry import Role, Status
 
 import support
@@ -54,13 +55,41 @@ class TestScenarioConfig:
             bad.validate()
 
     def test_unknown_file_field_rejected(self, tmp_path):
-        import json
-
         doc = SMALL.to_canonical()
         doc["surprise"] = 1
         (tmp_path / "s.json").write_text(json.dumps(doc))
         with pytest.raises(simnet.ScenarioInvalidError):
             simnet.Scenario.load(tmp_path / "s.json")
+
+    def test_fixture_files_save_back_byte_for_byte(self, fixtures_dir, tmp_path):
+        genesis = ledger.GenesisConfig.load(fixtures_dir / "genesis50.json")
+        genesis.save(tmp_path / "genesis.json")
+        scenario = simnet.Scenario.load(fixtures_dir / "scenario50.json")
+        scenario.save(tmp_path / "scenario.json")
+        for name in ("genesis", "scenario"):
+            saved = (tmp_path / f"{name}.json").read_bytes()
+            assert saved == (fixtures_dir / f"{name}50.json").read_bytes()
+        # and every trace line is a TraceEvent's canonical bytes
+        for line in (fixtures_dir / "trace50.jsonl").read_bytes().splitlines():
+            event = canonical._decode(simnet.TraceEvent, json.loads(line), "trace event")
+            assert canonical.canonical_serialize(event.to_canonical()) == line
+
+    def test_optional_members_may_be_left_out(self, fixtures_dir, tmp_path):
+        actors = {"manufacturer": 1, "authority": 1}
+        for doc in (
+            {"seed": 3, "actors": actors, "products": 2},
+            {"seed": -3, "actors": actors, "products": 2},
+            {"seed": 3, "actors": actors, "products": 2, "tamper_plan": []},
+        ):
+            (tmp_path / "s.json").write_text(json.dumps(doc))
+            scenario = simnet.Scenario.load(tmp_path / "s.json")
+            assert (scenario.seed, scenario.steps, scenario.chain_id) == (doc["seed"], 10_000, 5)
+            assert not scenario.tamper_plan
+        doc = json.loads((fixtures_dir / "genesis50.json").read_text())
+        doc["gas_params"] = {"base_tx": 30_000}
+        (tmp_path / "g.json").write_text(json.dumps(doc))
+        params = ledger.GenesisConfig.load(tmp_path / "g.json").gas_params
+        assert params == replace(gas.GasParams(), base_tx=30_000)
 
     def test_actor_keys_are_seed_deterministic(self):
         a = simnet.actor_keypair(9, Role.MANUFACTURER, 0)
@@ -233,9 +262,7 @@ class TestLifecycle:
         assert err == registry.PRODUCT_UNAVAILABLE
 
     def test_counterfeit_probe(self, lifecycle_run):
-        probe = registry.verify_product(lifecycle_run.final_state, "FAKE-999")
-        assert not probe.exists
-        assert probe.history == ()
+        assert "FAKE-999" not in lifecycle_run.final_state.products
 
 
 class TestMutations:
