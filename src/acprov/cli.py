@@ -96,6 +96,24 @@ def _open_store(args) -> ledger.LedgerStore:
         return ledger.load_chain(args.db, genesis)
 
 
+def _open_for_append(args) -> ledger.LedgerStore:
+    """The store an append extends.  A torn last line, an append cut short,
+    is truncated away first (see ledger.cut_torn_tail); only a writer does
+    that, so a read of a torn chain still fails."""
+    genesis = _load_genesis(args)
+    with _reading():
+        try:
+            return ledger.load_chain(args.db, genesis)
+        except ledger.TornTailError as torn:
+            if ledger.cut_torn_tail(args.db, torn):
+                print(
+                    f"warning: {args.db} ended in an interrupted append; truncated it to "
+                    f"{torn.intact_bytes} bytes (resend the lost block's transactions)",
+                    file=sys.stderr,
+                )
+            return ledger.load_chain(args.db, genesis)
+
+
 def _read_state(args):
     """(genesis, tip state) for a read; see ledger.read_state."""
     genesis = _load_genesis(args)
@@ -228,7 +246,7 @@ def _build_kind(args, params: gas_model.GasParams) -> registry.TxKind:
 
 
 def cmd_tx(args) -> int:
-    store = _open_store(args)
+    store = _open_for_append(args)
     genesis = store.genesis
     sender_key = _load_key(args.key)
     account = store.state.accounts.get(sender_key.address)

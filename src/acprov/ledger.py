@@ -13,10 +13,14 @@ Design notes that matter for interoperability:
   UTF-8 with LF endings.  Loading is strict: every line must re-encode
   byte-identically, so any single-byte edit of the file surfaces as a
   parse or validation failure.
-* Every check of a chain is one walk (``_replay``) that checks every
-  header and seal and executes the blocks after k.  A full replay has
-  k = 0; a read (``read_state``) takes k and the state after block k from
-  a sidecar ``<chain>.tip``, a cache: any doubt about it means k = 0.
+* Every check of a chain is one walk (``_replay``) from a parent header
+  over the blocks after it: header rules, seals, execution and state
+  roots.  A full replay walks blocks 1.. from block 0, once block 0
+  matches the genesis config.  A read (``read_state``) walks only the
+  blocks after a checkpoint k kept in a sidecar ``<chain>.tip``, which
+  vouches for lines 0..k by the sha256 of their bytes and holds the state
+  after block k.  The sidecar is a cache: any doubt about it means a full
+  replay.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ class ParseError(LedgerError):
 class TornTailError(ParseError):
     """The last line has no newline and does not parse: an interrupted append."""
 
-    def __init__(self, line_number: int, intact_bytes: int, reason: str):
+    def __init__(self, line_number: int, intact_bytes: int, size: int, reason: str):
         super().__init__(
             line_number,
             f"interrupted append: the last line has no newline and is not a "
@@ -98,6 +102,7 @@ class TornTailError(ParseError):
             f"recover and resend the lost block's transactions",
         )
         self.intact_bytes = intact_bytes
+        self.size = size  # the length of the file that was read
 
 
 @dataclass(frozen=True)
@@ -379,9 +384,9 @@ def _execute(
     return state, receipts
 
 
-def _signatures(blocks: Sequence[Block], genesis: GenesisConfig, k: int) -> List[Check]:
-    """The seals of blocks 1.., and the signatures of the transactions in
-    the blocks after k, for verify_ahead to check while the rules run.
+def _signatures(blocks: Sequence[Block], genesis: GenesisConfig) -> List[Check]:
+    """The seals of blocks and the signatures of their transactions, for
+    verify_ahead to check while the rules run.
 
     A signature is listed when its signer has a genesis key, since
     apply_tx and the seal rule verify only those.  Nothing is decided
@@ -390,13 +395,11 @@ def _signatures(blocks: Sequence[Block], genesis: GenesisConfig, k: int) -> List
     """
     key_of, chain_id = genesis.public_key_of, genesis.chain_id
     items = []
-    for position, block in enumerate(blocks[1:], start=1):
+    for block in blocks:
         items.append((key_of(block.header.sealer), from_hex(block.header.hash), block.seal))
-        if position > k:
-            items += (
-                (key_of(tx.sender), tx.signing_payload(chain_id), tx.signature)
-                for tx in block.txs
-            )
+        items += (
+            (key_of(tx.sender), tx.signing_payload(chain_id), tx.signature) for tx in block.txs
+        )
     return [item for item in items if item[0] is not None]
 
 
@@ -423,32 +426,24 @@ def _check_header(block: Block, prev: BlockHeader, genesis: GenesisConfig) -> No
 
 
 def _replay(
+    parent: BlockHeader,
     blocks: Sequence[Block],
     genesis: GenesisConfig,
-    k: int = 0,
-    state: Optional[registry.RegistryState] = None,
+    state: registry.RegistryState,
 ) -> Tuple[registry.RegistryState, List[List[registry.Receipt]]]:
     """The one walk over a chain; raises ValidationFailedError on the first offense.
 
-    Block 0 must match the genesis config and every later block must meet
-    the header rules.  Blocks after k are executed from state, the state
-    after block k (the genesis state when k is 0), and must commit to
-    their state_root.  Returns the tip state and a receipt list for each
-    of blocks k.., block k's empty: for k = 0, one for every block.
+    Each of blocks must meet the header rules against the block before
+    it, parent first, is executed from state (the state after parent) on,
+    and must commit to its state_root.  Returns the state after the last
+    block and one receipt list per block.
     """
-    if not blocks:
-        raise _invalid(0, RULE_GENESIS, "chain is empty")
-    if block_line(blocks[0]) != block_line(genesis_block(genesis)):
-        raise _invalid(0, RULE_GENESIS, "block 0 does not match the genesis config")
-    state = genesis_state(genesis) if state is None else state
-    receipts_per_block: List[List[registry.Receipt]] = [[]]
-    prev = blocks[0].header
-    with verify_ahead(_signatures(blocks, genesis, k)):
-        for block in blocks[1:]:
+    receipts_per_block: List[List[registry.Receipt]] = []
+    prev = parent
+    with verify_ahead(_signatures(blocks, genesis)):
+        for block in blocks:
             _check_header(block, prev, genesis)
             h = prev = block.header
-            if h.index <= k:
-                continue
             state, receipts = _execute(
                 state, block.txs, make_context(genesis, h.index, h.timestamp, h.sealer)
             )
@@ -459,10 +454,29 @@ def _replay(
     return state, receipts_per_block
 
 
+def _genesis_parent(blocks: Sequence[Block], genesis: GenesisConfig) -> BlockHeader:
+    """Block 0's header, where a full replay starts, once block 0 matches
+    the genesis config."""
+    if not blocks:
+        raise _invalid(0, RULE_GENESIS, "chain is empty")
+    if block_line(blocks[0]) != block_line(genesis_block(genesis)):
+        raise _invalid(0, RULE_GENESIS, "block 0 does not match the genesis config")
+    return blocks[0].header
+
+
+def _replay_all(
+    blocks: Sequence[Block], genesis: GenesisConfig
+) -> Tuple[registry.RegistryState, List[List[registry.Receipt]]]:
+    """A full replay: the tip state and a receipt list for every block, block 0's empty."""
+    parent = _genesis_parent(blocks, genesis)
+    state, receipts = _replay(parent, blocks[1:], genesis, genesis_state(genesis))
+    return state, [[]] + receipts
+
+
 def validate_chain(blocks: Sequence[Block], genesis: GenesisConfig) -> ValidationReport:
     """Check every chain invariant; failures are report values, not exceptions."""
     try:
-        _replay(blocks, genesis)
+        _replay_all(blocks, genesis)
     except ValidationFailedError as exc:
         return exc.report
     return ValidationReport(ok=True)
@@ -608,6 +622,14 @@ def _parse_line(line: bytes) -> Block:
     return block
 
 
+def _lines(raw: bytes) -> List[bytes]:
+    """The lines of raw without their newlines; the last may lack one."""
+    lines = raw.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    return lines
+
+
 def parse_chain_bytes(raw: bytes) -> List[Block]:
     """Strict parse of a ledger file: every line must re-encode identically.
 
@@ -617,16 +639,16 @@ def parse_chain_bytes(raw: bytes) -> List[Block]:
     """
     if raw == b"":
         raise ParseError(1, "empty file: genesis block required")
-    lines = raw.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
+    lines = _lines(raw)
     blocks: List[Block] = []
     for line_number, line in enumerate(lines, start=1):
         try:
             blocks.append(_parse_line(line))
         except ValueError as exc:
             if line_number == len(lines) > 1 and not raw.endswith(b"\n"):
-                raise TornTailError(line_number, len(raw) - len(line), str(exc)) from exc
+                raise TornTailError(
+                    line_number, len(raw) - len(line), len(raw), str(exc)
+                ) from exc
             raise ParseError(line_number, str(exc)) from exc
     return blocks
 
@@ -640,12 +662,34 @@ def read_chain(path) -> bytes:
         return handle.read()
 
 
+def cut_torn_tail(path, torn: TornTailError) -> bool:
+    """Truncate the interrupted append that torn reports, for a writer.
+
+    The cut happens under the exclusive lock an append takes, and only
+    while the file is still the length whose read raised torn, so a file
+    that changed since is left alone.  Returns whether it was cut.
+    Readers never call this: they stay strict.
+    """
+    try:
+        fd = os.open(str(path), os.O_RDWR)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            if os.fstat(fd).st_size != torn.size:
+                return False
+            os.ftruncate(fd, torn.intact_bytes)
+            return True
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise StorageError(f"cannot truncate {path}: {exc}") from exc
+
+
 def load_chain(path, genesis: GenesisConfig) -> LedgerStore:
     """Load, strictly parse, and fully validate a chain file."""
     path = Path(path)
     raw = read_chain(path)
     blocks = parse_chain_bytes(raw)
-    state, receipts = _replay(blocks, genesis)  # ValidationFailedError on bad chains
+    state, receipts = _replay_all(blocks, genesis)  # ValidationFailedError on bad chains
     return LedgerStore(
         path=path, genesis=genesis, blocks=blocks, state=state, receipts=receipts, size=len(raw)
     )
@@ -655,13 +699,18 @@ def load_chain(path, genesis: GenesisConfig) -> LedgerStore:
 # Reads from a sealed tip checkpoint
 #
 # The sidecar <chain>.tip holds two lines:
-#   1. canonical JSON {"genesis": <hash of the canonical genesis config>,
-#      "hash": <hash of header k>, "index": k}
+#   1. canonical JSON {"bytes": L, "genesis": <hash of the canonical
+#      genesis config>, "hash": <hash of header k>, "index": k,
+#      "prefix": <sha256 of the chain file's first L bytes>}, where the
+#      first L bytes are lines 0..k, each with its newline;
 #   2. the canonical state document after block k, the bytes whose hash
 #      is header k's state_root.
-# The genesis digest is needed because block 0 commits to roles, balances
-# and keys but not to gas_params or the faucet settings, which change
-# what every later block executes to.
+# A read whose file starts with those L bytes trusts blocks 0..k byte for
+# byte, seals included, since a replay on this machine accepted exactly
+# them, and walks only the lines after L.  The genesis digest is needed
+# because block 0 commits to roles, balances and keys but not to
+# gas_params or the faucet settings, which change what every later block
+# executes to.
 
 
 def _tip_path(path: Path) -> Path:
@@ -673,45 +722,57 @@ def _genesis_digest(genesis: GenesisConfig) -> str:
 
 
 def _from_checkpoint(
-    blocks: Sequence[Block], genesis: GenesisConfig, sidecar: bytes
-) -> Tuple[int, registry.RegistryState]:
-    """(k, state after block k) from a sidecar, checking no block.
+    raw: bytes, genesis: GenesisConfig, sidecar: bytes
+) -> Tuple[BlockHeader, int, registry.RegistryState]:
+    """(header k, L, state after block k) from a sidecar that vouches for
+    the first L bytes of raw; only line k, the last of them, is parsed.
 
-    The sidecar must be for this genesis, name header k of blocks, and hold
-    a state that commits to header k's state_root; _replay from k checks
-    the blocks.  Raises ValueError otherwise.
+    The sidecar must be for this genesis, its digest must match raw's first
+    L bytes, which end line k, that line must be header k under the
+    sidecar's hash, and the state must commit to its state_root.  Raises
+    ValueError otherwise.
     """
     head, body, rest = sidecar.split(b"\n", 2)
     _require(rest == b"", "sidecar has more than two lines")
     doc = json.loads(head)
     _require(
-        isinstance(doc, dict) and set(doc) == {"genesis", "hash", "index"},
-        "sidecar head must have fields genesis, hash, index",
+        isinstance(doc, dict) and set(doc) == {"bytes", "genesis", "hash", "index", "prefix"},
+        "sidecar head must have fields bytes, genesis, hash, index, prefix",
     )
     _require(doc["genesis"] == _genesis_digest(genesis), "sidecar is for another genesis")
-    k = _as_int(doc["index"], "index")
-    _require(k < len(blocks), f"sidecar block {k} is past the tip")
-    header = blocks[k].header
-    _require(doc["hash"] == header.hash, f"sidecar names another block {k}")
+    k, size = _as_int(doc["index"], "index"), _as_int(doc["bytes"], "bytes")
+    _require(0 < size <= len(raw) and raw[size - 1] == 0x0A, "sidecar bytes do not end a line")
+    _require(hash_of(memoryview(raw)[:size]) == doc["prefix"], "the chain's first bytes changed")
+    header = _parse_line(raw[raw.rfind(b"\n", 0, size - 1) + 1 : size - 1]).header
+    _require(header.index == k and header.hash == doc["hash"], f"sidecar names another block {k}")
     state = registry.state_from_canonical(json.loads(body))
     _require(
         registry.state_commitment(state) == header.state_root,
         f"sidecar state does not commit to block {k}'s state_root",
     )
-    return k, state
+    return header, size, state
 
 
 def _write_checkpoint(
-    path: Path, genesis: GenesisConfig, header: BlockHeader, state: registry.RegistryState
+    path: Path,
+    genesis: GenesisConfig,
+    header: BlockHeader,
+    state: registry.RegistryState,
+    prefix: bytes,
 ) -> None:
-    """Atomically replace the sidecar of path with a checkpoint at header.
+    """Atomically replace the sidecar of path with a checkpoint at header,
+    whose line is the last of prefix, the chain file's first bytes.
 
     The sidecar is only a cache, so an OSError (a read-only directory, a
     full disk) leaves things as they were and is not reported.
     """
-    head = canonical_serialize(
-        {"genesis": _genesis_digest(genesis), "hash": header.hash, "index": header.index}
-    )
+    head = canonical_serialize({
+        "bytes": len(prefix),
+        "genesis": _genesis_digest(genesis),
+        "hash": header.hash,
+        "index": header.index,
+        "prefix": hash_of(prefix),
+    })
     data = head + b"\n" + registry.state_bytes(state) + b"\n"
     target = _tip_path(path)
     try:
@@ -730,26 +791,53 @@ def _write_checkpoint(
             os.unlink(temp)
 
 
+def _replay_to_tip(
+    path: Path,
+    raw: bytes,
+    genesis: GenesisConfig,
+    parent: BlockHeader,
+    blocks: Sequence[Block],
+    state: registry.RegistryState,
+    k: int,
+) -> registry.RegistryState:
+    """The state after blocks, the last blocks of raw, walked from parent
+    and the state after it.
+
+    The sidecar is rewritten at the last block whose line ends in a
+    newline, when that block is past k.  A sidecar must end at a newline,
+    so a last line that lacks one stays in the tail, and the next append,
+    which writes the newline first, leaves the sidecar valid.
+    """
+    whole = raw.rfind(b"\n") + 1  # the bytes of the lines that end in a newline
+    done = blocks if whole == len(raw) else blocks[:-1]
+    state, _ = _replay(parent, done, genesis, state)
+    checkpoint = done[-1].header if done else parent
+    if whole and checkpoint.index > k:
+        _write_checkpoint(path, genesis, checkpoint, state, memoryview(raw)[:whole])
+    if len(done) < len(blocks):
+        state, _ = _replay(checkpoint, blocks[-1:], genesis, state)
+    return state
+
+
 def read_state(path, genesis: GenesisConfig) -> registry.RegistryState:
     """The tip state of a chain file, for reads that need no receipts.
 
-    The file is read and parsed once.  With a sidecar checkpoint at
-    block k, the chain is replayed from k: every block gets the header
-    rules and only the blocks after k are executed.  Any failure on that
-    path, whether from the sidecar or the chain, falls back to a full
-    replay of the parsed blocks, so the state, or the error raised, is
-    always that of load_chain.
-    A fallback or a checkpoint behind the tip rewrites the sidecar at the
-    tip.  The checkpoint trusts the transitions up to k because a replay
-    on this machine wrote it; ``validate`` always replays in full.
+    The file is read once.  With a sidecar checkpoint at block k whose
+    digest matches the file's first bytes, only line k and the lines after
+    it are parsed, and only the blocks after k are walked.  Any failure on
+    that path, whether from the sidecar or the chain, falls back to a full
+    parse and replay, so the state, or the error raised, is always that of
+    load_chain.  A fallback or a checkpoint behind the tip rewrites the
+    sidecar.  ``validate`` never reads it and always replays in full.
     """
     path = Path(path)
-    blocks = parse_chain_bytes(read_chain(path))
+    raw = read_chain(path)
     try:
-        k, state = _from_checkpoint(blocks, genesis, _tip_path(path).read_bytes())
-        state, _ = _replay(blocks, genesis, k, state)
+        parent, size, state = _from_checkpoint(raw, genesis, _tip_path(path).read_bytes())
+        tail = [_parse_line(line) for line in _lines(raw[size:])]
+        return _replay_to_tip(path, raw, genesis, parent, tail, state, parent.index)
     except (OSError, LedgerError, ValueError, KeyError, TypeError, RecursionError):
-        k, (state, _) = -1, _replay(blocks, genesis)
-    if k < len(blocks) - 1:
-        _write_checkpoint(path, genesis, blocks[-1].header, state)
-    return state
+        pass
+    blocks = parse_chain_bytes(raw)
+    parent = _genesis_parent(blocks, genesis)
+    return _replay_to_tip(path, raw, genesis, parent, blocks[1:], genesis_state(genesis), -1)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import acprov
-from acprov import cli, ledger, qr, registry, simnet
+from acprov import cli, crypto, ledger, qr, registry, simnet
 from acprov.canonical import canonical_serialize
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -370,16 +370,16 @@ class TestGasReport:
         calls = []
         replay = ledger._replay
 
-        def counting(blocks, genesis):
-            calls.append(len(blocks))
-            return replay(blocks, genesis)
+        def counting(parent, blocks, genesis, state):
+            calls.append((parent.index, len(blocks)))
+            return replay(parent, blocks, genesis, state)
 
         monkeypatch.setattr(ledger, "_replay", counting)
         ws = workspace["dir"]
         argv = ["--db", str(ws / "chain.jsonl"), "--genesis", str(ws / "genesis.json")]
         assert cli.main([*argv, "gas-report"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("TOTAL,4,")
-        assert calls == [5]
+        assert calls == [(0, 4)]
 
 
 class TestValidate:
@@ -570,7 +570,7 @@ class TestSidecar:
         assert (ws / "chain.jsonl.tip").read_bytes() == stale  # tx does not write it
         expected = self.without_sidecar(ws, reads)
         assert self.with_sidecar(ws, reads, stale) == expected
-        assert b'"index":5}' in (ws / "chain.jsonl.tip").read_bytes().split(b"\n")[0]
+        assert b'"index":5,' in (ws / "chain.jsonl.tip").read_bytes().split(b"\n")[0]
 
     def test_other_genesis(self, workspace, tmp_path):
         """Same chain, other gas_params: the sidecar written under the real genesis is not used."""
@@ -601,18 +601,21 @@ class TestSidecar:
             os.chmod(ws, 0o755)
 
     def test_second_history_executes_nothing(self, workspace, tmp_path, monkeypatch, capsys):
+        """At a tip sidecar a read parses the tip's line alone, and executes
+        and verifies nothing."""
         ws = clone(workspace, tmp_path)
         argv = ["--db", str(ws / "chain.jsonl"), "--genesis", str(ws / "genesis.json"),
                 "history", "--id", "P-100"]
         assert cli.main(argv) == 0
         first = capsys.readouterr()
         assert (ws / "chain.jsonl.tip").exists()
-        replays = count_calls(monkeypatch, ledger, "_replay")
+        monkeypatch.setattr(crypto, "_memo", {})
+        lines = count_calls(monkeypatch, ledger, "_parse_line")
         applied = count_calls(monkeypatch, registry, "apply_tx")
+        checks = count_calls(monkeypatch, crypto, "_check")
         assert cli.main(argv) == 0
         assert capsys.readouterr() == first
-        assert [start for _, _, start, _ in replays] == [4]  # one walk, from the sidecar's block
-        assert applied == []
+        assert (len(lines), applied, checks) == (1, [], [])
 
     def test_every_product_of_the_fixture(self, tmp_path, capsys):
         for name in ("genesis50.json", "chain50.jsonl"):

@@ -265,7 +265,7 @@ class TestValidation:
 
     def test_replay_receipts_line_up_with_blocks(self, genesis, chain):
         blocks, state = chain
-        final, receipts = ledger._replay(blocks, genesis)
+        final, receipts = ledger._replay_all(blocks, genesis)
         assert registry.state_commitment(final) == registry.state_commitment(state)
         assert [len(r) for r in receipts] == [len(b.txs) for b in blocks]
 
@@ -524,10 +524,13 @@ class TestCheckpoint:
         assert state == store.state
         head, body, rest = sidecar_of(store.path).read_bytes().split(b"\n", 2)
         assert rest == b""
+        raw = store.path.read_bytes()
         assert head == canonical.canonical_serialize({
+            "bytes": len(raw),
             "genesis": canonical.hash_obj(genesis.to_canonical()),
             "hash": store.tip.header.hash,
             "index": store.tip.header.index,
+            "prefix": canonical.hash_of(raw),
         })
         assert canonical.hash_of(body) == store.tip.header.state_root
         assert body == canonical.canonical_serialize(store.state.to_canonical())
@@ -552,15 +555,15 @@ class TestCheckpoint:
         assert not sidecar_of(store.path).exists()
 
     def test_second_read_executes_nothing(self, genesis, store, monkeypatch):
+        """The sidecar vouches for every line: only the tip's line is parsed."""
         ledger.read_state(store.path, genesis)
         sidecar = sidecar_of(store.path).read_bytes()
-        replays = support.count_calls(monkeypatch, ledger, "_replay")
+        lines = support.count_calls(monkeypatch, ledger, "_parse_line")
         applied = support.count_calls(monkeypatch, registry, "apply_tx")
         headers = support.count_calls(monkeypatch, ledger, "_check_header")
         assert ledger.read_state(store.path, genesis) == store.state
-        assert [start for _, _, start, _ in replays] == [store.tip.header.index]  # one walk, from k
-        assert applied == []
-        assert len(headers) == store.tip.header.index  # every header is still checked
+        assert lines == [(ledger.block_line(store.tip)[:-1],)]
+        assert (applied, headers) == ([], [])
         assert sidecar_of(store.path).read_bytes() == sidecar  # nothing rewritten
 
     def test_stale_sidecar_executes_only_the_newer_blocks(self, genesis, keys, store, monkeypatch):
@@ -568,14 +571,48 @@ class TestCheckpoint:
         c, d = keys["consumer"], keys["distributor"]
         extend(store, keys, [registry.make_tx(c, 5, 1, FaucetClaim(), PRICE),
                              registry.make_tx(d, 5, 0, FaucetClaim(), PRICE)], 90_000)
+        lines = support.count_calls(monkeypatch, ledger, "_parse_line")
         replays = support.count_calls(monkeypatch, ledger, "_replay")
         applied = support.count_calls(monkeypatch, registry, "apply_tx")
         assert ledger.read_state(store.path, genesis) == store.state
-        assert [start for _, _, start, _ in replays] == [4] and len(applied) == 2
+        assert [(parent.index, len(blocks)) for parent, blocks, _, _ in replays] == [(4, 1)]
+        assert len(lines) == 2 and len(applied) == 2  # line 4, then block 5 alone
+        raw = store.path.read_bytes()
         assert sidecar_of(store.path).read_bytes().startswith(
-            b'{"genesis":"0x%s","hash":"%s","index":5}'
-            % (canonical.hash_obj(genesis.to_canonical())[2:].encode(), store.tip.header.hash.encode())
+            b'{"bytes":%d,"genesis":"%s","hash":"%s","index":5,"prefix":"%s"}\n'
+            % (len(raw), canonical.hash_obj(genesis.to_canonical()).encode(),
+               store.tip.header.hash.encode(), canonical.hash_of(raw).encode())
         )
+
+    def test_a_last_line_without_its_newline_reads_through_the_tail(
+        self, genesis, keys, store, monkeypatch
+    ):
+        """The checkpoint goes at the last block whose line ends in a newline,
+        and the next append, which writes that newline first, keeps it valid."""
+        raw = store.path.read_bytes()
+        store.path.write_bytes(raw[:-1])
+        assert ledger.read_state(store.path, genesis) == store.state
+        whole = raw[: raw.rfind(b"\n", 0, -1) + 1]
+        head = json.loads(sidecar_of(store.path).read_bytes().split(b"\n")[0])
+        assert (head["index"], head["bytes"]) == (3, len(whole))
+        assert head["prefix"] == canonical.hash_of(whole)
+        sidecar = sidecar_of(store.path).read_bytes()
+        parses = support.count_calls(monkeypatch, ledger, "parse_chain_bytes")
+        replays = support.count_calls(monkeypatch, ledger, "_replay")
+        assert ledger.read_state(store.path, genesis) == store.state
+        assert parses == [] and sidecar_of(store.path).read_bytes() == sidecar
+        assert [(parent.index, len(blocks)) for parent, blocks, _, _ in replays] == [(3, 0), (3, 1)]
+        monkeypatch.undo()
+        loaded = ledger.load_chain(store.path, genesis)
+        extend(loaded, keys, [registry.make_tx(keys["retailer"], 5, 0, FaucetClaim(), PRICE)], 50)
+        assert store.path.read_bytes().startswith(raw)  # the newline came first
+        parses = support.count_calls(monkeypatch, ledger, "parse_chain_bytes")
+        replays = support.count_calls(monkeypatch, ledger, "_replay")
+        assert ledger.read_state(store.path, genesis) == loaded.state
+        assert parses == []  # the sidecar still vouches for lines 0..3
+        assert [(parent.index, len(blocks)) for parent, blocks, _, _ in replays] == [(3, 2)]
+        head = json.loads(sidecar_of(store.path).read_bytes().split(b"\n")[0])
+        assert (head["index"], head["bytes"]) == (5, store.path.stat().st_size)
 
     @pytest.mark.parametrize(
         "spoil",
@@ -665,12 +702,12 @@ class TestReplayFrom:
     def test_every_k_gives_the_full_replay(self, genesis, twelve):
         blocks = twelve.blocks
         assert len(blocks) == 12
-        full_state, full_receipts = ledger._replay(blocks, genesis)
+        full_state, full_receipts = ledger._replay_all(blocks, genesis)
         for k in range(len(blocks)):
-            state_k, _ = ledger._replay(blocks[: k + 1], genesis)
-            state, receipts = ledger._replay(blocks, genesis, k, state_k)
+            state_k, _ = ledger._replay_all(blocks[: k + 1], genesis)
+            state, receipts = ledger._replay(blocks[k].header, blocks[k + 1 :], genesis, state_k)
             assert state == full_state
-            assert receipts == [[]] + full_receipts[k + 1 :]
+            assert receipts == full_receipts[k + 1 :]
 
     def test_a_bad_signature_after_k_reports_the_same(self, genesis, keys, twelve):
         blocks = list(twelve.blocks)
@@ -682,9 +719,9 @@ class TestReplayFrom:
         full = ledger.validate_chain(blocks, genesis)
         assert (full.block_index, full.rule) == (11, ledger.RULE_TX_SIGNATURE)
         for k in range(len(blocks) - 1):
-            state_k, _ = ledger._replay(blocks[: k + 1], genesis)
+            state_k, _ = ledger._replay_all(blocks[: k + 1], genesis)
             with pytest.raises(ledger.ValidationFailedError) as err:
-                ledger._replay(blocks, genesis, k, state_k)
+                ledger._replay(blocks[k].header, blocks[k + 1 :], genesis, state_k)
             assert err.value.report == full
 
 
@@ -735,7 +772,7 @@ class TestBatchedSignatures:
         workers(monkeypatch, 2)
         forks = support.record_forks(monkeypatch)
         checks = support.count_calls(monkeypatch, crypto, "_check")
-        state, receipts = ledger._replay(long_chain.blocks, genesis)
+        state, receipts = ledger._replay_all(long_chain.blocks, genesis)
         assert (state, receipts) == (long_chain.state, long_chain.receipts)
         assert len(forks) == 1
         support.assert_reaped(forks)
@@ -766,32 +803,34 @@ class TestBatchedSignatures:
         assert len(forks) == 1
         support.assert_reaped(forks)
 
-    def test_checkpoint_reads_batch_the_seals(self, genesis, long_chain, monkeypatch):
+    def test_a_tip_checkpoint_read_checks_no_signature(self, genesis, long_chain, monkeypatch):
         ledger.read_state(long_chain.path, genesis)  # writes the sidecar
         workers(monkeypatch, 2)
+        forks = support.record_forks(monkeypatch)
         batches = support.count_calls(monkeypatch, ledger, "verify_ahead")
-        replays = support.count_calls(monkeypatch, ledger, "_replay")
+        checks = support.count_calls(monkeypatch, crypto, "_check")
         assert ledger.read_state(long_chain.path, genesis) == long_chain.state
-        assert [start for _, _, start, _ in replays] == [640]
-        assert [len(items) for (items,) in batches] == [640]
+        assert [len(items) for (items,) in batches] == [0]
+        assert (checks, forks) == ([], [])
 
     def test_a_stale_sidecar_batches_the_tail_signatures(self, genesis, long_chain, monkeypatch):
-        """Blocks after the sidecar's k are executed, so their transaction
-        signatures join every block's seal in the one verify_ahead batch."""
-        blocks, k = long_chain.blocks, 600
-        state_k, _ = ledger._replay(blocks[: k + 1], genesis)
-        ledger._write_checkpoint(long_chain.path, genesis, blocks[k].header, state_k)
+        """Only the blocks after the sidecar's k are walked: their seals and
+        transaction signatures are the one verify_ahead batch."""
+        blocks, k = long_chain.blocks, 400
+        state_k, _ = ledger._replay_all(blocks[: k + 1], genesis)
+        prefix = b"".join(ledger.block_line(block) for block in blocks[: k + 1])
+        ledger._write_checkpoint(long_chain.path, genesis, blocks[k].header, state_k, prefix)
         workers(monkeypatch, 2)
         forks = support.record_forks(monkeypatch)
         batches = support.count_calls(monkeypatch, ledger, "verify_ahead")
         replays = support.count_calls(monkeypatch, ledger, "_replay")
         assert ledger.read_state(long_chain.path, genesis) == long_chain.state
-        assert [start for _, _, start, _ in replays] == [600]
+        assert [(parent.index, len(tail)) for parent, tail, _, _ in replays] == [(400, 240)]
         [(items,)] = batches
-        tail = {tx.signature for block in blocks[k + 1 :] for tx in block.txs}
-        assert len(tail) == 40
-        assert len(items) == 640 + 40
-        assert tail <= {signature for _, _, signature in items}
+        expected = {block.seal for block in blocks[k + 1 :]}
+        expected |= {tx.signature for block in blocks[k + 1 :] for tx in block.txs}
+        assert len(items) == len(expected) == 480
+        assert {signature for _, _, signature in items} == expected
         assert len(forks) == 1
         support.assert_reaped(forks)
 
