@@ -96,21 +96,26 @@ def _open_store(args) -> ledger.LedgerStore:
         return ledger.load_chain(args.db, genesis)
 
 
+def _cut_torn_tail(args, torn: ledger.TornTailError) -> None:
+    """Truncate the torn last line, an append cut short, that torn reports
+    (see ledger.cut_torn_tail), and say so.  Only the writers, tx and
+    repair, do this, so a read of a torn chain still fails."""
+    if ledger.cut_torn_tail(args.db, torn):
+        print(
+            f"warning: {args.db} ended in an interrupted append; truncated it to "
+            f"{torn.intact_bytes} bytes (resend the lost block's transactions)",
+            file=sys.stderr,
+        )
+
+
 def _open_for_append(args) -> ledger.LedgerStore:
-    """The store an append extends.  A torn last line, an append cut short,
-    is truncated away first (see ledger.cut_torn_tail); only a writer does
-    that, so a read of a torn chain still fails."""
+    """The store an append extends, once a torn tail is cut off."""
     genesis = _load_genesis(args)
     with _reading():
         try:
             return ledger.load_chain(args.db, genesis)
         except ledger.TornTailError as torn:
-            if ledger.cut_torn_tail(args.db, torn):
-                print(
-                    f"warning: {args.db} ended in an interrupted append; truncated it to "
-                    f"{torn.intact_bytes} bytes (resend the lost block's transactions)",
-                    file=sys.stderr,
-                )
+            _cut_torn_tail(args, torn)
             return ledger.load_chain(args.db, genesis)
 
 
@@ -366,6 +371,20 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def cmd_repair(args) -> int:
+    """Cut a torn tail off the chain as tx does, append nothing, and report
+    as validate does.  Any other corruption is left as it is."""
+    _load_genesis(args)  # as in tx, an unusable genesis stops it before any cut
+    with _reading():
+        try:
+            ledger.parse_chain_bytes(ledger.read_chain(args.db))
+        except ledger.TornTailError as torn:
+            _cut_torn_tail(args, torn)
+        except ledger.ParseError:
+            pass  # not an append cut short: validate reports it
+    return cmd_validate(args)
+
+
 def cmd_simulate(args) -> int:
     from . import simnet  # only this command needs it; the others start faster
 
@@ -469,6 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="check every chain invariant")
     p_validate.set_defaults(func=cmd_validate)
+
+    p_repair = sub.add_parser(
+        "repair", help="cut an interrupted append off the chain, then validate it"
+    )
+    p_repair.set_defaults(func=cmd_repair)
 
     p_sim = sub.add_parser("simulate", help="run a scenario")
     p_sim.add_argument("--scenario", required=True, help="scenario JSON file")

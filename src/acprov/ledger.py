@@ -21,6 +21,14 @@ Design notes that matter for interoperability:
   vouches for lines 0..k by the sha256 of their bytes and holds the state
   after block k.  The sidecar is a cache: any doubt about it means a full
   replay.
+* ``extend`` is the one path that builds and appends a block.  A writer
+  that knows the blocks it will append (the simulator) wraps the appends
+  in ``roots_ahead``: a forked copy executes those blocks and writes their
+  state roots ahead, and ``extend`` takes a root from it only for exactly
+  the planned next block on the state it last wrote itself.  The bytes
+  are those of an append without it.
+* A torn last line, an append cut short, is cut off only by a writer
+  (``cut_torn_tail``, for ``tx`` and ``repair``); reads stay strict.
 """
 
 from __future__ import annotations
@@ -29,12 +37,13 @@ import contextlib
 import fcntl
 import hashlib
 import json
+import mmap
 import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Any, ClassVar, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from . import registry
 from .canonical import (
@@ -57,7 +66,15 @@ from .canonical import (
     hash_obj,
     to_hex,
 )
-from .crypto import Check, KeyPair, derive_address, verify, verify_ahead
+from .crypto import (
+    Check,
+    KeyPair,
+    _forked,
+    _worker_count,
+    derive_address,
+    verify,
+    verify_ahead,
+)
 from .gas import GasParams
 
 EMPTY_TX_ROOT = hash_of(b"")
@@ -505,6 +522,8 @@ class LedgerStore:
     # The file's length when this store last read or wrote it; an append
     # that finds another length refuses, since another writer got there first.
     size: int
+    # Inside a roots_ahead block, while its plan holds: the plan.
+    plan: Optional[_Plan] = field(default=None, repr=False, compare=False)
 
     @property
     def tip(self) -> Block:
@@ -599,10 +618,141 @@ def extend(
     parent = store.tip.header
     ctx = make_context(store.genesis, parent.index + 1, timestamp, sealer_key.address)
     state, receipts = _execute(store.state, txs, ctx)
-    block = seal_block(txs, parent, registry.state_commitment(state), sealer_key, timestamp)
+    root = _root_of(store, txs, sealer_key.address, timestamp, state)
+    block = seal_block(txs, parent, root, sealer_key, timestamp)
     _check_header(block, parent, store.genesis)
     _write(store, block, state, receipts)
     return block, receipts
+
+
+# ---------------------------------------------------------------------------
+# State roots committed ahead
+#
+# A writer that knows the blocks it will append hands them to roots_ahead.
+# A forked copy of the process executes them from the tip state, as extend
+# will, and writes each block's state root into a shared map.  extend then
+# hashes the state itself only for a block the copy has not reached.
+
+# (timestamp, sealer address, txs): a block a writer will append.
+PlannedBlock = Tuple[int, str, Sequence[registry.TxEnvelope]]
+
+# A roots slot: a state byte, then the 32 root bytes.  The state is 0
+# until the caller takes the slot or the copy has written its root.
+_ROOT_SLOT_BYTES = 33
+_ROOT_TAKEN, _ROOT_WRITTEN = 1, 2
+
+
+@dataclass
+class _Plan:
+    blocks: Sequence[PlannedBlock]
+    slots: mmap.mmap
+    base: int  # the tip's index when the plan began
+    position: int  # where the next block to append is in blocks
+    state: registry.RegistryState  # the state that block executes from
+
+
+def _is_next(
+    plan: _Plan,
+    store: LedgerStore,
+    txs: Sequence[registry.TxEnvelope],
+    sealer: str,
+    timestamp: int,
+) -> bool:
+    """Whether extend is appending exactly plan's next block, on the state
+    it last wrote itself."""
+    if plan.position == len(plan.blocks):
+        return False
+    planned_timestamp, planned_sealer, planned_txs = plan.blocks[plan.position]
+    return (
+        store.state is plan.state
+        and store.tip.header.index == plan.base + plan.position
+        and (timestamp, sealer) == (planned_timestamp, planned_sealer)
+        and len(txs) == len(planned_txs)
+        and all(tx is planned for tx, planned in zip(txs, planned_txs))
+    )
+
+
+def _root_of(
+    store: LedgerStore,
+    txs: Sequence[registry.TxEnvelope],
+    sealer: str,
+    timestamp: int,
+    state: registry.RegistryState,
+) -> str:
+    """state_commitment(state), where state is what txs executed to on
+    store's tip state.
+
+    When this is the plan's next block, the copy's root is taken if its
+    slot is written, and otherwise the slot is marked taken and the root
+    computed here.  Any other block ends the plan: its root and every
+    later one are computed here.
+    """
+    plan, store.plan = store.plan, None
+    if plan is None or not _is_next(plan, store, txs, sealer, timestamp):
+        return registry.state_commitment(state)
+    start = plan.position * _ROOT_SLOT_BYTES
+    if plan.slots[start] == _ROOT_WRITTEN:
+        root = to_hex(plan.slots[start + 1 : start + _ROOT_SLOT_BYTES])
+    else:
+        plan.slots[start] = _ROOT_TAKEN
+        root = registry.state_commitment(state)
+    plan.position += 1
+    plan.state = state
+    store.plan = plan
+    return root
+
+
+def _roots_in_order(
+    genesis: GenesisConfig,
+    base: int,
+    state: registry.RegistryState,
+    blocks: Sequence[PlannedBlock],
+    slots: mmap.mmap,
+    first: int,
+    step: int,
+) -> None:
+    """The roots copy's job: execute blocks from state, the state after
+    block base, and write each block's root unless the caller has taken
+    its slot.  Each block executes from the state before it, so the one
+    copy walks them all from the front; first and step go unused.  The
+    root goes in first, then the state byte that says it is there."""
+    for position, (timestamp, sealer, txs) in enumerate(blocks):
+        ctx = make_context(genesis, base + 1 + position, timestamp, sealer)
+        state, _ = _execute(state, txs, ctx)
+        start = position * _ROOT_SLOT_BYTES
+        if not slots[start]:
+            slots[start + 1 : start + _ROOT_SLOT_BYTES] = from_hex(registry.state_commitment(state))
+            slots[start] = _ROOT_WRITTEN
+
+
+@contextlib.contextmanager
+def roots_ahead(store: LedgerStore, blocks: Sequence[PlannedBlock]) -> Iterator[None]:
+    """Commit the state roots of blocks in a forked copy of the process
+    while the block runs.
+
+    blocks are the blocks, in order, that the caller will append to
+    store's tip through extend.  With a second usable CPU and enough
+    blocks (crypto's worker rule), one copy executes them from the tip
+    state and writes each block's root into a shared map.  extend takes a
+    root from the map only for exactly the plan's next block, on the
+    state extend itself last wrote, and computes the root of a block the
+    copy has not reached.  The same code on the same bytes gives the same
+    root, as in sign_batch, so a copy that is slow, dies or cannot be
+    forked costs time but changes no byte.  The copy holds no key and
+    writes nothing but roots.
+    """
+    if not _worker_count(len(blocks)):
+        yield
+        return
+    base, state = store.tip.header.index, store.state
+    with mmap.mmap(-1, len(blocks) * _ROOT_SLOT_BYTES) as slots:
+        work = partial(_roots_in_order, store.genesis, base, state, blocks, slots)
+        try:
+            with _forked(1, len(blocks), work):
+                store.plan = _Plan(blocks, slots, base, 0, state)
+                yield
+        finally:
+            store.plan = None
 
 
 def _parse_line(line: bytes) -> Block:

@@ -247,6 +247,8 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     of submitted transactions.  The whole run is scripted before the
     first block executes, so that its envelopes are signed in one batch
     (registry.sign_txs); signatures made here are memoized, so not rechecked.
+    The blocks it seals are known then too, so a forked copy commits
+    their state roots ahead of the appends (ledger.roots_ahead).
     """
     scenario.validate()
     out = Path(out_dir)
@@ -271,15 +273,16 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     # never on a receipt or the state.  Each entry of script seals one
     # block or answers one scan.
     script: List[Callable[[], None]] = []
+    plan: List[ledger.PlannedBlock] = []  # the blocks the script seals, in order
     unsigned: List[Tuple[KeyPair, registry.TxEnvelope]] = []
     pending: List[_Submitted] = []
     clock = 0
     step = 0
     txs_sent = 0
 
-    def seal(timestamp: int, entries: List[_Submitted]) -> None:
-        sealer_key = key_by_address[genesis.sealer_of(store.tip.header.index + 1)]
-        _, receipts = ledger.extend(store, [entry[4] for entry in entries], sealer_key, timestamp)
+    def seal(block: ledger.PlannedBlock, entries: List[_Submitted]) -> None:
+        timestamp, sealer, txs = block
+        _, receipts = ledger.extend(store, txs, key_by_address[sealer], timestamp)
         for (event_step, actor_address, action, detail, _), receipt in zip(entries, receipts):
             trace.append(
                 TraceEvent(event_step, actor_address, action, detail, receipt.to_canonical())
@@ -300,7 +303,10 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
 
     def flush() -> None:
         if pending:
-            script.append(functools.partial(seal, clock, pending.copy()))
+            # the store's tip is block 0, so this is block len(plan) + 1
+            block = (clock, genesis.sealer_of(len(plan) + 1), [entry[4] for entry in pending])
+            plan.append(block)
+            script.append(functools.partial(seal, block, pending.copy()))
             pending.clear()
 
     def submit(actor: Actor, kind: registry.TxKind, detail: dict) -> None:
@@ -402,8 +408,9 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     flush()
 
     registry.sign_txs(genesis.chain_id, unsigned)
-    for action in script:
-        action()
+    with ledger.roots_ahead(store, plan):
+        for action in script:
+            action()
 
     with trace_path.open("wb") as handle:
         for event in trace:

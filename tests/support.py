@@ -4,6 +4,7 @@ the launcher for CLI child processes."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import random
@@ -99,6 +100,21 @@ def verify_workers_finished(timeout: float = 10.0) -> None:
     while crypto._shared is not None and 0 in crypto._shared[:]:
         assert time.monotonic() < deadline, "the workers left items unanswered"
         time.sleep(0.001)
+
+
+def copy_exits_first(monkeypatch, pids) -> None:
+    """Make a ledger.roots_ahead block start only once the copy it forked,
+    the last child in pids, has exited: a copy that runs to its end has
+    then written every root."""
+    forked = ledger._forked
+
+    @contextlib.contextmanager
+    def forked_then_wait(*args):
+        with forked(*args):
+            wait_for_exit(pids[-1])
+            yield
+
+    monkeypatch.setattr(ledger, "_forked", forked_then_wait)
 
 
 def assert_reaped(pids) -> None:

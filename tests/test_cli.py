@@ -770,6 +770,7 @@ class TestUnreadableInputs:
 
     COMMANDS = {
         "validate": ["validate"],
+        "repair": ["repair"],
         "history": ["history", "--id", "P-100"],
         "verify": ["verify", "--qr", "{qr}"],
         "gas-report": ["gas-report"],
@@ -778,7 +779,7 @@ class TestUnreadableInputs:
     }
     CASES = [
         (command, flag)
-        for command in ("validate", "history", "verify", "gas-report", "tx")
+        for command in ("validate", "repair", "history", "verify", "gas-report", "tx")
         for flag in ("--db", "--genesis")
     ] + [("tx", "--key"), ("simulate", "--scenario")]
 

@@ -102,6 +102,7 @@ def reads(ws: Path, payload: str) -> list:
         chain_args(ws) + argv
         for argv in (
             ["validate"],
+            ["repair"],
             ["verify", "--qr", payload],
             ["history", "--id", "P-001"],
             ["gas-report"],

@@ -844,3 +844,154 @@ class TestBatchedSignatures:
         assert (code, err) == (0, "")
         assert out == f"OK blocks=641 tip={long_chain.tip_commitment}\n"
         assert len(forks) == 1
+
+
+# What a lying roots copy writes in place of a root.
+LIE = b"\xab" * 32
+ROOTS_IN_ORDER = ledger._roots_in_order
+
+
+def lying_from(first_lie):
+    """A faulty roots copy: the true roots before slot first_lie, then a
+    written lie in every later slot."""
+
+    def work(genesis, base, state, blocks, slots, first, step):
+        ROOTS_IN_ORDER(genesis, base, state, blocks, slots, first, step)
+        for position in range(first_lie, len(blocks)):
+            start = position * ledger._ROOT_SLOT_BYTES
+            slots[start + 1 : start + ledger._ROOT_SLOT_BYTES] = LIE
+            slots[start] = ledger._ROOT_WRITTEN
+
+    return work
+
+
+class TestRootsAhead:
+    """roots_ahead: a forked copy executes a known plan of blocks and
+    writes their state roots; extend takes one only for the plan's next
+    block, on the state it last wrote."""
+
+    @pytest.fixture()
+    def plan(self, genesis, keys):
+        """Six blocks of one faucet claim each, by four claimers in turn."""
+        claimers = [keys[role] for role in ("consumer", "retailer", "distributor", "manufacturer")]
+        return [
+            (
+                10 * (position + 1),
+                genesis.sealer_of(position + 1),
+                [registry.make_tx(claimers[position % 4], 5, position // 4, FaucetClaim(), PRICE)],
+            )
+            for position in range(6)
+        ]
+
+    @pytest.fixture()
+    def forking(self, monkeypatch):
+        """Two usable CPUs, a copy for a single block, and a record of forks."""
+        monkeypatch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
+        monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
+        return support.record_forks(monkeypatch)
+
+    def append(self, store, keys, block):
+        timestamp, sealer, txs = block
+        return ledger.extend(store, txs, authority_key_map(store.genesis, keys)[sealer], timestamp)
+
+    def one_cpu_chain(self, genesis, keys, plan, path):
+        store = ledger.create_store(path, genesis)
+        for block in plan:
+            self.append(store, keys, block)
+        return path.read_bytes()
+
+    def test_the_copys_roots_write_the_bytes_of_one_cpu(
+        self, genesis, keys, plan, forking, monkeypatch, tmp_path
+    ):
+        expected = self.one_cpu_chain(genesis, keys, plan, tmp_path / "alone.jsonl")
+        support.copy_exits_first(monkeypatch, forking)
+        store = ledger.create_store(tmp_path / "copy.jsonl", genesis)
+        roots = support.count_calls(monkeypatch, registry, "state_commitment")
+        with ledger.roots_ahead(store, plan):
+            for block in plan:
+                self.append(store, keys, block)
+        assert roots == [], "every root is the copy's"
+        assert store.path.read_bytes() == expected
+        assert len(forking) == 1
+        support.assert_reaped(forking)
+
+    def test_a_lying_copy_is_believed_on_the_plan(self, genesis, keys, plan, forking, monkeypatch, tmp_path):
+        """The control for the next test: on the plan, a written root is
+        taken as it stands."""
+        monkeypatch.setattr(ledger, "_roots_in_order", lying_from(2))
+        support.copy_exits_first(monkeypatch, forking)
+        store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
+        with ledger.roots_ahead(store, plan):
+            for block in plan[:3]:
+                self.append(store, keys, block)
+        assert store.tip.header.state_root == canonical.to_hex(LIE)
+        report = ledger.validate_chain(store.blocks, genesis)
+        assert (report.block_index, report.rule) == (3, ledger.RULE_STATE_ROOT)
+
+    @pytest.mark.parametrize(
+        "leave", ["other_txs", "other_timestamp", "out_of_order", "state_replaced"]
+    )
+    def test_a_block_off_the_plan_takes_no_root(
+        self, genesis, keys, plan, forking, monkeypatch, tmp_path, leave
+    ):
+        """Blocks 1 and 2 follow the plan; block 3 leaves it, and from
+        there every root is computed here, though the copy wrote lies."""
+        monkeypatch.setattr(ledger, "_roots_in_order", lying_from(2))
+        support.copy_exits_first(monkeypatch, forking)
+        store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
+        roots = support.count_calls(monkeypatch, registry, "state_commitment")
+        with ledger.roots_ahead(store, plan):
+            for block in plan[:2]:
+                self.append(store, keys, block)
+            assert roots == []
+            timestamp, sealer, txs = plan[2]
+            if leave == "other_txs":  # equal envelopes, not the planned ones
+                rest = [(timestamp, sealer, [replace(tx) for tx in txs])] + plan[3:]
+            elif leave == "other_timestamp":  # the claim's time goes into the state
+                rest = [(timestamp + 1, sealer, txs)] + plan[3:]
+            elif leave == "out_of_order":  # block 6's claim, by block 3's sealer
+                assert plan[5][1] == sealer
+                rest = [plan[5]]
+            else:  # an equal state, not the one extend wrote
+                store.state = replace(store.state)
+                rest = plan[2:]
+            for block in rest:
+                self.append(store, keys, block)
+        assert len(roots) == len(rest)
+        assert canonical.to_hex(LIE) not in {block.header.state_root for block in store.blocks}
+        assert ledger.load_chain(store.path, genesis).blocks == store.blocks
+        support.assert_reaped(forking)
+
+    def test_a_raising_block_reaps_the_copy(self, genesis, keys, plan, forking, tmp_path):
+        store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
+        with pytest.raises(ZeroDivisionError):
+            with ledger.roots_ahead(store, plan):
+                self.append(store, keys, plan[0])
+                1 / 0
+        assert len(forking) == 1
+        support.assert_reaped(forking)
+        assert store.plan is None
+
+    @pytest.mark.parametrize("case", ["one_cpu", "other_threads", "small_plan", "fork_fails"])
+    def test_commits_in_process(self, genesis, keys, plan, monkeypatch, tmp_path, case):
+        expected = self.one_cpu_chain(genesis, keys, plan, tmp_path / "alone.jsonl")
+        monkeypatch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
+        monkeypatch.setattr(crypto, "_usable_cpus", lambda: 1 if case == "one_cpu" else 2)
+        if case == "other_threads":
+            monkeypatch.setattr(crypto.threading, "active_count", lambda: 2)
+        if case == "small_plan":
+            monkeypatch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", len(plan) + 1)
+
+        def no_fork():
+            if case != "fork_fails":
+                pytest.fail(f"forked: {case}")
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
+        roots = support.count_calls(monkeypatch, registry, "state_commitment")
+        with ledger.roots_ahead(store, plan):
+            for block in plan:
+                self.append(store, keys, block)
+        assert len(roots) == len(plan)
+        assert store.path.read_bytes() == expected

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -114,8 +115,8 @@ class TestDeterminism:
 
 
     def test_workers_change_no_byte(self, tmp_path, monkeypatch):
-        """The signatures checked alongside execution leave the files as an
-        all-in-process run writes them."""
+        """The signatures and state roots made in forked copies leave the
+        files as an all-in-process run writes them."""
         runs = []
         for cpus, name in ((1, "alone"), (2, "workers")):
             monkeypatch.setattr(crypto, "_memo", {})
@@ -123,8 +124,9 @@ class TestDeterminism:
             monkeypatch.setattr(crypto, "_usable_cpus", lambda: cpus)
             forks = support.record_forks(monkeypatch)
             result = simnet.run_scenario(SMALL, tmp_path / name)
-            # one worker per further CPU, which signs the script
-            assert len(forks) == cpus - 1
+            # with a second CPU, a worker that signs the script and a
+            # copy that commits its state roots
+            assert len(forks) == (0 if cpus == 1 else 2)
             runs.append([path.read_bytes() for path in (
                 result.genesis_path, result.chain_path, result.trace_path
             )])
@@ -170,6 +172,65 @@ class TestDeterminism:
         command = [sys.executable, str(Path("scripts") / script[0]), *script[1:]]
         res = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
+
+
+FIXTURE_SCENARIO = simnet.Scenario.load(Path(__file__).parent / "fixtures" / "scenario50.json")
+ROOTS_IN_ORDER = ledger._roots_in_order
+
+
+def roots_then(count, end):
+    """A roots copy that writes the first count roots, then calls end."""
+
+    def work(genesis, base, state, blocks, slots, first, step):
+        ROOTS_IN_ORDER(genesis, base, state, blocks[:count], slots, first, step)
+        end()
+
+    return work
+
+
+class TestRootsAhead:
+    """run_scenario commits its state roots in a forked copy (ledger.roots_ahead)."""
+
+    def run(self, scenario, out, monkeypatch, cpus):
+        """(the files, the roots the caller computed, the forks) of one run."""
+        monkeypatch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
+        monkeypatch.setattr(crypto, "_usable_cpus", lambda: cpus)
+        forks = support.record_forks(monkeypatch)
+        if cpus > 1:
+            support.copy_exits_first(monkeypatch, forks)
+        roots = support.count_calls(monkeypatch, registry, "state_commitment")
+        result = simnet.run_scenario(scenario, out)
+        files = [path.read_bytes() for path in (
+            result.genesis_path, result.chain_path, result.trace_path
+        )]
+        support.assert_reaped(forks)
+        return files, len(roots), len(forks)
+
+    @pytest.mark.parametrize("scenario", [SMALL, FIXTURE_SCENARIO], ids=["small", "fixture"])
+    def test_a_copy_writes_the_bytes_of_one_cpu(self, tmp_path, monkeypatch, scenario):
+        alone, roots, forks = self.run(scenario, tmp_path / "alone", monkeypatch, 1)
+        blocks = len(alone[1].splitlines())
+        assert (roots, forks) == (blocks, 0)
+        # the caller computes the genesis root only; the copy, every other
+        assert self.run(scenario, tmp_path / "copy", monkeypatch, 2) == (alone, 1, 2)
+
+    @pytest.mark.parametrize(
+        "count, end",
+        [
+            (0, lambda: os._exit(0)),
+            (20, lambda: None),
+            (20, lambda: os.kill(os.getpid(), signal.SIGKILL)),
+        ],
+        ids=["exits_at_once", "exits_after_20", "killed_after_20"],
+    )
+    def test_a_failed_copy_has_the_rest_computed_here(self, tmp_path, monkeypatch, count, end):
+        alone, _, _ = self.run(FIXTURE_SCENARIO, tmp_path / "alone", monkeypatch, 1)
+        blocks = len(alone[1].splitlines())
+        monkeypatch.setattr(ledger, "_roots_in_order", roots_then(count, end))
+        files, roots, _ = self.run(FIXTURE_SCENARIO, tmp_path / "copy", monkeypatch, 2)
+        assert files == alone
+        assert roots == blocks - count
+
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):

@@ -1,11 +1,12 @@
-"""Reads that walk only the tail after a sidecar checkpoint, and the writer
-that cuts a torn tail, against the committed 50-block chain.
+"""Reads that walk only the tail after a sidecar checkpoint, and the writers
+that cut a torn tail (tx and repair), against the committed 50-block chain.
 
 Every command runs in this process through cli.main, so the whole grid
 stays fast: the signature memo answers each check after the first replay.
 """
 
 import contextlib
+import functools
 import io
 import json
 import shutil
@@ -138,7 +139,8 @@ def keys50(tmp_path_factory):
 
 
 class TestTornTail:
-    """tx cuts an interrupted append off before it appends; reads never cut."""
+    """tx cuts an interrupted append off before it appends, and repair cuts
+    it without appending; reads never cut."""
 
     def chain(self, tmp_path, cut):
         shutil.copy(FIXTURES / "genesis50.json", tmp_path / "genesis.json")
@@ -182,3 +184,57 @@ class TestTornTail:
         (tmp_path / "chain.jsonl").write_bytes(torn + b"x")
         assert not ledger.cut_torn_tail(tmp_path / "chain.jsonl", err.value)
         assert (tmp_path / "chain.jsonl").read_bytes() == torn + b"x"
+
+    def test_repair_cuts_a_torn_tail_at_every_offset(self, tmp_path, monkeypatch):
+        """Wherever the last append was cut, repair leaves the 49-block
+        prefix, or the whole chain when only its newline was lost, and
+        appends nothing.  About 20 offsets run the whole command and a full
+        load; every offset runs the cut, with validate's replay left out
+        and the 49 intact lines' parse memoized to keep the loop fast."""
+        raw = (FIXTURES / "chain50.jsonl").read_bytes()
+        last = raw.splitlines(keepends=True)[-1]
+        intact = len(raw) - len(last)
+        base, _, _ = self.chain(tmp_path, 0)
+        chain = tmp_path / "chain.jsonl"
+        genesis = ledger.GenesisConfig.load(tmp_path / "genesis.json")
+
+        def expected(cut):
+            return raw[:-1] if cut == len(last) - 1 else raw[:intact]
+
+        for cut in sorted({*range(0, len(last), len(last) // 20), len(last) - 1}):
+            chain.write_bytes(raw[: intact + cut])
+            code, out, err = run(base + ["repair"])
+            assert chain.read_bytes() == expected(cut), cut
+            blocks = 50 if cut == len(last) - 1 else 49
+            assert code == 0 and out.startswith(f"OK blocks={blocks} "), (cut, out)
+            assert (f"truncated it to {intact} bytes" in err) == (0 < cut < len(last) - 1), err
+            assert len(ledger.load_chain(chain, genesis).blocks) == blocks
+
+        args = cli.build_parser().parse_args(base + ["repair"])
+        validated = []
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: validated.append(args) or cli.EXIT_OK)
+        monkeypatch.setattr(ledger, "_parse_line", functools.lru_cache(maxsize=None)(ledger._parse_line))
+        for cut in range(len(last)):
+            chain.write_bytes(raw[: intact + cut])
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert cli.cmd_repair(args) == cli.EXIT_OK
+            assert chain.read_bytes() == expected(cut), cut
+        assert len(validated) == len(last)
+
+    @pytest.mark.parametrize("case", ["intact", "edited-and-torn", "last-line-edited"])
+    def test_repair_cuts_nothing_else(self, tmp_path, case):
+        """An intact chain, or one corrupt other than by a torn tail, is left
+        as it is, and repair reports it as validate does."""
+        raw = (FIXTURES / "chain50.jsonl").read_bytes()
+        base, _, torn = self.chain(tmp_path, 100)
+        data = {
+            "intact": raw,
+            "edited-and-torn": edited(torn, 10, 0.0),  # line 10 is not JSON
+            "last-line-edited": edited(raw, 49, 0.5),
+        }[case]
+        chain = tmp_path / "chain.jsonl"
+        chain.write_bytes(data)
+        answer = run(base + ["validate"])
+        assert answer[0] == (0 if case == "intact" else 1)
+        assert run(base + ["repair"]) == answer
+        assert chain.read_bytes() == data
