@@ -11,7 +11,7 @@ one usable CPU, forked copies of the process (POSIX only) take known
 lists of work from the back while the caller takes them from the
 front: ``sign_batch`` signs messages, and inside a ``verify_ahead``
 block the copies check the signatures the caller verifies.
-``ledger.roots_ahead`` forks its state-root copy through the same helper.
+``ledger.extend_plan`` forks its state-root copy through the same helper.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def _forked(workers: int, count: int, work: Callable[[int, int], None]) -> Itera
 
     Worker w runs ``work(count - 1 - w, workers)``: a worker over a list
     of ``count`` items takes positions count - 1 - w, count - 1 - w -
-    workers, ..., from its back (ledger.roots_ahead's one copy walks its
+    workers, ..., from its back (ledger.extend_plan's one copy walks its
     list from the front instead).  What it does it writes to a shared map
     the caller made before entering.  A copy that cannot be forked is not
     started.  On exit every copy is killed and reaped, so whatever it

@@ -22,11 +22,12 @@ Design notes that matter for interoperability:
   after block k.  The sidecar is a cache: any doubt about it means a full
   replay.
 * ``extend`` is the one path that builds and appends a block.  A writer
-  that knows the blocks it will append (the simulator) wraps the appends
-  in ``roots_ahead``: a forked copy executes those blocks and writes their
-  state roots ahead, and ``extend`` takes a root from it only for exactly
-  the planned next block on the state it last wrote itself.  The bytes
-  are those of an append without it.
+  that knows the blocks it will append (the simulator) hands them to
+  ``extend_plan``, which appends each through ``extend``'s body: a forked
+  copy executes those blocks and writes their state roots ahead, and an
+  append takes a root from it only while the store holds the state the
+  last planned append wrote, at the planned index.  The bytes are those
+  of appends without it.
 * A torn last line, an append cut short, is cut off only by a writer
   (``cut_torn_tail``, for ``tx`` and ``repair``); reads stay strict.
 """
@@ -43,7 +44,7 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Any, ClassVar, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, List, Mapping, Optional, Sequence, Tuple
 
 from . import registry
 from .canonical import (
@@ -116,7 +117,8 @@ class TornTailError(ParseError):
             f"interrupted append: the last line has no newline and is not a "
             f"complete block ({reason}); the first {intact_bytes} bytes hold every "
             f"complete block, so truncate the file to {intact_bytes} bytes to "
-            f"recover and resend the lost block's transactions",
+            f"recover and resend the lost block's transactions (`acprov repair` "
+            f"cuts safely: it takes the writers' lock and checks the length first)",
         )
         self.intact_bytes = intact_bytes
         self.size = size  # the length of the file that was read
@@ -522,8 +524,6 @@ class LedgerStore:
     # The file's length when this store last read or wrote it; an append
     # that finds another length refuses, since another writer got there first.
     size: int
-    # Inside a roots_ahead block, while its plan holds: the plan.
-    plan: Optional[_Plan] = field(default=None, repr=False, compare=False)
 
     @property
     def tip(self) -> Block:
@@ -598,6 +598,25 @@ def _write(
     store.receipts.append(receipts)
 
 
+def _append(
+    store: LedgerStore,
+    txs: Sequence[registry.TxEnvelope],
+    sealer_key: KeyPair,
+    timestamp: int,
+    root_of: Callable[[registry.RegistryState], str],
+) -> Tuple[Block, List[registry.Receipt]]:
+    """extend's body, where root_of(state) is the new state's root."""
+    for tx in txs:
+        tx.check_fields()
+    parent = store.tip.header
+    ctx = make_context(store.genesis, parent.index + 1, timestamp, sealer_key.address)
+    state, receipts = _execute(store.state, txs, ctx)
+    block = seal_block(txs, parent, root_of(state), sealer_key, timestamp)
+    _check_header(block, parent, store.genesis)
+    _write(store, block, state, receipts)
+    return block, receipts
+
+
 def extend(
     store: LedgerStore,
     txs: Sequence[registry.TxEnvelope],
@@ -613,25 +632,16 @@ def extend(
     tx_nonce, timestamp, sealer, seal), instead of writing a block that
     load_chain would reject.
     """
-    for tx in txs:
-        tx.check_fields()
-    parent = store.tip.header
-    ctx = make_context(store.genesis, parent.index + 1, timestamp, sealer_key.address)
-    state, receipts = _execute(store.state, txs, ctx)
-    root = _root_of(store, txs, sealer_key.address, timestamp, state)
-    block = seal_block(txs, parent, root, sealer_key, timestamp)
-    _check_header(block, parent, store.genesis)
-    _write(store, block, state, receipts)
-    return block, receipts
+    return _append(store, txs, sealer_key, timestamp, registry.state_commitment)
 
 
 # ---------------------------------------------------------------------------
 # State roots committed ahead
 #
-# A writer that knows the blocks it will append hands them to roots_ahead.
-# A forked copy of the process executes them from the tip state, as extend
-# will, and writes each block's state root into a shared map.  extend then
-# hashes the state itself only for a block the copy has not reached.
+# A writer that knows the blocks it will append hands them to extend_plan.
+# A forked copy of the process executes them from the tip state, as the
+# appends will, and writes each block's state root into a shared map; the
+# caller hashes the state itself only for a block the copy has not reached.
 
 # (timestamp, sealer address, txs): a block a writer will append.
 PlannedBlock = Tuple[int, str, Sequence[registry.TxEnvelope]]
@@ -640,66 +650,6 @@ PlannedBlock = Tuple[int, str, Sequence[registry.TxEnvelope]]
 # until the caller takes the slot or the copy has written its root.
 _ROOT_SLOT_BYTES = 33
 _ROOT_TAKEN, _ROOT_WRITTEN = 1, 2
-
-
-@dataclass
-class _Plan:
-    blocks: Sequence[PlannedBlock]
-    slots: mmap.mmap
-    base: int  # the tip's index when the plan began
-    position: int  # where the next block to append is in blocks
-    state: registry.RegistryState  # the state that block executes from
-
-
-def _is_next(
-    plan: _Plan,
-    store: LedgerStore,
-    txs: Sequence[registry.TxEnvelope],
-    sealer: str,
-    timestamp: int,
-) -> bool:
-    """Whether extend is appending exactly plan's next block, on the state
-    it last wrote itself."""
-    if plan.position == len(plan.blocks):
-        return False
-    planned_timestamp, planned_sealer, planned_txs = plan.blocks[plan.position]
-    return (
-        store.state is plan.state
-        and store.tip.header.index == plan.base + plan.position
-        and (timestamp, sealer) == (planned_timestamp, planned_sealer)
-        and len(txs) == len(planned_txs)
-        and all(tx is planned for tx, planned in zip(txs, planned_txs))
-    )
-
-
-def _root_of(
-    store: LedgerStore,
-    txs: Sequence[registry.TxEnvelope],
-    sealer: str,
-    timestamp: int,
-    state: registry.RegistryState,
-) -> str:
-    """state_commitment(state), where state is what txs executed to on
-    store's tip state.
-
-    When this is the plan's next block, the copy's root is taken if its
-    slot is written, and otherwise the slot is marked taken and the root
-    computed here.  Any other block ends the plan: its root and every
-    later one are computed here.
-    """
-    plan, store.plan = store.plan, None
-    if plan is None or not _is_next(plan, store, txs, sealer, timestamp):
-        return registry.state_commitment(state)
-    start = plan.position * _ROOT_SLOT_BYTES
-    if plan.slots[start] == _ROOT_WRITTEN:
-        root = to_hex(plan.slots[start + 1 : start + _ROOT_SLOT_BYTES])
-    else:
-        plan.slots[start] = _ROOT_TAKEN
-        root = registry.state_commitment(state)
-    plan.position += 1
-    plan.state = state
-    store.plan = plan
-    return root
 
 
 def _roots_in_order(
@@ -725,34 +675,49 @@ def _roots_in_order(
             slots[start] = _ROOT_WRITTEN
 
 
-@contextlib.contextmanager
-def roots_ahead(store: LedgerStore, blocks: Sequence[PlannedBlock]) -> Iterator[None]:
-    """Commit the state roots of blocks in a forked copy of the process
-    while the block runs.
+def _slot_root(slots: mmap.mmap, position: int, state: registry.RegistryState) -> str:
+    """The copy's root in slot position if it is written; otherwise the
+    slot is marked taken and state's root computed here."""
+    start = position * _ROOT_SLOT_BYTES
+    if slots[start] == _ROOT_WRITTEN:
+        return to_hex(slots[start + 1 : start + _ROOT_SLOT_BYTES])
+    slots[start] = _ROOT_TAKEN
+    return registry.state_commitment(state)
 
-    blocks are the blocks, in order, that the caller will append to
-    store's tip through extend.  With a second usable CPU and enough
-    blocks (crypto's worker rule), one copy executes them from the tip
-    state and writes each block's root into a shared map.  extend takes a
-    root from the map only for exactly the plan's next block, on the
-    state extend itself last wrote, and computes the root of a block the
-    copy has not reached.  The same code on the same bytes gives the same
-    root, as in sign_batch, so a copy that is slow, dies or cannot be
-    forked costs time but changes no byte.  The copy holds no key and
-    writes nothing but roots.
+
+def extend_plan(
+    store: LedgerStore,
+    blocks: Sequence[PlannedBlock],
+    keys: Mapping[str, KeyPair],
+    after: Callable[[int, List[registry.Receipt]], None],
+) -> None:
+    """Append blocks to store's tip in order, each through extend's body
+    and sealed with keys[its sealer address], and call after(position,
+    receipts) once each block is written.
+
+    With a second usable CPU and enough blocks (crypto's worker rule), one
+    forked copy executes blocks from the tip state and writes each root
+    into a shared map, where an append takes it once written.  after may
+    append a block or replace the state, so roots are taken only while the
+    tip is block base + position and store.state is what the last planned
+    append wrote; once either fails, every later root is computed here.  As
+    in sign_batch, the same code on the same bytes gives the same root, so
+    a copy that is slow, dies or cannot be forked costs time but changes no
+    byte.  The copy holds no key and writes nothing but roots.
     """
-    if not _worker_count(len(blocks)):
-        yield
-        return
     base, state = store.tip.header.index, store.state
-    with mmap.mmap(-1, len(blocks) * _ROOT_SLOT_BYTES) as slots:
+    # an anonymous map cannot be empty
+    with mmap.mmap(-1, max(len(blocks), 1) * _ROOT_SLOT_BYTES) as slots:
         work = partial(_roots_in_order, store.genesis, base, state, blocks, slots)
-        try:
-            with _forked(1, len(blocks), work):
-                store.plan = _Plan(blocks, slots, base, 0, state)
-                yield
-        finally:
-            store.plan = None
+        with _forked(min(1, _worker_count(len(blocks))), len(blocks), work):
+            planned = True  # latched false once it fails
+            for position, (timestamp, sealer, txs) in enumerate(blocks):
+                planned &= store.state is state and store.tip.header.index == base + position
+                slot_root = partial(_slot_root, slots, position)
+                root_of = slot_root if planned else registry.state_commitment
+                _, receipts = _append(store, txs, keys[sealer], timestamp, root_of)
+                state = store.state
+                after(position, receipts)
 
 
 def _parse_line(line: bytes) -> Block:

@@ -20,7 +20,7 @@ import random
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import ledger, registry
 from .canonical import (
@@ -247,8 +247,9 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     of submitted transactions.  The whole run is scripted before the
     first block executes, so that its envelopes are signed in one batch
     (registry.sign_txs); signatures made here are memoized, so not rechecked.
-    The blocks it seals are known then too, so a forked copy commits
-    their state roots ahead of the appends (ledger.roots_ahead).
+    The blocks it seals are known then too, so they are appended in one
+    call, whose forked copy commits their state roots ahead
+    (ledger.extend_plan).
     """
     scenario.validate()
     out = Path(out_dir)
@@ -263,50 +264,46 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     store = ledger.create_store(chain_path, genesis)
 
     rng = random.Random(scenario.seed)
-    key_by_address = {
-        actor.address: actor.key for group in actors.values() for actor in group
-    }
-    nonces = {address: 0 for address in key_by_address}
+    keys = {actor.address: actor.key for group in actors.values() for actor in group}
+    nonces = {address: 0 for address in keys}
     trace: List[TraceEvent] = []
     # Scripting first is sound because the rng draws, nonces, block
     # boundaries, clocks and trace order depend on the scenario alone,
-    # never on a receipt or the state.  Each entry of script seals one
-    # block or answers one scan.
-    script: List[Callable[[], None]] = []
-    plan: List[ledger.PlannedBlock] = []  # the blocks the script seals, in order
-    unsigned: List[Tuple[KeyPair, registry.TxEnvelope]] = []
+    # never on a receipt or the state.
+    plan: List[ledger.PlannedBlock] = []  # the blocks the run seals, in order
+    # for each block of plan: the transactions it seals as submitted, and
+    # the scans (step, actor address, product id) that follow it
+    sealed: List[Tuple[List[_Submitted], List[Tuple[int, str, str]]]] = []
     pending: List[_Submitted] = []
     clock = 0
     step = 0
     txs_sent = 0
 
-    def seal(block: ledger.PlannedBlock, entries: List[_Submitted]) -> None:
-        timestamp, sealer, txs = block
-        _, receipts = ledger.extend(store, txs, key_by_address[sealer], timestamp)
+    def after(position: int, receipts: List[registry.Receipt]) -> None:
+        """Trace block position's transactions, then the scans that follow it."""
+        entries, scans = sealed[position]
         for (event_step, actor_address, action, detail, _), receipt in zip(entries, receipts):
             trace.append(
                 TraceEvent(event_step, actor_address, action, detail, receipt.to_canonical())
             )
-
-    def scan(event_step: int, actor_address: str, product_id: str) -> None:
-        product = store.state.products.get(product_id)
-        outcome = {
-            "current_owner": product and product.current_owner,
-            "exists": product is not None,
-            "history": list(product.history) if product else [],
-            "manufacturer": product and product.manufacturer,
-            "status": product and product.status.value,
-        }
-        trace.append(
-            TraceEvent(event_step, actor_address, "verify", {"product_id": product_id}, outcome)
-        )
+        for event_step, actor_address, product_id in scans:
+            product = store.state.products.get(product_id)
+            outcome = {
+                "current_owner": product and product.current_owner,
+                "exists": product is not None,
+                "history": list(product.history) if product else [],
+                "manufacturer": product and product.manufacturer,
+                "status": product and product.status.value,
+            }
+            trace.append(
+                TraceEvent(event_step, actor_address, "verify", {"product_id": product_id}, outcome)
+            )
 
     def flush() -> None:
         if pending:
             # the store's tip is block 0, so this is block len(plan) + 1
-            block = (clock, genesis.sealer_of(len(plan) + 1), [entry[4] for entry in pending])
-            plan.append(block)
-            script.append(functools.partial(seal, block, pending.copy()))
+            plan.append((clock, genesis.sealer_of(len(plan) + 1), [entry[4] for entry in pending]))
+            sealed.append((pending.copy(), []))
             pending.clear()
 
     def submit(actor: Actor, kind: registry.TxKind, detail: dict) -> None:
@@ -323,16 +320,15 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
         )
         nonces[actor.address] += 1
         pending.append((step, actor.address, kind.TYPE, detail, tx))
-        unsigned.append((actor.key, tx))
         if len(pending) >= scenario.txs_per_block:
             flush()
 
     def verify_event(actor: Actor, product_id: str) -> None:
         nonlocal clock, step
-        flush()
+        flush()  # a sale precedes every scan, so a block does too
         step += 1
         clock += scenario.clock_step
-        script.append(functools.partial(scan, step, actor.address, product_id))
+        sealed[-1][1].append((step, actor.address, product_id))
 
     def budget_left() -> bool:
         return txs_sent < scenario.steps
@@ -407,10 +403,8 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
             verify_event(buyer, product_id)
     flush()
 
-    registry.sign_txs(genesis.chain_id, unsigned)
-    with ledger.roots_ahead(store, plan):
-        for action in script:
-            action()
+    registry.sign_txs(genesis.chain_id, [(keys[tx.sender], tx) for _, _, txs in plan for tx in txs])
+    ledger.extend_plan(store, plan, keys, after)
 
     with trace_path.open("wb") as handle:
         for event in trace:

@@ -103,9 +103,9 @@ def verify_workers_finished(timeout: float = 10.0) -> None:
 
 
 def copy_exits_first(monkeypatch, pids) -> None:
-    """Make a ledger.roots_ahead block start only once the copy it forked,
-    the last child in pids, has exited: a copy that runs to its end has
-    then written every root."""
+    """Make ledger.extend_plan start its appends only once the copy it
+    forked, the last child in pids, has exited: a copy that runs to its end
+    has then written every root."""
     forked = ledger._forked
 
     @contextlib.contextmanager

@@ -447,6 +447,7 @@ class TestValidate:
         assert res.returncode == 1
         assert res.stderr.startswith("error: corrupt file: line 6: interrupted append")
         assert f"truncate the file to {len(intact)} bytes" in res.stderr
+        assert "(`acprov repair` cuts safely: it takes the writers' lock" in res.stderr
         assert "Traceback" not in res.stderr
         assert (ws / "chain.jsonl").read_bytes() == torn
 

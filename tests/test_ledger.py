@@ -866,9 +866,9 @@ def lying_from(first_lie):
 
 
 class TestRootsAhead:
-    """roots_ahead: a forked copy executes a known plan of blocks and
-    writes their state roots; extend takes one only for the plan's next
-    block, on the state it last wrote."""
+    """extend_plan: a forked copy executes a known plan of blocks and
+    writes their state roots; an append takes one only while the tip and
+    the state are those the last planned append left."""
 
     @pytest.fixture()
     def plan(self, genesis, keys):
@@ -890,15 +890,15 @@ class TestRootsAhead:
         monkeypatch.setattr(crypto, "_usable_cpus", lambda: 2)
         return support.record_forks(monkeypatch)
 
-    def append(self, store, keys, block):
-        timestamp, sealer, txs = block
-        return ledger.extend(store, txs, authority_key_map(store.genesis, keys)[sealer], timestamp)
-
     def one_cpu_chain(self, genesis, keys, plan, path):
         store = ledger.create_store(path, genesis)
-        for block in plan:
-            self.append(store, keys, block)
+        sealers = authority_key_map(genesis, keys)
+        for timestamp, sealer, txs in plan:
+            ledger.extend(store, txs, sealers[sealer], timestamp)
         return path.read_bytes()
+
+    def extend_plan(self, store, keys, plan, after=lambda position, receipts: None):
+        ledger.extend_plan(store, plan, authority_key_map(store.genesis, keys), after)
 
     def test_the_copys_roots_write_the_bytes_of_one_cpu(
         self, genesis, keys, plan, forking, monkeypatch, tmp_path
@@ -907,70 +907,78 @@ class TestRootsAhead:
         support.copy_exits_first(monkeypatch, forking)
         store = ledger.create_store(tmp_path / "copy.jsonl", genesis)
         roots = support.count_calls(monkeypatch, registry, "state_commitment")
-        with ledger.roots_ahead(store, plan):
-            for block in plan:
-                self.append(store, keys, block)
+        self.extend_plan(store, keys, plan)
         assert roots == [], "every root is the copy's"
         assert store.path.read_bytes() == expected
         assert len(forking) == 1
         support.assert_reaped(forking)
 
     def test_a_lying_copy_is_believed_on_the_plan(self, genesis, keys, plan, forking, monkeypatch, tmp_path):
-        """The control for the next test: on the plan, a written root is
+        """The control for the next tests: on the plan, a written root is
         taken as it stands."""
         monkeypatch.setattr(ledger, "_roots_in_order", lying_from(2))
         support.copy_exits_first(monkeypatch, forking)
         store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
-        with ledger.roots_ahead(store, plan):
-            for block in plan[:3]:
-                self.append(store, keys, block)
+        self.extend_plan(store, keys, plan[:3])
         assert store.tip.header.state_root == canonical.to_hex(LIE)
         report = ledger.validate_chain(store.blocks, genesis)
         assert (report.block_index, report.rule) == (3, ledger.RULE_STATE_ROOT)
 
-    @pytest.mark.parametrize(
-        "leave", ["other_txs", "other_timestamp", "out_of_order", "state_replaced"]
-    )
+    @pytest.mark.parametrize("leave", ["state_replaced", "blocks_appended"])
     def test_a_block_off_the_plan_takes_no_root(
         self, genesis, keys, plan, forking, monkeypatch, tmp_path, leave
     ):
-        """Blocks 1 and 2 follow the plan; block 3 leaves it, and from
-        there every root is computed here, though the copy wrote lies."""
+        """Blocks 1 and 2 follow the plan; then the after hook leaves it, and
+        from there every root is computed here, though the copy wrote lies.
+        An equal state is not the one the last append wrote, and three
+        empty blocks keep both the state and, with three authorities, the
+        sealer schedule, but not the tip index."""
         monkeypatch.setattr(ledger, "_roots_in_order", lying_from(2))
         support.copy_exits_first(monkeypatch, forking)
         store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
         roots = support.count_calls(monkeypatch, registry, "state_commitment")
-        with ledger.roots_ahead(store, plan):
-            for block in plan[:2]:
-                self.append(store, keys, block)
+        positions = []
+
+        def after(position, receipts):
+            positions.append(position)
+            assert [receipt.tx_hash for receipt in receipts] == [plan[position][2][0].hash]
+            if position != 1:
+                return
             assert roots == []
-            timestamp, sealer, txs = plan[2]
-            if leave == "other_txs":  # equal envelopes, not the planned ones
-                rest = [(timestamp, sealer, [replace(tx) for tx in txs])] + plan[3:]
-            elif leave == "other_timestamp":  # the claim's time goes into the state
-                rest = [(timestamp + 1, sealer, txs)] + plan[3:]
-            elif leave == "out_of_order":  # block 6's claim, by block 3's sealer
-                assert plan[5][1] == sealer
-                rest = [plan[5]]
-            else:  # an equal state, not the one extend wrote
+            if leave == "state_replaced":
                 store.state = replace(store.state)
-                rest = plan[2:]
-            for block in rest:
-                self.append(store, keys, block)
-        assert len(roots) == len(rest)
+            else:
+                assert len(genesis.authorities) == 3
+                state = store.state
+                for _ in range(3):
+                    extend(store, keys, [], store.tip.header.timestamp)
+                assert store.state is state
+                roots.clear()
+
+        self.extend_plan(store, keys, plan, after)
+        assert positions == list(range(len(plan)))
+        assert len(roots) == len(plan) - 2
         assert canonical.to_hex(LIE) not in {block.header.state_root for block in store.blocks}
         assert ledger.load_chain(store.path, genesis).blocks == store.blocks
         support.assert_reaped(forking)
 
-    def test_a_raising_block_reaps_the_copy(self, genesis, keys, plan, forking, tmp_path):
+    def test_a_raising_block_reaps_the_copy(self, genesis, keys, plan, forking, monkeypatch, tmp_path):
+        """after raises once block 2 is written: the copy is reaped and the
+        chain holds blocks 1 and 2, without the lies the copy wrote."""
+        monkeypatch.setattr(ledger, "_roots_in_order", lying_from(2))
+
+        def after(position, receipts):
+            if position == 1:
+                raise ZeroDivisionError
+
         store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
         with pytest.raises(ZeroDivisionError):
-            with ledger.roots_ahead(store, plan):
-                self.append(store, keys, plan[0])
-                1 / 0
+            self.extend_plan(store, keys, plan, after)
         assert len(forking) == 1
         support.assert_reaped(forking)
-        assert store.plan is None
+        assert canonical.to_hex(LIE) not in {block.header.state_root for block in store.blocks}
+        assert ledger.load_chain(store.path, genesis).blocks == store.blocks
+        assert len(store.blocks) == 3
 
     @pytest.mark.parametrize("case", ["one_cpu", "other_threads", "small_plan", "fork_fails"])
     def test_commits_in_process(self, genesis, keys, plan, monkeypatch, tmp_path, case):
@@ -990,8 +998,6 @@ class TestRootsAhead:
         monkeypatch.setattr(os, "fork", no_fork)
         store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
         roots = support.count_calls(monkeypatch, registry, "state_commitment")
-        with ledger.roots_ahead(store, plan):
-            for block in plan:
-                self.append(store, keys, block)
+        self.extend_plan(store, keys, plan)
         assert len(roots) == len(plan)
         assert store.path.read_bytes() == expected

@@ -189,7 +189,7 @@ def roots_then(count, end):
 
 
 class TestRootsAhead:
-    """run_scenario commits its state roots in a forked copy (ledger.roots_ahead)."""
+    """run_scenario commits its state roots in a forked copy (ledger.extend_plan)."""
 
     def run(self, scenario, out, monkeypatch, cpus):
         """(the files, the roots the caller computed, the forks) of one run."""

@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from acprov import cli, ledger, qr, simnet
+from acprov import cli, ledger, qr, registry, simnet
 from acprov.canonical import canonical_serialize
+
+import support
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -220,6 +222,41 @@ class TestTornTail:
                 assert cli.cmd_repair(args) == cli.EXIT_OK
             assert chain.read_bytes() == expected(cut), cut
         assert len(validated) == len(last)
+
+    @pytest.mark.parametrize("cut", ["partial-line-appended", "line-49-torn"])
+    def test_a_sidecar_from_before_the_cut(self, tmp_path, monkeypatch, cut):
+        """A sidecar at the tip, k = 49, written before a crash: after repair
+        it is still accepted when the cut took only a partial line appended
+        after it (one line parsed, nothing executed), and a read falls back
+        to a full replay when the cut took line 49.  Either way the read
+        answers as it does without the sidecar."""
+        raw = (FIXTURES / "chain50.jsonl").read_bytes()
+        last = raw.splitlines(keepends=True)[-1]
+        base, intact, _ = self.chain(tmp_path, len(last))
+        chain, tip = tmp_path / "chain.jsonl", tmp_path / "chain.jsonl.tip"
+        history = base + ["history", "--id", "P-001"]
+        assert run(history)[0] == 0
+        assert json.loads(tip.read_bytes().split(b"\n")[0])["index"] == 49
+        if cut == "partial-line-appended":
+            chain.write_bytes(raw + last[: len(last) // 2])
+            kept = raw
+        else:
+            chain.write_bytes(raw[: -len(last) // 2])
+            kept = intact
+        code, _, err = run(base + ["repair"])
+        assert code == 0 and f"truncated it to {len(kept)} bytes" in err
+        assert chain.read_bytes() == kept
+        parsed = support.count_calls(monkeypatch, ledger, "_parse_line")
+        executed = support.count_calls(monkeypatch, registry, "apply_tx")
+        answer = run(history)
+        if cut == "partial-line-appended":
+            assert (len(parsed), len(executed)) == (1, 0)
+        else:
+            assert len(parsed) == 49 and executed
+            assert json.loads(tip.read_bytes().split(b"\n")[0])["index"] == 48
+        tip.unlink()
+        assert run(history) == answer
+        assert answer[0] == 0 and answer[2] == ""
 
     @pytest.mark.parametrize("case", ["intact", "edited-and-torn", "last-line-edited"])
     def test_repair_cuts_nothing_else(self, tmp_path, case):
