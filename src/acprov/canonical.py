@@ -13,10 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import MISSING, fields
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable, FrozenSet, Mapping, Optional, Tuple
+from typing import Any, Callable, FrozenSet, Optional, Tuple
 
 HASH_BYTES = 32
 ADDRESS_BYTES = 20
@@ -64,7 +65,9 @@ def is_address_str(value: Any) -> bool:
 
 
 # Strict field checks shared by the registry and ledger decoders: each
-# raises ValueError naming the field.  Internal to the package.
+# raises ValueError naming the field.  Internal to the package.  The checks
+# run once per member of every record a read decodes, so each formats its
+# message only when it raises.
 
 
 def _require(condition: bool, message: str) -> None:
@@ -74,23 +77,28 @@ def _require(condition: bool, message: str) -> None:
 
 def _as_int(value: Any, name: str, minimum: Optional[int] = 0) -> int:
     """An integer of at least minimum; None means no bound."""
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an integer")
-    _require(minimum is None or value >= minimum, f"{name} must be >= {minimum}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
     return value
 
 
 def _as_str(value: Any, name: str) -> str:
-    _require(isinstance(value, str), f"{name} must be a string")
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string")
     return value
 
 
 def _as_address(value: Any, name: str) -> str:
-    _require(is_address_str(value), f"{name} must be a 0x-prefixed 20-byte hex address")
+    if not is_address_str(value):
+        raise ValueError(f"{name} must be a 0x-prefixed 20-byte hex address")
     return value
 
 
 def _as_hash(value: Any, name: str) -> str:
-    _require(is_hash_str(value), f"{name} must be a 32-byte 0x hash")
+    if not is_hash_str(value):
+        raise ValueError(f"{name} must be a 32-byte 0x hash")
     return value
 
 
@@ -99,7 +107,8 @@ def _one_of(enum: type) -> Callable[[Any, str], Any]:
     members = {member.value: member for member in enum}
 
     def check(value: Any, name: str) -> Any:
-        _require(isinstance(value, str) and value in members, f"{name} must be one of {', '.join(members)}")
+        if not isinstance(value, str) or value not in members:
+            raise ValueError(f"{name} must be one of {', '.join(members)}")
         return members[value]
 
     return check
@@ -111,8 +120,10 @@ def _optional(check: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
 
 def _list_of(check: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
     def check_list(value: Any, name: str) -> tuple:
-        _require(isinstance(value, list), f"{name} must be a list")
-        return tuple(check(item, f"{name} entry") for item in value)
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a list")
+        entry = f"{name} entry"
+        return tuple(check(item, entry) for item in value)
 
     return check_list
 
@@ -121,7 +132,8 @@ def _dict_of(check: Callable[[Any, str], Any]) -> Callable[[Any, str], dict]:
     """Check of a member mapping names to values that each pass check."""
 
     def check_dict(value: Any, name: str) -> dict:
-        _require(isinstance(value, Mapping), f"{name} must be an object")
+        if not isinstance(value, Mapping):
+            raise ValueError(f"{name} must be an object")
         return {key: check(item, f"{name} entry {key}") for key, item in value.items()}
 
     return check_dict
@@ -176,9 +188,11 @@ def _canonical(record: Any) -> dict:
 def _decode(cls: type, doc: Any, what: str) -> Any:
     """The record of class cls that doc is the canonical object of;
     ValueError, naming the member, for any misfit."""
-    _require(isinstance(doc, Mapping), f"{what} must be an object")
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{what} must be an object")
     names, members, listing = _layout(cls)
-    _require(doc.keys() == members, f"{what} has {listing}")
+    if doc.keys() != members:
+        raise ValueError(f"{what} has {listing}")
     checks = cls.CHECKS
     return cls(**{name: checks[name](doc[name], name) for name in names})
 
@@ -205,11 +219,13 @@ def _map_of(cls: type, key: str) -> Callable[[Any, str], dict]:
     """Check of a member mapping each record's own ``key`` member to the record."""
 
     def check(value: Any, name: str) -> dict:
-        _require(isinstance(value, Mapping), f"{name} must be an object")
+        if not isinstance(value, Mapping):
+            raise ValueError(f"{name} must be an object")
         records = {}
         for k, doc in value.items():
             record = records[k] = _decode(cls, doc, f"{name} entry {k}")
-            _require(getattr(record, key) == k, f"{name} entry {k} holds another {key}")
+            if getattr(record, key) != k:
+                raise ValueError(f"{name} entry {k} holds another {key}")
         return records
 
     return check

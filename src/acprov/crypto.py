@@ -12,6 +12,11 @@ lists of work from the back while the caller takes them from the
 front: ``sign_batch`` signs messages, and inside a ``verify_ahead``
 block the copies check the signatures the caller verifies.
 ``ledger.extend_plan`` forks its state-root copy through the same helper.
+
+The ``cryptography`` package is imported at the first sign or verify,
+not with this module: a read at a sidecar checkpoint (``acprov verify``,
+``history``, ``qr``) checks no signature, and loading the library would
+be a tenth of its start-up.
 """
 
 from __future__ import annotations
@@ -25,12 +30,6 @@ import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
 
 from .canonical import ADDRESS_BYTES, from_hex, to_hex
 
@@ -48,7 +47,9 @@ def derive_address(public_key: str) -> str:
 
 
 @lru_cache(maxsize=4096)
-def _private_key_obj(secret_key: str) -> Ed25519PrivateKey:
+def _private_key_obj(secret_key: str):
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
     return Ed25519PrivateKey.from_private_bytes(from_hex(secret_key))
 
 
@@ -59,6 +60,7 @@ def _public_key_of(secret_key: str) -> str:
 
 @dataclass(frozen=True)
 class KeyPair:
+    """An Ed25519 key pair: a secret seed and its verification key."""
     secret_key: str = field(repr=False)  # 32-byte seed, 0x hex; kept out of repr
     public_key: str  # 32-byte Ed25519 verification key, 0x hex
 
@@ -85,6 +87,9 @@ class KeyPair:
 
 def _check(public_key: str, message: bytes, signature: str) -> bool:
     """OpenSSL's answer for one signature; garbage verifies as False."""
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
     try:
         key = Ed25519PublicKey.from_public_bytes(from_hex(public_key))
         key.verify(from_hex(signature), message)

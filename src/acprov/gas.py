@@ -11,7 +11,6 @@ lives in scripts/calibrate_gas_price.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
 from typing import Any, ClassVar, Iterable
 
@@ -27,6 +26,7 @@ CATEGORIES = ("Deploy", "Register", "Transfer", "Sell", "FaucetClaim")
 
 @dataclass(frozen=True)
 class GasParams:
+    """A chain's gas schedule and default gas price (the genesis gas_params)."""
     CHECKS: ClassVar[dict]  # every member a strictly positive integer; set below
     base_tx: int = 21_000
     calldata_zero_byte: int = 4
@@ -92,6 +92,8 @@ def fee(gas: int, gas_price: int) -> int:
 
 def format_eth(wei: int) -> str:
     """ETH display value rounded half-up to 8 decimal places."""
+    from decimal import ROUND_HALF_UP, Decimal  # only a gas report formats money
+
     value = (Decimal(wei) / WEI_PER_ETH).quantize(
         Decimal("0.00000001"), rounding=ROUND_HALF_UP
     )
@@ -100,6 +102,7 @@ def format_eth(wei: int) -> str:
 
 @dataclass(frozen=True)
 class GasReportRow:
+    """One category's line of the gas report."""
     category: str
     tx_count: int
     total_gas: int
@@ -119,6 +122,7 @@ class GasReportRow:
 
 @dataclass(frozen=True)
 class GasReport:
+    """The gas report: one row per category, then the total."""
     rows: tuple  # one GasReportRow per category, fixed order
     total: GasReportRow
 

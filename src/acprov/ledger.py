@@ -19,8 +19,9 @@ Design notes that matter for interoperability:
   matches the genesis config.  A read (``read_state``) walks only the
   blocks after a checkpoint k kept in a sidecar ``<chain>.tip``, which
   vouches for lines 0..k by the sha256 of their bytes and holds the state
-  after block k.  The sidecar is a cache: any doubt about it means a full
-  replay.
+  after block k.  A read that replays writes it, and so does the
+  simulator at the tip it wrote (``checkpoint``).  The sidecar is a
+  cache: any doubt about it means a full replay.
 * ``extend`` is the one path that builds and appends a block.  A writer
   that knows the blocks it will append (the simulator) hands them to
   ``extend_plan``, which appends each through ``extend``'s body: a forked
@@ -126,6 +127,7 @@ class TornTailError(ParseError):
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The verdict of a chain check: ok, or the first block and rule it breaks."""
     ok: bool
     block_index: Optional[int] = None
     rule: Optional[str] = None
@@ -154,6 +156,7 @@ def _key_pair(value: Any, name: str) -> Tuple[str, str]:
 
 @dataclass(frozen=True)
 class GenesisConfig:
+    """The trust root of a chain: its authorities, accounts, balances and rules."""
     CHECKS: ClassVar[dict] = {
         "chain_id": partial(_as_int, minimum=1),
         "authorities": _list_of(_key_pair),
@@ -252,6 +255,7 @@ class GenesisConfig:
 
 @dataclass(frozen=True)
 class BlockHeader:
+    """A block header: what the seal signs and the next block links to."""
     CHECKS: ClassVar[dict] = {
         "index": _as_int,
         "timestamp": _as_int,
@@ -282,6 +286,7 @@ class BlockHeader:
 
 @dataclass(frozen=True)
 class Block:
+    """A sealed block: its header, its transactions and the sealer's signature."""
     CHECKS: ClassVar[dict] = {
         "header": _record(BlockHeader),
         "txs": _list_of(_record(registry.TxEnvelope)),
@@ -516,6 +521,7 @@ def block_line(block: Block) -> bytes:
 
 @dataclass
 class LedgerStore:
+    """A chain file as this process loaded or wrote it, with its tip state."""
     path: Path
     genesis: GenesisConfig
     blocks: List[Block]
@@ -819,13 +825,14 @@ def load_chain(path, genesis: GenesisConfig) -> LedgerStore:
 #      "prefix": <sha256 of the chain file's first L bytes>}, where the
 #      first L bytes are lines 0..k, each with its newline;
 #   2. the canonical state document after block k, the bytes whose hash
-#      is header k's state_root.
+#      is header k's state_root; a read checks that hash before it
+#      decodes them.
 # A read whose file starts with those L bytes trusts blocks 0..k byte for
-# byte, seals included, since a replay on this machine accepted exactly
-# them, and walks only the lines after L.  The genesis digest is needed
-# because block 0 commits to roles, balances and keys but not to
-# gas_params or the faucet settings, which change what every later block
-# executes to.
+# byte, seals included, since a replay or the simulator on this machine
+# accepted exactly them, and walks only the lines after L.  The genesis
+# digest is needed because block 0 commits to roles, balances and keys but
+# not to gas_params or the faucet settings, which change what every later
+# block executes to.
 
 
 def _tip_path(path: Path) -> Path:
@@ -844,8 +851,10 @@ def _from_checkpoint(
 
     The sidecar must be for this genesis, its digest must match raw's first
     L bytes, which end line k, that line must be header k under the
-    sidecar's hash, and the state must commit to its state_root.  Raises
-    ValueError otherwise.
+    sidecar's hash, and the state line's sha256 must be its state_root.
+    Only then is the state line decoded, strictly.  Raises ValueError
+    otherwise.  The root is the hash of exactly those bytes, so the state
+    is not encoded again; a state line with other spacing is refused.
     """
     head, body, rest = sidecar.split(b"\n", 2)
     _require(rest == b"", "sidecar has more than two lines")
@@ -860,12 +869,11 @@ def _from_checkpoint(
     _require(hash_of(memoryview(raw)[:size]) == doc["prefix"], "the chain's first bytes changed")
     header = _parse_line(raw[raw.rfind(b"\n", 0, size - 1) + 1 : size - 1]).header
     _require(header.index == k and header.hash == doc["hash"], f"sidecar names another block {k}")
-    state = registry.state_from_canonical(json.loads(body))
     _require(
-        registry.state_commitment(state) == header.state_root,
+        hash_of(body) == header.state_root,
         f"sidecar state does not commit to block {k}'s state_root",
     )
-    return header, size, state
+    return header, size, registry.state_from_canonical(json.loads(body))
 
 
 def _write_checkpoint(
@@ -873,20 +881,24 @@ def _write_checkpoint(
     genesis: GenesisConfig,
     header: BlockHeader,
     state: registry.RegistryState,
-    prefix: bytes,
+    size: int,
+    prefix: str,
 ) -> None:
     """Atomically replace the sidecar of path with a checkpoint at header,
-    whose line is the last of prefix, the chain file's first bytes.
+    whose line is the last of the chain file's first size bytes, which
+    hash to prefix.
 
     The sidecar is only a cache, so an OSError (a read-only directory, a
-    full disk) leaves things as they were and is not reported.
+    full disk) leaves things as they were and is not reported.  Any other
+    exception (a KeyboardInterrupt) propagates, and in either case the
+    temporary file is removed.
     """
     head = canonical_serialize({
-        "bytes": len(prefix),
+        "bytes": size,
         "genesis": _genesis_digest(genesis),
         "hash": header.hash,
         "index": header.index,
-        "prefix": hash_of(prefix),
+        "prefix": prefix,
     })
     data = head + b"\n" + registry.state_bytes(state) + b"\n"
     target = _tip_path(path)
@@ -901,9 +913,32 @@ def _write_checkpoint(
             out.flush()
             os.fsync(out.fileno())
         os.replace(temp, target)
-    except OSError:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(temp)
+        if not isinstance(exc, OSError):
+            raise
+
+
+def checkpoint(store: LedgerStore) -> None:
+    """Write the sidecar of store's file at its tip, for a writer that
+    holds the tip state (the simulator), so that the next read walks no
+    block.
+
+    The sidecar vouches for the lines store holds: the file's first
+    store.size bytes, as this process wrote or read them.  If the file
+    changed since, the digest no longer matches its bytes and a read
+    replays in full.  A store whose last line lacks its newline gets no
+    sidecar, since a sidecar must end at a newline.
+    """
+    prefix, size = hashlib.sha256(), 0
+    for block in store.blocks:  # line by line, so no copy of the file is made
+        line = block_line(block)
+        prefix.update(line)
+        size += len(line)
+    if size == store.size:
+        tip = store.tip.header
+        _write_checkpoint(store.path, store.genesis, tip, store.state, size, to_hex(prefix.digest()))
 
 
 def _replay_to_tip(
@@ -926,11 +961,11 @@ def _replay_to_tip(
     whole = raw.rfind(b"\n") + 1  # the bytes of the lines that end in a newline
     done = blocks if whole == len(raw) else blocks[:-1]
     state, _ = _replay(parent, done, genesis, state)
-    checkpoint = done[-1].header if done else parent
-    if whole and checkpoint.index > k:
-        _write_checkpoint(path, genesis, checkpoint, state, memoryview(raw)[:whole])
+    last = done[-1].header if done else parent
+    if whole and last.index > k:
+        _write_checkpoint(path, genesis, last, state, whole, hash_of(memoryview(raw)[:whole]))
     if len(done) < len(blocks):
-        state, _ = _replay(checkpoint, blocks[-1:], genesis, state)
+        state, _ = _replay(last, blocks[-1:], genesis, state)
     return state
 
 

@@ -54,6 +54,7 @@ class BadProductId(PayloadError):
 
 @dataclass(frozen=True)
 class QrPayload:
+    """A decoded QR payload."""
     version: int
     chain_id: int
     contract: str

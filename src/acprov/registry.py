@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
-from typing import Any, ClassVar, Mapping, Optional, Sequence, Tuple, Union, get_args
+from typing import Any, ClassVar, Optional, Sequence, Tuple, Union, get_args
 
 from . import gas as gas_model
 from .canonical import (
@@ -42,7 +43,6 @@ from .canonical import (
     _one_of,
     _optional,
     _record,
-    _require,
     canonical_serialize,
     from_hex,
     hash_of,
@@ -103,6 +103,7 @@ def is_valid_product_id(product_id: Any) -> bool:
 
 @dataclass(frozen=True)
 class Deploy:
+    """Deploy the registry contract."""
     TYPE: ClassVar[str] = "deploy"
     CHECKS: ClassVar[dict] = {"code_size": _as_int}
     code_size: int
@@ -110,6 +111,7 @@ class Deploy:
 
 @dataclass(frozen=True)
 class Register:
+    """Register a new product, owned by its manufacturer."""
     TYPE: ClassVar[str] = "register"
     CHECKS: ClassVar[dict] = {"product_id": _as_str, "name": _as_str, "metadata": _as_str}
     product_id: str
@@ -119,6 +121,7 @@ class Register:
 
 @dataclass(frozen=True)
 class Transfer:
+    """Move an available product to another trusted node."""
     TYPE: ClassVar[str] = "transfer"
     CHECKS: ClassVar[dict] = {"product_id": _as_str, "new_owner": _as_address}
     product_id: str
@@ -127,6 +130,7 @@ class Transfer:
 
 @dataclass(frozen=True)
 class Sell:
+    """Sell an available product to a consumer; it becomes unavailable."""
     TYPE: ClassVar[str] = "sell"
     CHECKS: ClassVar[dict] = {"product_id": _as_str, "consumer": _as_address}
     product_id: str
@@ -135,6 +139,7 @@ class Sell:
 
 @dataclass(frozen=True)
 class FaucetClaim:
+    """Claim the fee-free faucet amount, once per cooldown."""
     TYPE: ClassVar[str] = "faucet_claim"
     CHECKS: ClassVar[dict] = {}
 
@@ -147,10 +152,12 @@ kind_to_canonical = _canonical
 
 
 def kind_from_canonical(doc: Any, name: str = "kind") -> TxKind:
-    _require(isinstance(doc, Mapping), f"{name} must be an object")
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{name} must be an object")
     kind_type = doc.get("type")
     cls = _KIND_OF_TYPE.get(kind_type) if isinstance(kind_type, str) else None
-    _require(cls is not None, f"unknown transaction kind type {kind_type!r}")
+    if cls is None:
+        raise ValueError(f"unknown transaction kind type {kind_type!r}")
     return _decode(cls, doc, f"{kind_type} kind")
 
 
@@ -160,6 +167,7 @@ def kind_from_canonical(doc: Any, name: str = "kind") -> TxKind:
 
 @dataclass(frozen=True)
 class TxEnvelope:
+    """A signed transaction: sender, nonce, kind and gas price."""
     CHECKS: ClassVar[dict] = {
         "sender": _as_address,
         "nonce": _as_int,
@@ -251,6 +259,7 @@ def tx_hash(tx: TxEnvelope) -> str:
 
 @dataclass(frozen=True)
 class Receipt:
+    """The outcome of one transaction: gas, fee, and its error code if rejected."""
     tx_hash: str
     accepted: bool
     gas_used: int
@@ -266,6 +275,7 @@ class Receipt:
 
 @dataclass(frozen=True)
 class Account:
+    """An account's role, balance, nonce, last faucet claim and public key."""
     CHECKS: ClassVar[dict] = {
         "address": _as_address,
         "role": _one_of(Role),
@@ -291,6 +301,7 @@ class Account:
 
 @dataclass(frozen=True)
 class ProductRecord:
+    """A registered product: its maker, owner, status and owner history."""
     CHECKS: ClassVar[dict] = {
         "product_id": _as_str,
         "name": _as_str,
@@ -320,6 +331,7 @@ class ProductRecord:
 
 @dataclass(frozen=True)
 class ContractInfo:
+    """The deployed registry contract's address and deployer."""
     CHECKS: ClassVar[dict] = {"address": _as_address, "deployer": _as_address}
     address: str
     deployer: str
@@ -329,6 +341,7 @@ class ContractInfo:
 
 @dataclass(frozen=True)
 class RegistryState:
+    """The registry state after a block: what its state_root commits to."""
     # A map's key must equal its record's own address or product_id.
     CHECKS: ClassVar[dict] = {
         "chain_id": partial(_as_int, minimum=1),
@@ -373,6 +386,7 @@ def state_from_canonical(doc: Any) -> RegistryState:
 
 @dataclass(frozen=True)
 class TxContext:
+    """The block a transaction executes in, and the chain's gas and faucet rules."""
     block_index: int
     timestamp: int
     sealer: str

@@ -60,6 +60,7 @@ def _as_byte(value: Any, name: str) -> int:
 
 @dataclass(frozen=True)
 class Mutation:
+    """One byte of the chain file to overwrite after the honest run."""
     CHECKS: ClassVar[dict] = {"target": _as_int, "byte_offset": _as_int, "new_byte": _as_byte}
     target: int  # block index == 0-based line number in the chain file
     byte_offset: int  # offset within that block's line
@@ -70,6 +71,7 @@ class Mutation:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A simulation's inputs: seed, actors, products, pacing and tamper plan."""
     CHECKS: ClassVar[dict] = {
         "seed": functools.partial(_as_int, minimum=None),
         "actors": _dict_of(_as_int),
@@ -136,6 +138,7 @@ def _any(value: Any, name: str) -> Any:
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """One trace line: a submitted transaction or a scan, and its outcome."""
     CHECKS: ClassVar[dict] = {
         "step": _as_int,
         "actor": _as_address,
@@ -154,6 +157,7 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class Actor:
+    """A simulated participant: its key and role."""
     key: KeyPair
     role: Role
 
@@ -164,6 +168,7 @@ class Actor:
 
 @dataclass
 class SimulationResult:
+    """The files run_scenario wrote, and the chain and state it ended with."""
     scenario: Scenario
     genesis: ledger.GenesisConfig
     blocks: List[ledger.Block]
@@ -249,7 +254,8 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     (registry.sign_txs); signatures made here are memoized, so not rechecked.
     The blocks it seals are known then too, so they are appended in one
     call, whose forked copy commits their state roots ahead
-    (ledger.extend_plan).
+    (ledger.extend_plan).  The run then writes the chain's tip checkpoint
+    (ledger.checkpoint), before any tamper plan is applied.
     """
     scenario.validate()
     out = Path(out_dir)
@@ -405,6 +411,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
 
     registry.sign_txs(genesis.chain_id, [(keys[tx.sender], tx) for _, _, txs in plan for tx in txs])
     ledger.extend_plan(store, plan, keys, after)
+    ledger.checkpoint(store)  # so the first read after the run walks no block
 
     with trace_path.open("wb") as handle:
         for event in trace:

@@ -872,6 +872,42 @@ def test_cold_commands_import_neither_simnet_nor_key_serialization():
     assert (res.returncode, res.stdout) == (0, "[]\n"), res.stderr
 
 
+def test_a_tip_read_loads_no_signature_or_decimal_library(tmp_path, monkeypatch, capsys):
+    """verify and history at a tip sidecar check no signature and format no
+    money, so a child process that runs them imports neither cryptography
+    nor decimal.  validate loads cryptography, and run here with no worker
+    it checks each signature ledger._signatures lists once."""
+    for name in ("genesis50.json", "chain50.jsonl"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    genesis = ledger.GenesisConfig.load(tmp_path / "genesis50.json")
+    state = ledger.read_state(tmp_path / "chain50.jsonl", genesis)  # writes the tip sidecar
+    product = sorted(state.products)[0]
+    payload = qr.encode_payload(genesis.chain_id, state.contract.address, product)
+    base = ["--db", str(tmp_path / "chain50.jsonl"), "--genesis", str(tmp_path / "genesis50.json")]
+    script = (
+        "import sys; from acprov import cli; code = cli.main(sys.argv[1:]); "
+        "print(code, sorted({m.split('.')[0] for m in sys.modules} & {'cryptography', 'decimal'}))"
+    )
+    loaded = {}
+    for args in (["verify", "--qr", payload], ["history", "--id", product], ["validate"]):
+        res = subprocess.run(
+            [sys.executable, "-c", script, *base, *args], capture_output=True, text=True, env=cli_env()
+        )
+        assert res.returncode == 0, res.stderr
+        loaded[args[0]] = res.stdout.splitlines()[-1]
+    assert loaded == {"verify": "0 []", "history": "0 []", "validate": "0 ['cryptography']"}
+
+    monkeypatch.setattr(crypto, "_memo", {})
+    monkeypatch.setattr(crypto, "_usable_cpus", lambda: 1)
+    checks = count_calls(monkeypatch, crypto, "_check")
+    assert cli.main(base + ["validate"]) == 0
+    assert capsys.readouterr().out.startswith("OK blocks=50 ")
+    blocks = ledger.parse_chain_bytes((tmp_path / "chain50.jsonl").read_bytes())
+    listed = ledger._signatures(blocks[1:], genesis)
+    assert len(listed) > len(blocks) - 1  # every seal, and the transactions' signatures
+    assert sorted(checks) == sorted(listed)
+
+
 class TestUsage:
     def test_no_command_is_usage_error(self, tmp_path):
         res = run_cli(cwd=tmp_path)

@@ -672,6 +672,32 @@ class TestCheckpoint:
         assert ledger.read_state(store.path, genesis) == store.state
         assert sorted(p.name for p in store.path.parent.iterdir()) == ["chain.jsonl"]
 
+    @pytest.mark.parametrize("fail", ["replace", "fsync"])
+    def test_an_interrupted_write_leaves_no_temp_file(self, genesis, store, monkeypatch, fail):
+        """An exception other than OSError between mkstemp and os.replace
+        propagates, and the temporary file goes either way."""
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ledger.os, fail, interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            ledger.read_state(store.path, genesis)
+        monkeypatch.undo()
+        assert sorted(p.name for p in store.path.parent.iterdir()) == ["chain.jsonl"]
+
+    def test_a_writer_checkpoint_is_the_one_a_read_writes(self, genesis, store):
+        """checkpoint(store) writes the sidecar a read at the tip would; a
+        store whose last line lacks its newline gets none."""
+        ledger.checkpoint(store)
+        written = sidecar_of(store.path).read_bytes()
+        sidecar_of(store.path).unlink()
+        ledger.read_state(store.path, genesis)
+        assert sidecar_of(store.path).read_bytes() == written
+        sidecar_of(store.path).unlink()
+        store.path.write_bytes(store.path.read_bytes()[:-1])
+        ledger.checkpoint(ledger.load_chain(store.path, genesis))
+        assert not sidecar_of(store.path).exists()
+
     def test_untouched_by_writers_and_validation(self, genesis, keys, store):
         """Only reads write the sidecar; extend and load_chain leave it alone."""
         ledger.load_chain(store.path, genesis)
@@ -819,7 +845,9 @@ class TestBatchedSignatures:
         blocks, k = long_chain.blocks, 400
         state_k, _ = ledger._replay_all(blocks[: k + 1], genesis)
         prefix = b"".join(ledger.block_line(block) for block in blocks[: k + 1])
-        ledger._write_checkpoint(long_chain.path, genesis, blocks[k].header, state_k, prefix)
+        ledger._write_checkpoint(
+            long_chain.path, genesis, blocks[k].header, state_k, len(prefix), canonical.hash_of(prefix)
+        )
         workers(monkeypatch, 2)
         forks = support.record_forks(monkeypatch)
         batches = support.count_calls(monkeypatch, ledger, "verify_ahead")

@@ -10,6 +10,7 @@ import functools
 import io
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,12 @@ def edited(raw: bytes, line: int, fraction: float) -> bytes:
     data = bytearray(raw)
     data[position] = ord("0") if data[position] != ord("0") else ord("1")
     return bytes(data)
+
+
+def spaced(sidecar: bytes) -> bytes:
+    """sidecar with its state line written with spaces: the same state, other bytes."""
+    head, body = sidecar.split(b"\n", 1)
+    return head + b"\n" + json.dumps(json.loads(body), sort_keys=True).encode() + b"\n"
 
 
 def with_head(sidecar: bytes, **members) -> bytes:
@@ -71,6 +78,7 @@ def grid(tmp_path_factory):
     sidecars["prefix-edited"] = with_head(
         sidecars["k=17"], prefix=head17["prefix"][:-1] + ("0" if digit != "0" else "1")
     )
+    sidecars["state-spaced"] = spaced(tip)
     inputs = {
         "intact": raw,
         "no-newline": raw[:-1],
@@ -92,7 +100,9 @@ def grid(tmp_path_factory):
         ["validate"],
         ["gas-report"],
     ]
-    return {"dir": out, "inputs": inputs, "sidecars": sidecars, "commands": commands}
+    return {
+        "dir": out, "genesis": genesis, "inputs": inputs, "sidecars": sidecars, "commands": commands
+    }
 
 
 @pytest.mark.parametrize(
@@ -120,6 +130,73 @@ def test_every_sidecar_answers_as_no_sidecar(grid, name):
                 tip.write_bytes(sidecar)
             assert run(base + command) == answer, (label, command[0])
             assert chain.read_bytes() == data, (label, command[0])
+
+
+def test_a_state_line_with_other_spacing_is_refused(grid):
+    """The state line is checked by its sha256 before it is decoded, so the
+    same state with other spacing is refused (and the grid above shows the
+    answers do not change)."""
+    raw, tip = grid["inputs"]["intact"], grid["sidecars"]["k=49"]
+    other = grid["sidecars"]["state-spaced"]
+    assert other != tip
+
+    def state(sidecar):
+        return registry.state_from_canonical(json.loads(sidecar.split(b"\n")[1]))
+
+    assert state(other) == state(tip) == ledger._from_checkpoint(raw, grid["genesis"], tip)[2]
+    with pytest.raises(ValueError, match="sidecar state does not commit to block 49's state_root"):
+        ledger._from_checkpoint(raw, grid["genesis"], other)
+
+
+def test_the_simulator_leaves_the_tip_checkpoint(grid, tmp_path, monkeypatch):
+    """run_scenario writes the sidecar a read at the tip writes, so each read
+    after it parses one line and executes nothing, and answers as a read
+    without it."""
+    result = simnet.run_scenario(simnet.Scenario.load(FIXTURES / "scenario50.json"), tmp_path)
+    assert result.chain_path.read_bytes() == grid["inputs"]["intact"]
+    tip = Path(str(result.chain_path) + ".tip")
+    assert tip.read_bytes() == grid["sidecars"]["k=49"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "chain.jsonl", "chain.jsonl.tip", "genesis.json", "trace.jsonl"
+    ]
+    base = ["--db", str(result.chain_path), "--genesis", str(result.genesis_path)]
+    tip_reads = grid["commands"][:3]  # verify, history, qr
+    parsed = support.count_calls(monkeypatch, ledger, "_parse_line")
+    executed = support.count_calls(monkeypatch, registry, "apply_tx")
+    kept = [run(base + command) for command in tip_reads]
+    assert (len(parsed), executed) == (len(tip_reads), [])
+    bare = []
+    for command in tip_reads:
+        tip.unlink()
+        bare.append(run(base + command))
+    assert kept == bare and [code for code, _, _ in kept] == [0, 0, 0]
+
+
+def test_a_tamper_plan_spoils_the_simulators_checkpoint(grid, tmp_path):
+    """The sidecar is written before the tamper plan, so its digest no
+    longer matches the file and a read reports load_chain's error."""
+    line = grid["inputs"]["intact"].split(b"\n")[10]
+    offset = int(len(line) * 0.3)
+    mutation = simnet.Mutation(10, offset, ord("0") if line[offset] != ord("0") else ord("1"))
+    scenario = replace(simnet.Scenario.load(FIXTURES / "scenario50.json"), tamper_plan=(mutation,))
+    result = simnet.run_scenario(scenario, tmp_path)
+    raw = result.chain_path.read_bytes()
+    sidecar = Path(str(result.chain_path) + ".tip").read_bytes()
+    with pytest.raises(ValueError, match="the chain's first bytes changed"):
+        ledger._from_checkpoint(raw, result.genesis, sidecar)
+    with pytest.raises(ledger.ValidationFailedError) as loaded:
+        ledger.load_chain(result.chain_path, result.genesis)
+    report = loaded.value.report
+    error = f"error: invalid chain: block={report.block_index} rule={report.rule} detail={report.detail}\n"
+    kept = []
+    base = ["--db", str(result.chain_path), "--genesis", str(result.genesis_path)]
+    tip = Path(str(result.chain_path) + ".tip")
+    for command in grid["commands"][:3]:
+        tip.write_bytes(sidecar)
+        kept.append(run(base + command))
+        tip.unlink()
+        assert run(base + command) == kept[-1]
+    assert [(code, err) for code, _, err in kept] == [(1, error)] * 3
 
 
 def write_key(path: Path, key) -> None:
