@@ -58,15 +58,15 @@ def write_fixtures(out: Path) -> dict:
         shutil.copy(result.trace_path, out / "trace50.jsonl")
 
     genesis = ledger.GenesisConfig.load(out / "genesis50.json")
-    store = ledger.load_chain(out / "chain50.jsonl", genesis)
-    report = gas.gas_report(store.blocks, store.receipts)
+    chain = ledger.load_chain(out / "chain50.jsonl", genesis)
+    report = gas.gas_report(chain.blocks, chain.receipts)
     (out / "gas_report50.csv").write_text(report.to_csv(), encoding="utf-8")
 
     goldens = {
-        "blocks": len(store.blocks),
-        "tip_commitment": store.tip_commitment,
-        "tip_header_hash": ledger.header_hash(store.blocks[-1].header),
-        "genesis_header_hash": ledger.header_hash(store.blocks[0].header),
+        "blocks": len(chain.blocks),
+        "tip_commitment": chain.blocks[-1].header.state_root,
+        "tip_header_hash": ledger.header_hash(chain.blocks[-1].header),
+        "genesis_header_hash": ledger.header_hash(chain.blocks[0].header),
         "total_gas": report.total.total_gas,
         "total_fee_wei": report.total.total_fee,
     }

@@ -90,40 +90,32 @@ def _load_genesis(args) -> ledger.GenesisConfig:
         return ledger.GenesisConfig.load(args.genesis)
 
 
-def _open_store(args) -> ledger.LedgerStore:
-    genesis = _load_genesis(args)
-    with _reading():
-        return ledger.load_chain(args.db, genesis)
+def _open(args, genesis: ledger.GenesisConfig, opener, cut: bool = False):
+    """opener(args.db, genesis): ledger.open_store for the reads and tx,
+    ledger.load_chain for the commands that need every block.
 
-
-def _cut_torn_tail(args, torn: ledger.TornTailError) -> None:
-    """Truncate the torn last line, an append cut short, that torn reports
-    (see ledger.cut_torn_tail), and say so.  Only the writers, tx and
-    repair, do this, so a read of a torn chain still fails."""
-    if ledger.cut_torn_tail(args.db, torn):
-        print(
-            f"warning: {args.db} ended in an interrupted append; truncated it to "
-            f"{torn.intact_bytes} bytes (resend the lost block's transactions)",
-            file=sys.stderr,
-        )
-
-
-def _open_for_append(args) -> ledger.LedgerStore:
-    """The store an append extends, once a torn tail is cut off."""
-    genesis = _load_genesis(args)
+    Only the writers, tx and repair, cut: a torn last line, an append cut
+    short, is truncated (see ledger.cut_torn_tail), said so, and the file
+    opened again.  So a read of a torn chain still fails.
+    """
     with _reading():
         try:
-            return ledger.load_chain(args.db, genesis)
+            return opener(args.db, genesis)
         except ledger.TornTailError as torn:
-            _cut_torn_tail(args, torn)
-            return ledger.load_chain(args.db, genesis)
+            if not cut:
+                raise
+            if ledger.cut_torn_tail(args.db, torn):
+                print(
+                    f"warning: {args.db} ended in an interrupted append; truncated it to "
+                    f"{torn.intact_bytes} bytes (resend the lost block's transactions)",
+                    file=sys.stderr,
+                )
+            return opener(args.db, genesis)
 
 
-def _read_state(args):
-    """(genesis, tip state) for a read; see ledger.read_state."""
-    genesis = _load_genesis(args)
-    with _reading():
-        return genesis, ledger.read_state(args.db, genesis)
+def _read(args) -> ledger.LedgerStore:
+    """The store a read answers from."""
+    return _open(args, _load_genesis(args), ledger.open_store)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +182,7 @@ def cmd_init(args) -> int:
     print(f"chain_id: {genesis.chain_id}")
     print(f"genesis: {genesis_path}")
     print(f"db: {db_path}")
-    print(f"tip: {store.tip_commitment}")
+    print(f"tip: {store.tip.state_root}")
     return EXIT_OK
 
 
@@ -214,11 +206,11 @@ def cmd_keygen(args) -> int:
 
 
 def _resolve_sealer(args, store: ledger.LedgerStore, sender_key: KeyPair) -> KeyPair:
-    due = store.genesis.sealer_of(store.tip.header.index + 1)
+    due = store.genesis.sealer_of(store.tip.index + 1)
     if args.sealer_key:
         key = _load_key(args.sealer_key)
         if key.address != due:
-            raise UsageError(f"block {store.tip.header.index + 1} is {due}'s turn to seal")
+            raise UsageError(f"block {store.tip.index + 1} is {due}'s turn to seal")
         return key
     if sender_key.address == due:
         return sender_key
@@ -251,8 +243,8 @@ def _build_kind(args, params: gas_model.GasParams) -> registry.TxKind:
 
 
 def cmd_tx(args) -> int:
-    store = _open_for_append(args)
-    genesis = store.genesis
+    genesis = _load_genesis(args)
+    store = _open(args, genesis, ledger.open_store, cut=True)
     sender_key = _load_key(args.key)
     account = store.state.accounts.get(sender_key.address)
     if account is None:
@@ -264,12 +256,12 @@ def cmd_tx(args) -> int:
         else genesis.gas_params.default_gas_price
     )
     timestamp = (
-        args.timestamp if args.timestamp is not None else store.tip.header.timestamp + 1
+        args.timestamp if args.timestamp is not None else store.tip.timestamp + 1
     )
     sealer_key = _resolve_sealer(args, store, sender_key)
-    if timestamp < store.tip.header.timestamp:
+    if timestamp < store.tip.timestamp:
         raise UsageError(
-            f"timestamp {timestamp} precedes parent timestamp {store.tip.header.timestamp}"
+            f"timestamp {timestamp} precedes parent timestamp {store.tip.timestamp}"
         )
     try:
         tx = registry.make_tx(sender_key, genesis.chain_id, account.nonce, kind, gas_price)
@@ -292,7 +284,8 @@ def cmd_verify(args) -> int:
         payload = qr.decode_payload(args.qr)
     except qr.PayloadError as exc:
         raise UsageError(f"bad payload: {exc}") from None
-    genesis, state = _read_state(args)
+    store = _read(args)
+    genesis, state = store.genesis, store.state
     if payload.chain_id != genesis.chain_id:
         print(
             f"REGISTRY MISMATCH: payload is for chain {payload.chain_id}, "
@@ -314,8 +307,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_history(args) -> int:
-    _, state = _read_state(args)
-    product = state.products.get(args.id)
+    product = _read(args).state.products.get(args.id)
     if product is None:
         return _counterfeit(args.id)
     for position, owner in enumerate(product.history):
@@ -326,16 +318,16 @@ def cmd_history(args) -> int:
 def cmd_qr(args) -> int:
     if not registry.is_valid_product_id(args.id):
         raise UsageError(f"invalid product id {args.id!r}")
-    genesis, state = _read_state(args)
-    if args.id not in state.products:
+    store = _read(args)
+    if args.id not in store.state.products:
         return _counterfeit(args.id)
-    print(qr.encode_payload(genesis.chain_id, state.contract.address, args.id))
+    print(qr.encode_payload(store.genesis.chain_id, store.state.contract.address, args.id))
     return EXIT_OK
 
 
 def cmd_gas_report(args) -> int:
-    store = _open_store(args)
-    report = gas_model.gas_report(store.blocks, store.receipts)
+    chain = _open(args, _load_genesis(args), ledger.load_chain)
+    report = gas_model.gas_report(chain.blocks, chain.receipts)
     csv_text = report.to_csv()
     if args.csv:
         with _writing(args.csv):
@@ -344,12 +336,10 @@ def cmd_gas_report(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, cut: bool = False) -> int:
     genesis = _load_genesis(args)
-    with _reading():
-        raw = ledger.read_chain(args.db)
     try:
-        blocks = ledger.parse_chain_bytes(raw)
+        chain = _open(args, genesis, ledger.load_chain, cut)
     except ledger.TornTailError as exc:
         print(
             f"INVALID block={exc.line_number - 1} rule=torn_tail "
@@ -363,26 +353,19 @@ def cmd_validate(args) -> int:
             f"detail=line {exc.line_number} is not a canonical block"
         )
         return EXIT_CHAIN_FAILURE
-    report = ledger.validate_chain(blocks, genesis)
-    if not report.ok:
+    except ledger.ValidationFailedError as exc:
+        report = exc.report
         print(f"INVALID block={report.block_index} rule={report.rule} detail={report.detail}")
         return EXIT_CHAIN_FAILURE
-    print(f"OK blocks={len(blocks)} tip={blocks[-1].header.state_root}")
+    print(f"OK blocks={len(chain.blocks)} tip={chain.blocks[-1].header.state_root}")
     return EXIT_OK
 
 
 def cmd_repair(args) -> int:
     """Cut a torn tail off the chain as tx does, append nothing, and report
-    as validate does.  Any other corruption is left as it is."""
-    _load_genesis(args)  # as in tx, an unusable genesis stops it before any cut
-    with _reading():
-        try:
-            ledger.parse_chain_bytes(ledger.read_chain(args.db))
-        except ledger.TornTailError as torn:
-            _cut_torn_tail(args, torn)
-        except ledger.ParseError:
-            pass  # not an append cut short: validate reports it
-    return cmd_validate(args)
+    as validate does.  Any other corruption is left as it is, and the file
+    is read again only after a cut."""
+    return cmd_validate(args, cut=True)
 
 
 def cmd_simulate(args) -> int:

@@ -15,20 +15,25 @@ Design notes that matter for interoperability:
   parse or validation failure.
 * Every check of a chain is one walk (``_replay``) from a parent header
   over the blocks after it: header rules, seals, execution and state
-  roots.  A full replay walks blocks 1.. from block 0, once block 0
-  matches the genesis config.  A read (``read_state``) walks only the
-  blocks after a checkpoint k kept in a sidecar ``<chain>.tip``, which
-  vouches for lines 0..k by the sha256 of their bytes and holds the state
-  after block k.  A read that replays writes it, and so does the
-  simulator at the tip it wrote (``checkpoint``).  The sidecar is a
-  cache: any doubt about it means a full replay.
+  roots.  A full replay (``load_chain``: ``validate``, ``gas-report``)
+  walks blocks 1.. from block 0, once block 0 matches the genesis config,
+  and returns every block and receipt.
+* A store (``open_store``: the reads and ``tx``) is the chain's tip: its
+  header, its state, the file's length and the sha256 of its bytes.  It
+  walks only the blocks after a checkpoint k kept in a sidecar
+  ``<chain>.tip``, which vouches for lines 0..k by the sha256 of their
+  bytes and holds the state after block k.  An open that walks past k
+  writes it, and so does the simulator at the tip it wrote
+  (``checkpoint``).  The sidecar is a cache: any doubt about it means a
+  full replay.
 * ``extend`` is the one path that builds and appends a block.  A writer
   that knows the blocks it will append (the simulator) hands them to
   ``extend_plan``, which appends each through ``extend``'s body: a forked
   copy executes those blocks and writes their state roots ahead, and an
   append takes a root from it only while the store holds the state the
   last planned append wrote, at the planned index.  The bytes are those
-  of appends without it.
+  of appends without it.  A writer that wants the blocks collects what
+  the appends return.
 * A torn last line, an append cut short, is cut off only by a writer
   (``cut_torn_tail``, for ``tx`` and ``repair``); reads stay strict.
 """
@@ -45,7 +50,7 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Any, Callable, ClassVar, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import registry
 from .canonical import (
@@ -481,29 +486,9 @@ def _replay(
 def _genesis_parent(blocks: Sequence[Block], genesis: GenesisConfig) -> BlockHeader:
     """Block 0's header, where a full replay starts, once block 0 matches
     the genesis config."""
-    if not blocks:
-        raise _invalid(0, RULE_GENESIS, "chain is empty")
     if block_line(blocks[0]) != block_line(genesis_block(genesis)):
         raise _invalid(0, RULE_GENESIS, "block 0 does not match the genesis config")
     return blocks[0].header
-
-
-def _replay_all(
-    blocks: Sequence[Block], genesis: GenesisConfig
-) -> Tuple[registry.RegistryState, List[List[registry.Receipt]]]:
-    """A full replay: the tip state and a receipt list for every block, block 0's empty."""
-    parent = _genesis_parent(blocks, genesis)
-    state, receipts = _replay(parent, blocks[1:], genesis, genesis_state(genesis))
-    return state, [[]] + receipts
-
-
-def validate_chain(blocks: Sequence[Block], genesis: GenesisConfig) -> ValidationReport:
-    """Check every chain invariant; failures are report values, not exceptions."""
-    try:
-        _replay_all(blocks, genesis)
-    except ValidationFailedError as exc:
-        return exc.report
-    return ValidationReport(ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -521,27 +506,21 @@ def block_line(block: Block) -> bytes:
 
 @dataclass
 class LedgerStore:
-    """A chain file as this process loaded or wrote it, with its tip state."""
+    """A chain file at its tip, as this process opened or wrote it: what a
+    read answers from and an append extends."""
     path: Path
     genesis: GenesisConfig
-    blocks: List[Block]
+    tip: BlockHeader
     state: registry.RegistryState
-    receipts: List[List[registry.Receipt]]
     # The file's length when this store last read or wrote it; an append
     # that finds another length refuses, since another writer got there first.
     size: int
-
-    @property
-    def tip(self) -> Block:
-        return self.blocks[-1]
-
-    @property
-    def tip_commitment(self) -> str:
-        return self.tip.header.state_root
+    digest: Any  # the running sha256 (hashlib) of the file's first size bytes
 
 
 def create_store(path, genesis: GenesisConfig) -> LedgerStore:
-    """Start a new chain file containing only the genesis block."""
+    """Start a new chain file containing only the genesis block; a write
+    cut short leaves no file."""
     genesis.validate()
     path = Path(path)
     if path.exists():
@@ -553,31 +532,27 @@ def create_store(path, genesis: GenesisConfig) -> LedgerStore:
     except OSError as exc:
         raise StorageError(f"cannot create chain file {path}: {exc}") from exc
     try:
-        os.write(fd, line)
-    finally:
-        os.close(fd)
-    return LedgerStore(
-        path=path,
-        genesis=genesis,
-        blocks=[block],
-        state=genesis_state(genesis),
-        receipts=[[]],
-        size=len(line),
-    )
+        try:
+            written = os.write(fd, line)
+        finally:
+            os.close(fd)
+        if written != len(line):
+            raise OSError(f"wrote {written} of {len(line)} bytes")
+    except OSError as exc:
+        path.unlink()
+        raise StorageError(f"cannot write chain file {path}: {exc}") from exc
+    return LedgerStore(path, genesis, block.header, genesis_state(genesis), len(line), hashlib.sha256(line))
 
 
-def _write(
-    store: LedgerStore,
-    block: Block,
-    state: registry.RegistryState,
-    receipts: List[registry.Receipt],
-) -> None:
+def _write(store: LedgerStore, block: Block, state: registry.RegistryState) -> None:
     """Append a checked block to the file in one write, then to the store.
 
     The write happens under an exclusive lock and only while the file is
     as long as the store last saw it, so two writers that loaded the same
     tip cannot both append a block at the same index.  A last block that
-    lacks its newline (loading accepts one) gets it in the same write.
+    lacks its newline (loading accepts one) gets it in the same write.  A
+    write cut short is cut off again under the same lock, so it leaves
+    neither a torn line nor a changed store.
     """
     line = block_line(block)
     try:
@@ -588,7 +563,10 @@ def _write(
             if size == store.size:
                 if os.pread(fd, 1, size - 1) != b"\n":
                     line = b"\n" + line
-                os.write(fd, line)
+                written = os.write(fd, line)
+                if written != len(line):
+                    os.ftruncate(fd, size)
+                    raise OSError(f"wrote {written} of {len(line)} bytes")
         finally:
             os.close(fd)
     except OSError as exc:
@@ -599,9 +577,8 @@ def _write(
             "another writer appended to it; reload the chain and retry"
         )
     store.size += len(line)
-    store.blocks.append(block)
-    store.state = state
-    store.receipts.append(receipts)
+    store.digest.update(line)
+    store.tip, store.state = block.header, state
 
 
 def _append(
@@ -614,12 +591,12 @@ def _append(
     """extend's body, where root_of(state) is the new state's root."""
     for tx in txs:
         tx.check_fields()
-    parent = store.tip.header
+    parent = store.tip
     ctx = make_context(store.genesis, parent.index + 1, timestamp, sealer_key.address)
     state, receipts = _execute(store.state, txs, ctx)
     block = seal_block(txs, parent, root_of(state), sealer_key, timestamp)
     _check_header(block, parent, store.genesis)
-    _write(store, block, state, receipts)
+    _write(store, block, state)
     return block, receipts
 
 
@@ -636,7 +613,7 @@ def extend(
     ValueError (a member the decoder rejects) or ValidationFailedError,
     with the report load_chain would give the block (rules tx_signature,
     tx_nonce, timestamp, sealer, seal), instead of writing a block that
-    load_chain would reject.
+    load_chain would reject.  Returns the block and its receipts.
     """
     return _append(store, txs, sealer_key, timestamp, registry.state_commitment)
 
@@ -695,11 +672,11 @@ def extend_plan(
     store: LedgerStore,
     blocks: Sequence[PlannedBlock],
     keys: Mapping[str, KeyPair],
-    after: Callable[[int, List[registry.Receipt]], None],
+    after: Callable[[int, Block, List[registry.Receipt]], None],
 ) -> None:
     """Append blocks to store's tip in order, each through extend's body
     and sealed with keys[its sealer address], and call after(position,
-    receipts) once each block is written.
+    block, receipts) once each block is written.
 
     With a second usable CPU and enough blocks (crypto's worker rule), one
     forked copy executes blocks from the tip state and writes each root
@@ -711,19 +688,19 @@ def extend_plan(
     a copy that is slow, dies or cannot be forked costs time but changes no
     byte.  The copy holds no key and writes nothing but roots.
     """
-    base, state = store.tip.header.index, store.state
+    base, state = store.tip.index, store.state
     # an anonymous map cannot be empty
     with mmap.mmap(-1, max(len(blocks), 1) * _ROOT_SLOT_BYTES) as slots:
         work = partial(_roots_in_order, store.genesis, base, state, blocks, slots)
         with _forked(min(1, _worker_count(len(blocks))), len(blocks), work):
             planned = True  # latched false once it fails
             for position, (timestamp, sealer, txs) in enumerate(blocks):
-                planned &= store.state is state and store.tip.header.index == base + position
+                planned &= store.state is state and store.tip.index == base + position
                 slot_root = partial(_slot_root, slots, position)
                 root_of = slot_root if planned else registry.state_commitment
-                _, receipts = _append(store, txs, keys[sealer], timestamp, root_of)
+                block, receipts = _append(store, txs, keys[sealer], timestamp, root_of)
                 state = store.state
-                after(position, receipts)
+                after(position, block, receipts)
 
 
 def _parse_line(line: bytes) -> Block:
@@ -805,19 +782,25 @@ def cut_torn_tail(path, torn: TornTailError) -> bool:
         raise StorageError(f"cannot truncate {path}: {exc}") from exc
 
 
-def load_chain(path, genesis: GenesisConfig) -> LedgerStore:
-    """Load, strictly parse, and fully validate a chain file."""
-    path = Path(path)
-    raw = read_chain(path)
-    blocks = parse_chain_bytes(raw)
-    state, receipts = _replay_all(blocks, genesis)  # ValidationFailedError on bad chains
-    return LedgerStore(
-        path=path, genesis=genesis, blocks=blocks, state=state, receipts=receipts, size=len(raw)
-    )
+class Chain(NamedTuple):
+    """A chain file replayed in full."""
+    blocks: List[Block]
+    state: registry.RegistryState  # after the last block
+    receipts: List[List[registry.Receipt]]  # one list per block, block 0's empty
+
+
+def load_chain(path, genesis: GenesisConfig) -> Chain:
+    """Read, strictly parse and fully replay a chain file, for the commands
+    that need every block (validate, gas-report).  It neither reads nor
+    writes the sidecar."""
+    blocks = parse_chain_bytes(read_chain(path))
+    parent = _genesis_parent(blocks, genesis)
+    state, receipts = _replay(parent, blocks[1:], genesis, genesis_state(genesis))
+    return Chain(blocks, state, [[]] + receipts)
 
 
 # ---------------------------------------------------------------------------
-# Reads from a sealed tip checkpoint
+# Stores opened from a sealed tip checkpoint
 #
 # The sidecar <chain>.tip holds two lines:
 #   1. canonical JSON {"bytes": L, "genesis": <hash of the canonical
@@ -827,9 +810,9 @@ def load_chain(path, genesis: GenesisConfig) -> LedgerStore:
 #   2. the canonical state document after block k, the bytes whose hash
 #      is header k's state_root; a read checks that hash before it
 #      decodes them.
-# A read whose file starts with those L bytes trusts blocks 0..k byte for
-# byte, seals included, since a replay or the simulator on this machine
-# accepted exactly them, and walks only the lines after L.  The genesis
+# An open (a read or tx) whose file starts with those L bytes trusts blocks
+# 0..k byte for byte, seals included, since a replay or the simulator on
+# this machine accepted exactly them, and walks only the lines after L.  The genesis
 # digest is needed because block 0 commits to roles, balances and keys but
 # not to gas_params or the faucet settings, which change what every later
 # block executes to.
@@ -845,9 +828,10 @@ def _genesis_digest(genesis: GenesisConfig) -> str:
 
 def _from_checkpoint(
     raw: bytes, genesis: GenesisConfig, sidecar: bytes
-) -> Tuple[BlockHeader, int, registry.RegistryState]:
-    """(header k, L, state after block k) from a sidecar that vouches for
-    the first L bytes of raw; only line k, the last of them, is parsed.
+) -> Tuple[BlockHeader, int, registry.RegistryState, Any]:
+    """(header k, L, state after block k, sha256 of the first L bytes) from
+    a sidecar that vouches for the first L bytes of raw; only line k, the
+    last of them, is parsed.
 
     The sidecar must be for this genesis, its digest must match raw's first
     L bytes, which end line k, that line must be header k under the
@@ -866,14 +850,20 @@ def _from_checkpoint(
     _require(doc["genesis"] == _genesis_digest(genesis), "sidecar is for another genesis")
     k, size = _as_int(doc["index"], "index"), _as_int(doc["bytes"], "bytes")
     _require(0 < size <= len(raw) and raw[size - 1] == 0x0A, "sidecar bytes do not end a line")
-    _require(hash_of(memoryview(raw)[:size]) == doc["prefix"], "the chain's first bytes changed")
+    digest = hashlib.sha256(memoryview(raw)[:size])
+    _require(to_hex(digest.digest()) == doc["prefix"], "the chain's first bytes changed")
     header = _parse_line(raw[raw.rfind(b"\n", 0, size - 1) + 1 : size - 1]).header
     _require(header.index == k and header.hash == doc["hash"], f"sidecar names another block {k}")
     _require(
         hash_of(body) == header.state_root,
         f"sidecar state does not commit to block {k}'s state_root",
     )
-    return header, size, registry.state_from_canonical(json.loads(body))
+    return header, size, registry.state_from_canonical(json.loads(body)), digest
+
+
+# The temporary files of sidecar writes are named <chain>.tip.XXXXXXXX:
+# mkstemp's prefix, then this many random characters.
+_TEMP_SUFFIX_CHARS = 8
 
 
 def _write_checkpoint(
@@ -891,7 +881,10 @@ def _write_checkpoint(
     The sidecar is only a cache, so an OSError (a read-only directory, a
     full disk) leaves things as they were and is not reported.  Any other
     exception (a KeyboardInterrupt) propagates, and in either case the
-    temporary file is removed.
+    temporary file is removed.  Once the sidecar is in place, any other
+    temporary file is removed too: one a killed process left behind, or
+    one a concurrent write would have put in place, whose os.replace then
+    fails as an OSError.
     """
     head = canonical_serialize({
         "bytes": size,
@@ -913,6 +906,11 @@ def _write_checkpoint(
             out.flush()
             os.fsync(out.fileno())
         os.replace(temp, target)
+        stem = target.name + "."
+        for name in os.listdir(target.parent):
+            if name.startswith(stem) and len(name) == len(stem) + _TEMP_SUFFIX_CHARS:
+                with contextlib.suppress(OSError):
+                    os.unlink(target.parent / name)
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(temp)
@@ -925,69 +923,62 @@ def checkpoint(store: LedgerStore) -> None:
     holds the tip state (the simulator), so that the next read walks no
     block.
 
-    The sidecar vouches for the lines store holds: the file's first
-    store.size bytes, as this process wrote or read them.  If the file
-    changed since, the digest no longer matches its bytes and a read
-    replays in full.  A store whose last line lacks its newline gets no
-    sidecar, since a sidecar must end at a newline.
+    The sidecar vouches for the file's first store.size bytes by the
+    digest the store kept of them as this process wrote or read them.  If
+    the file changed since, the digest no longer matches its bytes and a
+    read replays in full.  A store whose last line lacks its newline gets
+    no sidecar, since a sidecar must end at a newline.
     """
-    prefix, size = hashlib.sha256(), 0
-    for block in store.blocks:  # line by line, so no copy of the file is made
-        line = block_line(block)
-        prefix.update(line)
-        size += len(line)
-    if size == store.size:
-        tip = store.tip.header
-        _write_checkpoint(store.path, store.genesis, tip, store.state, size, to_hex(prefix.digest()))
+    with open(store.path, "rb") as handle:
+        handle.seek(store.size - 1)
+        if handle.read(1) != b"\n":
+            return
+    prefix = to_hex(store.digest.digest())
+    _write_checkpoint(store.path, store.genesis, store.tip, store.state, store.size, prefix)
 
 
-def _replay_to_tip(
-    path: Path,
-    raw: bytes,
-    genesis: GenesisConfig,
-    parent: BlockHeader,
-    blocks: Sequence[Block],
-    state: registry.RegistryState,
-    k: int,
-) -> registry.RegistryState:
-    """The state after blocks, the last blocks of raw, walked from parent
-    and the state after it.
-
-    The sidecar is rewritten at the last block whose line ends in a
-    newline, when that block is past k.  A sidecar must end at a newline,
-    so a last line that lacks one stays in the tail, and the next append,
-    which writes the newline first, leaves the sidecar valid.
-    """
-    whole = raw.rfind(b"\n") + 1  # the bytes of the lines that end in a newline
-    done = blocks if whole == len(raw) else blocks[:-1]
-    state, _ = _replay(parent, done, genesis, state)
-    last = done[-1].header if done else parent
-    if whole and last.index > k:
-        _write_checkpoint(path, genesis, last, state, whole, hash_of(memoryview(raw)[:whole]))
-    if len(done) < len(blocks):
-        state, _ = _replay(last, blocks[-1:], genesis, state)
-    return state
-
-
-def read_state(path, genesis: GenesisConfig) -> registry.RegistryState:
-    """The tip state of a chain file, for reads that need no receipts.
+def open_store(path, genesis: GenesisConfig) -> LedgerStore:
+    """The store of a chain file at its tip, for a read or an append.
 
     The file is read once.  With a sidecar checkpoint at block k whose
     digest matches the file's first bytes, only line k and the lines after
     it are parsed, and only the blocks after k are walked.  Any failure on
     that path, whether from the sidecar or the chain, falls back to a full
-    parse and replay, so the state, or the error raised, is always that of
-    load_chain.  A fallback or a checkpoint behind the tip rewrites the
-    sidecar.  ``validate`` never reads it and always replays in full.
+    parse and replay, so the store, or the error raised, is always that of
+    load_chain.  ``validate`` never reads the sidecar.
+
+    A walk past k (a fallback's walk starts before block 0) rewrites the
+    sidecar at the last block whose line ends in a newline.  A sidecar
+    must end at a newline, so a last line that lacks one stays in the
+    tail, and the next append, which writes the newline first, leaves the
+    sidecar valid.
     """
     path = Path(path)
     raw = read_chain(path)
+    whole = raw.rfind(b"\n") + 1  # the bytes of the lines that end in a newline
+
+    def walk(parent, blocks, state, start, digest, k) -> LedgerStore:
+        """The store after blocks, the lines of raw after its first start
+        bytes, walked from parent and the state after it; digest is the
+        sha256 of those start bytes."""
+        done = blocks if whole == len(raw) else blocks[:-1]
+        state, _ = _replay(parent, done, genesis, state)
+        tip = done[-1].header if done else parent
+        digest.update(memoryview(raw)[start:whole])
+        if whole and tip.index > k:
+            _write_checkpoint(path, genesis, tip, state, whole, to_hex(digest.digest()))
+        if len(done) < len(blocks):
+            state, _ = _replay(tip, blocks[-1:], genesis, state)
+            tip = blocks[-1].header
+        digest.update(memoryview(raw)[whole:])
+        return LedgerStore(path, genesis, tip, state, len(raw), digest)
+
     try:
-        parent, size, state = _from_checkpoint(raw, genesis, _tip_path(path).read_bytes())
-        tail = [_parse_line(line) for line in _lines(raw[size:])]
-        return _replay_to_tip(path, raw, genesis, parent, tail, state, parent.index)
+        parent, start, state, digest = _from_checkpoint(raw, genesis, _tip_path(path).read_bytes())
+        tail = [_parse_line(line) for line in _lines(raw[start:])]
+        return walk(parent, tail, state, start, digest, parent.index)
     except (OSError, LedgerError, ValueError, KeyError, TypeError, RecursionError):
         pass
     blocks = parse_chain_bytes(raw)
     parent = _genesis_parent(blocks, genesis)
-    return _replay_to_tip(path, raw, genesis, parent, blocks[1:], genesis_state(genesis), -1)
+    return walk(parent, blocks[1:], genesis_state(genesis), 0, hashlib.sha256(), -1)

@@ -285,8 +285,12 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     step = 0
     txs_sent = 0
 
-    def after(position: int, receipts: List[registry.Receipt]) -> None:
-        """Trace block position's transactions, then the scans that follow it."""
+    # block 0 as create_store wrote it (genesis_block would commit its state again)
+    blocks = [ledger.Block(store.tip, (), ledger.ZERO_SEAL)]
+
+    def after(position: int, block: ledger.Block, receipts: List[registry.Receipt]) -> None:
+        """Keep block position, trace its transactions, then the scans that follow it."""
+        blocks.append(block)
         entries, scans = sealed[position]
         for (event_step, actor_address, action, detail, _), receipt in zip(entries, receipts):
             trace.append(
@@ -420,7 +424,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     result = SimulationResult(
         scenario=scenario,
         genesis=genesis,
-        blocks=list(store.blocks),
+        blocks=blocks,
         final_state=store.state,
         trace=trace,
         chain_path=chain_path,
@@ -478,11 +482,14 @@ def build_cost_model_chain(
         Register(product_id="P-001", name="Widget", metadata=""),
         Sell(product_id="P-001", consumer=consumer.address),
     )
+    blocks, receipts = [ledger.genesis_block(genesis)], [[]]
     with tempfile.TemporaryDirectory() as tmp:
         store = ledger.create_store(Path(tmp) / "chain.jsonl", genesis)
         for offset, kind in enumerate(kinds):
             tx = registry.make_tx(manufacturer, genesis.chain_id, offset, kind, price)
-            _, (receipt,) = ledger.extend(store, [tx], authority, 3600 * (offset + 1))
+            block, (receipt,) = ledger.extend(store, [tx], authority, 3600 * (offset + 1))
             if not receipt.accepted:
                 raise RuntimeError(f"cost-model tx rejected: {receipt.error}")
-    return genesis, store.blocks, store.receipts
+            blocks.append(block)
+            receipts.append([receipt])
+    return genesis, blocks, receipts

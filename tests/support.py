@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -208,15 +209,26 @@ def first_offense(chain_path, genesis: ledger.GenesisConfig) -> int:
     parses names its own block (line N is block N-1); a parseable but
     invalid chain names the block where replay first fails.
     """
-    raw = Path(chain_path).read_bytes()
     try:
-        blocks = ledger.parse_chain_bytes(raw)
+        ledger.load_chain(chain_path, genesis)
     except ledger.ParseError as err:
         return err.line_number - 1
-    report = ledger.validate_chain(blocks, genesis)
-    if report.ok:
-        raise AssertionError(f"chain at {chain_path} is valid; no offense to report")
-    return report.block_index
+    except ledger.ValidationFailedError as err:
+        return err.report.block_index
+    raise AssertionError(f"chain at {chain_path} is valid; no offense to report")
+
+
+def validate_blocks(blocks, genesis: ledger.GenesisConfig) -> ledger.ValidationReport:
+    """What load_chain reports on a file of blocks: ok, or the first block
+    and rule they break."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chain.jsonl"
+        path.write_bytes(b"".join(ledger.block_line(block) for block in blocks))
+        try:
+            ledger.load_chain(path, genesis)
+        except ledger.ValidationFailedError as err:
+            return err.report
+    return ledger.ValidationReport(ok=True)
 
 
 def chain_tx_contexts(blocks) -> Tuple[list, List[Context]]:

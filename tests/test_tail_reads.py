@@ -1,5 +1,6 @@
-"""Reads that walk only the tail after a sidecar checkpoint, and the writers
-that cut a torn tail (tx and repair), against the committed 50-block chain.
+"""Reads and appends that walk only the tail after a sidecar checkpoint, and
+the writers that cut a torn tail (tx and repair), against the committed
+50-block chain.
 
 Every command runs in this process through cli.main, so the whole grid
 stays fast: the signature memo answers each check after the first replay.
@@ -7,8 +8,10 @@ stays fast: the signature memo answers each check after the first replay.
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
+import os
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -53,10 +56,15 @@ def with_head(sidecar: bytes, **members) -> bytes:
     return canonical_serialize({key: value for key, value in doc.items() if value is not None}) + b"\n" + body
 
 
+INPUTS = ["intact", "no-newline", "torn", "prefix30", "cr-for-newline"] + [
+    f"edit-{line}-{fraction}" for line in (0, 10, 17, 30, 48, 49) for fraction in (0.3, 0.8)
+]
+
+
 @pytest.fixture(scope="module")
-def grid(tmp_path_factory):
-    """The fixture chain, the inputs made from it, the sidecars to read them
-    with, and the commands."""
+def grid(tmp_path_factory, keys50):
+    """The fixture chain, the inputs made from it, the sidecars to open them
+    with, and the commands: the reads, then validate, gas-report and a tx."""
     out = tmp_path_factory.mktemp("tail")
     shutil.copy(FIXTURES / "genesis50.json", out / "genesis.json")
     raw = (FIXTURES / "chain50.jsonl").read_bytes()
@@ -67,7 +75,7 @@ def grid(tmp_path_factory):
     for k in (0, 17, 48, 49):
         chain = out / f"prefix{k}.jsonl"
         chain.write_bytes(b"".join(lines[: k + 1]))
-        ledger.read_state(chain, genesis)
+        ledger.open_store(chain, genesis)
         sidecars[f"k={k}"] = (out / f"prefix{k}.jsonl.tip").read_bytes()
     tip = sidecars["k=49"]
     head17 = json.loads(sidecars["k=17"].split(b"\n", 1)[0])
@@ -93,43 +101,99 @@ def grid(tmp_path_factory):
     state = ledger.load_chain(FIXTURES / "chain50.jsonl", genesis).state
     product = sorted(state.products)[0]
     payload = qr.encode_payload(genesis.chain_id, state.contract.address, product)
+    consumer = next(a for a, r in genesis.roles.items() if r.value == "consumer")
     commands = [
         ["verify", "--qr", payload],
         ["history", "--id", product],
         ["qr", "--id", product],
         ["validate"],
         ["gas-report"],
+        # the due sealer's key is found next to the sender's
+        ["tx", "faucet", "--key", str(keys50[consumer])],
     ]
     return {
         "dir": out, "genesis": genesis, "inputs": inputs, "sidecars": sidecars, "commands": commands
     }
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["intact", "no-newline", "torn", "prefix30", "cr-for-newline"]
-    + [f"edit-{line}-{fraction}" for line in (0, 10, 17, 30, 48, 49) for fraction in (0.3, 0.8)],
-)
+@pytest.mark.parametrize("name", INPUTS)
 def test_every_sidecar_answers_as_no_sidecar(grid, name):
-    """Exit code, stdout, stderr and the chain's bytes are those of the same
-    command with the sidecar deleted, whatever the sidecar holds."""
+    """Exit code, stdout, stderr and the chain's bytes after the command
+    are those of the same command with the sidecar deleted, whatever the
+    sidecar holds.  Each command runs on a fresh copy of the input; only
+    tx changes it."""
     chain, data = grid["dir"] / "chain.jsonl", grid["inputs"][name]
     tip = Path(str(chain) + ".tip")
     base = ["--db", str(chain), "--genesis", str(grid["dir"] / "genesis.json")]
-    chain.write_bytes(data)
-    expected = []
-    for command in grid["commands"]:
+
+    def answer(command, sidecar):
+        chain.write_bytes(data)
         tip.unlink(missing_ok=True)
-        expected.append(run(base + command))
-    assert chain.read_bytes() == data
-    assert "Traceback" not in "".join(err for _, _, err in expected)
+        if sidecar is not None:
+            tip.write_bytes(sidecar)
+        return run(base + command), chain.read_bytes()
+
+    expected = [answer(command, None) for command in grid["commands"]]
+    assert [after for _, after in expected[:-1]] == [data] * (len(expected) - 1)
+    assert "Traceback" not in "".join(err for (_, _, err), _ in expected)
     for label, sidecar in grid["sidecars"].items():
-        for command, answer in zip(grid["commands"], expected):
-            tip.unlink(missing_ok=True)
-            if sidecar is not None:
-                tip.write_bytes(sidecar)
-            assert run(base + command) == answer, (label, command[0])
-            assert chain.read_bytes() == data, (label, command[0])
+        for command, expect in zip(grid["commands"], expected):
+            assert answer(command, sidecar) == expect, (label, command[0])
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_every_sidecar_opens_the_store_of_a_full_replay(grid, name):
+    """open_store's tip, state, size and digest, or the error it raises,
+    are load_chain's whatever the sidecar holds."""
+    chain, data, genesis = grid["dir"] / "chain.jsonl", grid["inputs"][name], grid["genesis"]
+    tip = Path(str(chain) + ".tip")
+    chain.write_bytes(data)
+
+    def outcome(open_chain):
+        try:
+            opened = open_chain(chain, genesis)
+        except ledger.LedgerError as exc:
+            return type(exc), str(exc)
+        if isinstance(opened, ledger.Chain):
+            return opened.blocks[-1].header, opened.state, len(data), hashlib.sha256(data).digest()
+        return opened.tip, opened.state, opened.size, opened.digest.digest()
+
+    expected = outcome(ledger.load_chain)
+    for label, sidecar in grid["sidecars"].items():
+        tip.unlink(missing_ok=True)
+        if sidecar is not None:
+            tip.write_bytes(sidecar)
+        assert outcome(ledger.open_store) == expected, label
+    assert chain.read_bytes() == data
+
+
+def test_a_tx_at_a_tip_sidecar_walks_no_block(grid, monkeypatch):
+    """An append at a tip sidecar parses the tip's line alone and executes
+    only its own transaction."""
+    chain, tip = grid["dir"] / "chain.jsonl", grid["dir"] / "chain.jsonl.tip"
+    chain.write_bytes(grid["inputs"]["intact"])
+    tip.write_bytes(grid["sidecars"]["k=49"])
+    base = ["--db", str(chain), "--genesis", str(grid["dir"] / "genesis.json")]
+    parsed = support.count_calls(monkeypatch, ledger, "_parse_line")
+    executed = support.count_calls(monkeypatch, registry, "apply_tx")
+    code, out, err = run(base + grid["commands"][-1])
+    assert code in (0, 1) and err == "" and json.loads(out)["block_index"] == 50
+    assert len(parsed) == 1 and [tx.hash for _, tx, _ in executed] == [json.loads(out)["tx_hash"]]
+
+
+def test_a_short_append_prints_no_receipt(grid, monkeypatch):
+    """A write cut short (a full disk, say) is cut off again: tx exits 2
+    with no receipt and the chain keeps its bytes."""
+    chain, data = grid["dir"] / "chain.jsonl", grid["inputs"]["intact"]
+    chain.write_bytes(data)
+    base = ["--db", str(chain), "--genesis", str(grid["dir"] / "genesis.json")]
+    write = os.write
+    monkeypatch.setattr(ledger.os, "write", lambda fd, line: write(fd, line[: len(line) // 2]))
+    code, out, err = run(base + grid["commands"][-1])
+    monkeypatch.undo()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot append to {chain}: wrote ") and "Traceback" not in err
+    assert chain.read_bytes() == data
 
 
 def test_a_state_line_with_other_spacing_is_refused(grid):
@@ -290,15 +354,20 @@ class TestTornTail:
             assert len(ledger.load_chain(chain, genesis).blocks) == blocks
 
         args = cli.build_parser().parse_args(base + ["repair"])
-        validated = []
-        monkeypatch.setattr(cli, "cmd_validate", lambda args: validated.append(args) or cli.EXIT_OK)
+        replayed = []
+
+        def replay(parent, blocks, genesis, state):
+            replayed.append(parent)
+            return state, [[] for _ in blocks]
+
+        monkeypatch.setattr(ledger, "_replay", replay)
         monkeypatch.setattr(ledger, "_parse_line", functools.lru_cache(maxsize=None)(ledger._parse_line))
         for cut in range(len(last)):
             chain.write_bytes(raw[: intact + cut])
-            with contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert cli.cmd_repair(args) == cli.EXIT_OK
             assert chain.read_bytes() == expected(cut), cut
-        assert len(validated) == len(last)
+        assert len(replayed) == len(last)
 
     @pytest.mark.parametrize("cut", ["partial-line-appended", "line-49-torn"])
     def test_a_sidecar_from_before_the_cut(self, tmp_path, monkeypatch, cut):
@@ -334,6 +403,16 @@ class TestTornTail:
         tip.unlink()
         assert run(history) == answer
         assert answer[0] == 0 and answer[2] == ""
+
+    def test_repair_parses_an_intact_chain_once(self, tmp_path, monkeypatch):
+        """repair reads the file again only after a cut, so each of an intact
+        chain's 50 lines is parsed once, and it answers as validate does."""
+        base, _, _ = self.chain(tmp_path, 0)
+        (tmp_path / "chain.jsonl").write_bytes((FIXTURES / "chain50.jsonl").read_bytes())
+        answer = run(base + ["validate"])
+        parsed = support.count_calls(monkeypatch, ledger, "_parse_line")
+        assert run(base + ["repair"]) == answer
+        assert len(parsed) == 50 and answer[0] == 0
 
     @pytest.mark.parametrize("case", ["intact", "edited-and-torn", "last-line-edited"])
     def test_repair_cuts_nothing_else(self, tmp_path, case):
