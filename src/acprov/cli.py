@@ -81,8 +81,12 @@ def _write_key(path: Path, key: KeyPair, role: registry.Role) -> None:
         "role": role.value,
         "secret_key": key.secret_key,
     }
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    os.chmod(path, 0o600)
+    try:  # created owner-only, and never over an existing file
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    except FileExistsError:
+        raise UsageError(f"key file already exists: {path}") from None
+    with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _load_genesis(args) -> ledger.GenesisConfig:
@@ -192,8 +196,6 @@ def cmd_keygen(args) -> int:
     except ValueError:
         raise UsageError(f"unknown role {args.role!r}") from None
     out_path = Path(args.out)
-    if out_path.exists():
-        raise UsageError(f"key file already exists: {out_path}")
     key = KeyPair.generate()
     with _writing(out_path):
         _write_key(out_path, key, role)
@@ -268,6 +270,7 @@ def cmd_tx(args) -> int:
         block, (receipt,) = ledger.extend(store, [tx], sealer_key, timestamp)
     except ValueError as exc:  # a member no block may hold: the loader would refuse it
         raise UsageError(f"bad transaction: {exc}") from None
+    ledger.checkpoint(store)  # the next read walks no block
     doc = receipt.to_canonical()
     doc["block_index"] = block.header.index
     print(json.dumps(doc, sort_keys=True))

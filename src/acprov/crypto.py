@@ -7,11 +7,13 @@ test oracles verify the same envelopes many times over.  A signature
 this process makes is memoized as valid under the key its secret
 derives, under which it always verifies (RFC 8032, section 5.1); a
 reader is a fresh process and checks every signature.  With more than
-one usable CPU, forked copies of the process (POSIX only) take known
-lists of work from the back while the caller takes them from the
-front: ``sign_batch`` signs messages, and inside a ``verify_ahead``
-block the copies check the signatures the caller verifies.
-``ledger.extend_plan`` forks its state-root copy through the same helper.
+one usable CPU, forked copies of the process (POSIX only) do known work
+ahead of the caller through one helper, ``_ahead``, into slots of a
+shared map: a copy fills a slot unless the caller has taken it, the
+bytes first and then the state byte, and the caller takes each slot,
+doing the work of an empty one itself.  So ``sign_batch`` signs,
+``verify_ahead``'s copies check the signatures the caller will verify,
+and ``ledger.extend_plan``'s copy commits state roots.
 
 The ``cryptography`` package is imported at the first sign or verify,
 not with this module: a read at a sidecar checkpoint (``acprov verify``,
@@ -110,11 +112,10 @@ def _remember(item: Check, ok: bool) -> bool:
     return ok
 
 
-# While a verify_ahead block runs: the position of each of its checks in
-# the shared answer map, and the map itself.
+# While a verify_ahead block runs: the slot of each of its checks, and
+# the slots, whose one byte is 1 for a valid signature and 0 otherwise.
 _positions: Dict[Check, int] = {}
-_shared: Optional[mmap.mmap] = None
-_INVALID, _VALID = 1, 2  # the map's bytes; 0 means nobody has checked it yet
+_answers: Optional["_Slots"] = None
 
 
 def verify(public_key: str, message: bytes, signature: str) -> bool:
@@ -123,19 +124,15 @@ def verify(public_key: str, message: bytes, signature: str) -> bool:
     Malformed keys or signatures verify as False rather than raising;
     a transaction carrying garbage bytes is simply unauthenticated.
     Inside a verify_ahead block an answer a worker already wrote is
-    taken from the shared map, and one checked here is written to it.
+    taken from its slot; one checked here has its slot taken first.
     """
     item = (public_key, message, signature)
     ok = _memo.get(item)
     if ok is not None:
         return ok
     position = _positions.get(item)
-    if position is None:
-        return _remember(item, _check(*item))
-    answer = _shared[position]
-    if not answer:
-        answer = _shared[position] = _VALID if _check(*item) else _INVALID
-    return _remember(item, answer == _VALID)
+    answer = None if position is None else _answers.take(position)
+    return _remember(item, _check(*item) if answer is None else answer[0] == 1)
 
 
 # A fork costs about as much as 15 checks; below this many checks (or
@@ -162,21 +159,55 @@ def _worker_count(checks: int) -> int:
     return min(_usable_cpus() - 1, checks // _MIN_CHECKS_PER_WORKER)
 
 
-@contextlib.contextmanager
-def _forked(workers: int, count: int, work: Callable[[int, int], None]) -> Iterator[None]:
-    """Run ``work(first, step)`` in up to ``workers`` forked copies of the
-    process while the block runs.
+# A slot's state byte, written after its bytes; 0 means nobody has it yet.
+_TAKEN, _FILLED = 1, 2
 
-    Worker w runs ``work(count - 1 - w, workers)``: a worker over a list
-    of ``count`` items takes positions count - 1 - w, count - 1 - w -
-    workers, ..., from its back (ledger.extend_plan's one copy walks its
-    list from the front instead).  What it does it writes to a shared map
-    the caller made before entering.  A copy that cannot be forked is not
-    started.  On exit every copy is killed and reaped, so whatever it
-    wrote is in the map and no more will be.  Copies leave by os._exit,
-    so they run no exit handler and never flush the parent's stdio
-    buffers.
+
+class _Slots:
+    """Slots of ``width`` bytes, each after a state byte, in a map shared
+    by a caller and its forked copies: the copies fill them, and the
+    caller takes each one it needs, filled or not."""
+
+    __slots__ = ("_map", "_width")
+
+    def __init__(self, count: int, width: int):
+        self._map = mmap.mmap(-1, max(count, 1) * (1 + width))  # a map cannot be empty
+        self._width = width
+
+    def put(self, position: int, make: Callable[[], bytes]) -> None:
+        """A copy's side: unless the caller has taken the slot, fill it
+        with make(), the bytes first and then the state byte."""
+        start = position * (1 + self._width)
+        if not self._map[start]:
+            self._map[start + 1 : start + 1 + self._width] = make()
+            self._map[start] = _FILLED
+
+    def take(self, position: int) -> Optional[bytes]:
+        """The caller's side: the slot's bytes if a copy filled it, else
+        None, with the slot marked taken for a copy to skip."""
+        start = position * (1 + self._width)
+        if self._map[start] == _FILLED:
+            return self._map[start + 1 : start + 1 + self._width]
+        self._map[start] = _TAKEN
+        return None
+
+
+@contextlib.contextmanager
+def _ahead(
+    workers: int, count: int, width: int, work: Callable[[_Slots, range], None]
+) -> Iterator[_Slots]:
+    """``count`` slots of ``width`` bytes that up to ``workers`` forked
+    copies of the process fill while the block runs.
+
+    Copy w runs ``work(slots, positions)`` with the positions count - 1 -
+    w, count - 1 - w - workers, ..., 0 of the list's back (ledger's roots
+    copy walks its list from the front instead).  A copy that cannot be
+    forked is not started.  On exit every copy is killed and reaped, so
+    whatever it filled is in the slots and no more will be; the slots
+    stay readable after the block.  Copies leave by os._exit, so they run
+    no exit handler and never flush the parent's stdio buffers.
     """
+    slots = _Slots(count, width)
     pids = []
     try:
         for worker in range(workers):
@@ -186,104 +217,81 @@ def _forked(workers: int, count: int, work: Callable[[int, int], None]) -> Itera
                 break
             if pid == 0:
                 try:
-                    work(count - 1 - worker, workers)
+                    work(slots, range(count - 1 - worker, -1, -workers))
                 finally:
                     os._exit(0)
             pids.append(pid)
-        yield
+        yield slots
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-# A sign_batch slot: a state byte, then the 64 signature bytes.  The
-# state is 0 until the caller takes the slot or a worker has filled it.
-_SLOT_BYTES = 1 + SIGNATURE_BYTES
-_TAKEN, _SIGNED = 1, 2
-
-
 def _sign_from_back(
-    requests: Sequence[Tuple[KeyPair, bytes]], slots: mmap.mmap, first: int, step: int
+    requests: Sequence[Tuple[KeyPair, bytes]], slots: _Slots, positions: range
 ) -> None:
-    """A worker's job: sign requests first, first - step, ..., 0, skipping
-    any the caller has taken.  The signature goes in first, then the
-    state byte that says it is there."""
-    for position in range(first, -1, -step):
-        start = position * _SLOT_BYTES
-        if not slots[start]:
-            key, message = requests[position]
-            slots[start + 1 : start + _SLOT_BYTES] = from_hex(key.sign(message))
-            slots[start] = _SIGNED
+    """A worker's job: sign the requests at positions into their slots."""
+    for position in positions:
+        key, message = requests[position]
+        slots.put(position, lambda: from_hex(key.sign(message)))
 
 
 def sign_batch(requests: Sequence[Tuple[KeyPair, bytes]]) -> List[str]:
     """``key.sign(message)`` for each (key, message) of ``requests``.
 
     With more than one usable CPU and enough requests, forked workers
-    sign from the back of the list into a shared map while the caller
-    signs from the front, each skipping what the other has done.  Ed25519
-    signing is deterministic (RFC 8032), so a worker's signature is the
-    caller's byte for byte.  The caller signs every slot no worker had
-    filled when it got there, and reads the workers' slots only once
-    they are reaped, so a worker that dies or cannot be forked costs
-    time but changes no signature.  The map holds signatures, never a key.
+    sign from the back of the list into shared slots while the caller
+    takes them from the front, signing each slot no worker has filled.
+    Ed25519 signing is deterministic (RFC 8032), so a worker's signature
+    is the caller's byte for byte, and a worker that dies or cannot be
+    forked costs time but changes no signature.  The slots hold
+    signatures, never a key.
     """
-    workers = _worker_count(len(requests))
-    if not workers:
-        return [key.sign(message) for key, message in requests]
-    signatures: List[Optional[str]] = [None] * len(requests)
-    with mmap.mmap(-1, len(requests) * _SLOT_BYTES) as slots:
-        with _forked(workers, len(requests), partial(_sign_from_back, requests, slots)):
-            for position, (key, message) in enumerate(requests):
-                if not slots[position * _SLOT_BYTES]:
-                    slots[position * _SLOT_BYTES] = _TAKEN
-                    signatures[position] = key.sign(message)
-        for position, signature in enumerate(signatures):
-            if signature is None:  # a worker had signed it
-                start = position * _SLOT_BYTES + 1
-                signatures[position] = signature = to_hex(slots[start : start + SIGNATURE_BYTES])
-                key, message = requests[position]
-                _remember((_public_key_of(key.secret_key), message, signature), True)
+    work = partial(_sign_from_back, requests)
+    signatures = []
+    with _ahead(_worker_count(len(requests)), len(requests), SIGNATURE_BYTES, work) as slots:
+        for position, (key, message) in enumerate(requests):
+            signed = slots.take(position)
+            signatures.append(key.sign(message) if signed is None else to_hex(signed))
+            _remember((_public_key_of(key.secret_key), message, signatures[-1]), True)
     return signatures
 
 
-def _check_from_back(items: Sequence[Check], answers: mmap.mmap, first: int, step: int) -> None:
-    """A worker's job: answer items first, first - step, ..., 0, skipping
-    any already answered, which the caller may have reached first."""
-    for position in range(first, -1, -step):
-        if not answers[position]:
-            answers[position] = _VALID if _check(*items[position]) else _INVALID
+def _check_from_back(items: Sequence[Check], slots: _Slots, positions: range) -> None:
+    """A worker's job: answer the items at positions into their slots."""
+    for position in positions:
+        slots.put(position, lambda: bytes([_check(*items[position])]))
 
 
 @contextlib.contextmanager
 def verify_ahead(items: Iterable[Check]) -> Iterator[None]:
     """Check items in forked copies of the process while the block runs.
 
-    Each distinct item not yet memoized gets one byte in a shared map.
-    With more than one usable CPU and enough items, workers answer them
-    from the back of the list while ``verify`` answers the ones the
-    caller reaches first, each skipping what the other has answered, so
-    neither waits for the other: a caller that works through its checks
-    in the list's order meets the workers in the middle.  On exit the
-    workers are stopped and reaped and every answer is memoized.  A
-    worker that cannot be started or dies leaves its bytes at 0, and the
-    caller checks those items itself: the answers are the same either way.
+    Each distinct item not yet memoized gets a one-byte slot.  With more
+    than one usable CPU and enough items, workers answer them from the
+    back of the list while ``verify`` takes the ones the caller reaches
+    first, so neither waits for the other: a caller that works through
+    its checks in the list's order meets the workers in the middle.  On
+    exit the workers are stopped and reaped and every answer they wrote
+    is memoized.  A worker that cannot be started or dies leaves its
+    slots empty, and the caller checks those items itself: the answers
+    are the same either way.
     """
-    global _positions, _shared
+    global _positions, _answers
     todo = [item for item in dict.fromkeys(items) if item not in _memo]
     workers = _worker_count(len(todo))
     if not workers:
         yield
         return
-    with mmap.mmap(-1, len(todo)) as answers:
+    with _ahead(workers, len(todo), 1, partial(_check_from_back, todo)) as slots:
+        _positions = {item: position for position, item in enumerate(todo)}
+        _answers = slots
         try:
-            with _forked(workers, len(todo), partial(_check_from_back, todo, answers)):
-                _positions = {item: position for position, item in enumerate(todo)}
-                _shared = answers
-                yield
+            yield
         finally:
-            _positions, _shared = {}, None
-            for item, answer in zip(todo, answers[:]):
-                if answer:
-                    _remember(item, answer == _VALID)
+            _positions, _answers = {}, None
+    for position, item in enumerate(todo):
+        answer = slots.take(position)
+        if answer is not None:
+            _remember(item, answer[0] == 1)

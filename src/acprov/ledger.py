@@ -23,7 +23,7 @@ Design notes that matter for interoperability:
   walks only the blocks after a checkpoint k kept in a sidecar
   ``<chain>.tip``, which vouches for lines 0..k by the sha256 of their
   bytes and holds the state after block k.  An open that walks past k
-  writes it, and so does the simulator at the tip it wrote
+  writes it, and so do ``tx`` and the simulator at the tip they wrote
   (``checkpoint``).  The sidecar is a cache: any doubt about it means a
   full replay.
 * ``extend`` is the one path that builds and appends a block.  A writer
@@ -44,7 +44,6 @@ import contextlib
 import fcntl
 import hashlib
 import json
-import mmap
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -54,6 +53,7 @@ from typing import Any, Callable, ClassVar, List, Mapping, NamedTuple, Optional,
 
 from . import registry
 from .canonical import (
+    HASH_BYTES,
     ZERO_HASH,
     _as_address,
     _as_hash,
@@ -76,7 +76,8 @@ from .canonical import (
 from .crypto import (
     Check,
     KeyPair,
-    _forked,
+    _ahead,
+    _Slots,
     _worker_count,
     derive_address,
     verify,
@@ -623,16 +624,11 @@ def extend(
 #
 # A writer that knows the blocks it will append hands them to extend_plan.
 # A forked copy of the process executes them from the tip state, as the
-# appends will, and writes each block's state root into a shared map; the
+# appends will, and puts each block's state root in a crypto slot; the
 # caller hashes the state itself only for a block the copy has not reached.
 
 # (timestamp, sealer address, txs): a block a writer will append.
 PlannedBlock = Tuple[int, str, Sequence[registry.TxEnvelope]]
-
-# A roots slot: a state byte, then the 32 root bytes.  The state is 0
-# until the caller takes the slot or the copy has written its root.
-_ROOT_SLOT_BYTES = 33
-_ROOT_TAKEN, _ROOT_WRITTEN = 1, 2
 
 
 def _roots_in_order(
@@ -640,32 +636,25 @@ def _roots_in_order(
     base: int,
     state: registry.RegistryState,
     blocks: Sequence[PlannedBlock],
-    slots: mmap.mmap,
-    first: int,
-    step: int,
+    slots: _Slots,
+    positions: range,
 ) -> None:
     """The roots copy's job: execute blocks from state, the state after
-    block base, and write each block's root unless the caller has taken
-    its slot.  Each block executes from the state before it, so the one
-    copy walks them all from the front; first and step go unused.  The
-    root goes in first, then the state byte that says it is there."""
+    block base, and put each block's root in its slot.  Each block
+    executes from the state before it, so the one copy walks them all
+    from the front, executing even a block whose slot the caller has
+    taken; positions goes unused."""
     for position, (timestamp, sealer, txs) in enumerate(blocks):
         ctx = make_context(genesis, base + 1 + position, timestamp, sealer)
         state, _ = _execute(state, txs, ctx)
-        start = position * _ROOT_SLOT_BYTES
-        if not slots[start]:
-            slots[start + 1 : start + _ROOT_SLOT_BYTES] = from_hex(registry.state_commitment(state))
-            slots[start] = _ROOT_WRITTEN
+        slots.put(position, lambda: from_hex(registry.state_commitment(state)))
 
 
-def _slot_root(slots: mmap.mmap, position: int, state: registry.RegistryState) -> str:
-    """The copy's root in slot position if it is written; otherwise the
-    slot is marked taken and state's root computed here."""
-    start = position * _ROOT_SLOT_BYTES
-    if slots[start] == _ROOT_WRITTEN:
-        return to_hex(slots[start + 1 : start + _ROOT_SLOT_BYTES])
-    slots[start] = _ROOT_TAKEN
-    return registry.state_commitment(state)
+def _slot_root(slots: _Slots, position: int, state: registry.RegistryState) -> str:
+    """The copy's root in slot position if it is there; otherwise the
+    slot is taken and state's root computed here."""
+    root = slots.take(position)
+    return registry.state_commitment(state) if root is None else to_hex(root)
 
 
 def extend_plan(
@@ -679,28 +668,25 @@ def extend_plan(
     block, receipts) once each block is written.
 
     With a second usable CPU and enough blocks (crypto's worker rule), one
-    forked copy executes blocks from the tip state and writes each root
-    into a shared map, where an append takes it once written.  after may
-    append a block or replace the state, so roots are taken only while the
-    tip is block base + position and store.state is what the last planned
-    append wrote; once either fails, every later root is computed here.  As
-    in sign_batch, the same code on the same bytes gives the same root, so
-    a copy that is slow, dies or cannot be forked costs time but changes no
-    byte.  The copy holds no key and writes nothing but roots.
+    forked copy executes blocks from the tip state and puts each root in
+    a slot, which an append takes once it has executed its block.  after
+    may append a block or replace the state, so roots are taken only while
+    the tip is block base + position and store.state is what the last
+    planned append wrote; once either fails, every later root is computed
+    here.  As in sign_batch, the same code on the same bytes gives the same
+    root, so a copy that is slow, dies or cannot be forked costs time but
+    changes no byte.  The copy holds no key and writes nothing but roots.
     """
     base, state = store.tip.index, store.state
-    # an anonymous map cannot be empty
-    with mmap.mmap(-1, max(len(blocks), 1) * _ROOT_SLOT_BYTES) as slots:
-        work = partial(_roots_in_order, store.genesis, base, state, blocks, slots)
-        with _forked(min(1, _worker_count(len(blocks))), len(blocks), work):
-            planned = True  # latched false once it fails
-            for position, (timestamp, sealer, txs) in enumerate(blocks):
-                planned &= store.state is state and store.tip.index == base + position
-                slot_root = partial(_slot_root, slots, position)
-                root_of = slot_root if planned else registry.state_commitment
-                block, receipts = _append(store, txs, keys[sealer], timestamp, root_of)
-                state = store.state
-                after(position, block, receipts)
+    work = partial(_roots_in_order, store.genesis, base, state, blocks)
+    with _ahead(min(1, _worker_count(len(blocks))), len(blocks), HASH_BYTES, work) as slots:
+        planned = True  # latched false once it fails
+        for position, (timestamp, sealer, txs) in enumerate(blocks):
+            planned &= store.state is state and store.tip.index == base + position
+            root_of = partial(_slot_root, slots, position) if planned else registry.state_commitment
+            block, receipts = _append(store, txs, keys[sealer], timestamp, root_of)
+            state = store.state
+            after(position, block, receipts)
 
 
 def _parse_line(line: bytes) -> Block:
@@ -920,8 +906,8 @@ def _write_checkpoint(
 
 def checkpoint(store: LedgerStore) -> None:
     """Write the sidecar of store's file at its tip, for a writer that
-    holds the tip state (the simulator), so that the next read walks no
-    block.
+    holds the tip state (``tx``, the simulator), so that the next read
+    walks no block.
 
     The sidecar vouches for the file's first store.size bytes by the
     digest the store kept of them as this process wrote or read them.  If

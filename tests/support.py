@@ -95,27 +95,31 @@ def wait_for_exit(pid: int, timeout: float = 10.0) -> None:
 
 
 def verify_workers_finished(timeout: float = 10.0) -> None:
-    """Inside a verify_ahead block: wait until every item has an answer in
-    the shared map, which only the workers write until verify is called."""
+    """Inside a verify_ahead block: wait until every item's slot has its
+    state byte, which only the workers write until verify is called."""
     deadline = time.monotonic() + timeout
-    while crypto._shared is not None and 0 in crypto._shared[:]:
+    while crypto._answers is not None and 0 in crypto._answers._map[::2]:
         assert time.monotonic() < deadline, "the workers left items unanswered"
         time.sleep(0.001)
 
 
-def copy_exits_first(monkeypatch, pids) -> None:
-    """Make ledger.extend_plan start its appends only once the copy it
-    forked, the last child in pids, has exited: a copy that runs to its end
-    has then written every root."""
-    forked = ledger._forked
+def copies_exit_first(monkeypatch, pids) -> None:
+    """Make each user of crypto._ahead (sign_batch, verify_ahead and
+    ledger.extend_plan) start its own work only once every copy it forked,
+    the children it added to pids, has exited: a copy that runs to its end
+    has then filled every slot it would."""
+    ahead = crypto._ahead
 
     @contextlib.contextmanager
-    def forked_then_wait(*args):
-        with forked(*args):
-            wait_for_exit(pids[-1])
-            yield
+    def ahead_then_wait(*args):
+        first = len(pids)
+        with ahead(*args) as slots:
+            for pid in pids[first:]:
+                wait_for_exit(pid)
+            yield slots
 
-    monkeypatch.setattr(ledger, "_forked", forked_then_wait)
+    for module in (crypto, ledger):
+        monkeypatch.setattr(module, "_ahead", ahead_then_wait)
 
 
 def assert_reaped(pids) -> None:

@@ -113,6 +113,16 @@ class TestKeygen:
         res = run_cli("keygen", "--role", "wizard", "--out", "w.json", cwd=tmp_path)
         assert res.returncode == 2
 
+    def test_the_key_file_is_owner_only_from_its_creation(self, tmp_path, monkeypatch):
+        """The file is created with mode 0600, not narrowed to it afterwards."""
+        monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+        old_umask = os.umask(0o022)
+        try:
+            assert cli.main(["keygen", "--role", "consumer", "--out", str(tmp_path / "k.json")]) == 0
+        finally:
+            os.umask(old_umask)
+        assert (tmp_path / "k.json").stat().st_mode & 0o777 == 0o600
+
 
 class TestInit:
     def test_refuses_existing_chain(self, workspace):
@@ -573,10 +583,35 @@ class TestSidecar:
         res = run_cli("tx", "transfer", "--key", "c.json", "--id", "P-100",
                       "--to", workspace["addresses"]["d"], cwd=ws)
         assert res.returncode == 1  # sold already: rejected, but sealed as block 5
-        assert (ws / "chain.jsonl.tip").read_bytes() == stale  # tx does not write it
+        assert b'"index":5,' in (ws / "chain.jsonl.tip").read_bytes().split(b"\n")[0]  # tx's tip
         expected = self.without_sidecar(ws, reads)
         assert self.with_sidecar(ws, reads, stale) == expected
         assert b'"index":5,' in (ws / "chain.jsonl.tip").read_bytes().split(b"\n")[0]
+
+    def test_tx_leaves_the_sidecar_at_its_tip(self, workspace, tmp_path, monkeypatch, capsys):
+        """After a tx at a tip sidecar the sidecar is at the block tx wrote,
+        so the next verify parses the tip's line alone, executes nothing
+        and, in a child process, loads no signature library."""
+        ws = clone(workspace, tmp_path)
+        reads = self.reads(workspace)
+        answers(ws, reads[:1])
+        base = ["--db", str(ws / "chain.jsonl"), "--genesis", str(ws / "genesis.json")]
+        assert cli.main(base + ["tx", "faucet", "--key", str(ws / "c.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["block_index"] == 5
+        head = json.loads((ws / "chain.jsonl.tip").read_bytes().split(b"\n")[0])
+        assert head["index"] == 5
+        lines = count_calls(monkeypatch, ledger, "_parse_line")
+        applied = count_calls(monkeypatch, registry, "apply_tx")
+        assert cli.main(base + list(reads[0])) == 0
+        assert (len(lines), applied) == (1, [])
+        script = (
+            "import sys; from acprov import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, 'cryptography' in sys.modules)"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", script, *base, *reads[0]], capture_output=True, text=True, env=cli_env()
+        )
+        assert res.stdout.splitlines()[-1] == "0 False", res.stderr
 
     def test_other_genesis(self, workspace, tmp_path):
         """Same chain, other gas_params: the sidecar written under the real genesis is not used."""

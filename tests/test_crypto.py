@@ -1,8 +1,6 @@
-import contextlib
 import hashlib
 import os
 import signal
-import mmap
 import sys
 
 import pytest
@@ -176,6 +174,18 @@ def signed_items(count):
     ]
 
 
+def without_state_byte(slots, position, data):
+    """What a faulty worker leaves in a slot: its bytes, no state byte."""
+    start = position * (1 + len(data)) + 1
+    slots._map[start : start + len(data)] = data
+
+
+def answers_without_state_byte(items, slots, positions):
+    """A faulty worker: the answer byte of every slot, no state byte."""
+    for position in range(positions[0] + 1):
+        without_state_byte(slots, position, bytes([reference_verify(*items[position])]))
+
+
 class TestVerifyBatch:
     """verify_ahead: a batch that forked workers check from the back while
     the caller verifies from the front."""
@@ -226,13 +236,14 @@ class TestVerifyBatch:
     @pytest.mark.parametrize(
         "work, answered",
         [
-            (lambda items, answers, first, step: os._exit(0), 0),
-            (lambda items, answers, first, step: os.kill(os.getpid(), signal.SIGKILL), 0),
-            (lambda items, answers, first, step: 1 / 0, 0),
-            # answers its first item only: the next position would be past the front
-            (lambda items, answers, first, step: CHECK_FROM_BACK(items, answers, first, first + 1), 1),
+            (lambda items, slots, positions: os._exit(0), 0),
+            (lambda items, slots, positions: os.kill(os.getpid(), signal.SIGKILL), 0),
+            (lambda items, slots, positions: 1 / 0, 0),
+            (answers_without_state_byte, 0),
+            # answers its first item only
+            (lambda items, slots, positions: CHECK_FROM_BACK(items, slots, positions[:1]), 1),
         ],
-        ids=["exits_early", "dies", "raises", "short"],
+        ids=["exits_early", "dies", "raises", "no_state_byte", "short"],
     )
     def test_a_failed_worker_has_its_share_checked_here(self, forking, work, answered):
         forking.setattr(crypto, "_check_from_back", work)
@@ -245,14 +256,16 @@ class TestVerifyBatch:
         support.assert_reaped(pids)
 
     def test_a_worker_skips_what_the_caller_answered(self):
-        """The caller may answer a worker's first items before it runs; the
-        worker goes on past them instead of stopping."""
-        items = signed_items(6)
-        with mmap.mmap(-1, len(items)) as answers:
-            answers[5] = answers[3] = crypto._INVALID
-            crypto._check_from_back(items, answers, len(items) - 1, 1)
-            valid, invalid = crypto._VALID, crypto._INVALID
-            assert answers[:] == bytes([valid, valid, valid, invalid, valid, invalid])
+        """The caller may take a worker's first slots before it runs; the
+        worker goes on past them instead of stopping, and the caller takes
+        every slot the worker filled."""
+        items = signed_items(5) + [(SIGNERS[0].public_key, b"x", SIGNERS[1].sign(b"x"))]
+        slots = crypto._Slots(len(items), 1)
+        assert slots.take(5) is slots.take(3) is None
+        crypto._check_from_back(items, slots, range(len(items) - 1, -1, -1))
+        assert [slots.take(position) for position in range(len(items))] == [
+            b"\x01", b"\x01", b"\x01", None, b"\x01", None
+        ]
 
     def test_fork_failure_checks_everything_here(self, forking):
         def no_fork():
@@ -281,23 +294,8 @@ class TestVerifyBatch:
                 1 / 0
         assert len(pids) == 1
         support.assert_reaped(pids)
-        assert crypto._shared is None and crypto._positions == {}
+        assert crypto._answers is None and crypto._positions == {}
         assert all(crypto.verify(*item) for item in items)
-
-
-def workers_exited_first(monkeypatch, pids):
-    """Make sign_batch start its own signing only once every worker it
-    forked has exited: a worker that runs to its end has then signed all."""
-    forked = crypto._forked
-
-    @contextlib.contextmanager
-    def forked_then_wait(*args):
-        with forked(*args):
-            for pid in pids:
-                support.wait_for_exit(pid)
-            yield
-
-    monkeypatch.setattr(crypto, "_forked", forked_then_wait)
 
 
 def requests(count):
@@ -309,12 +307,11 @@ def in_process(batch):
     return [key.sign(message) for key, message in batch]
 
 
-def signatures_without_state_byte(batch, slots, first, step):
+def signatures_without_state_byte(batch, slots, positions):
     """A faulty worker: the signature bytes of every slot, no state byte."""
-    for position in range(first + 1):
-        start = position * crypto._SLOT_BYTES + 1
+    for position in range(positions[0] + 1):
         key, message = batch[position]
-        slots[start : start + crypto.SIGNATURE_BYTES] = from_hex(key.sign(message))
+        without_state_byte(slots, position, from_hex(key.sign(message)))
 
 
 class TestSignBatch:
@@ -328,7 +325,7 @@ class TestSignBatch:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
             patch.setattr(crypto, "_usable_cpus", lambda: cpus)
-            workers_exited_first(patch, support.record_forks(patch))
+            support.copies_exit_first(patch, support.record_forks(patch))
             batch = [(SIGNERS[len(m) % len(SIGNERS)], m) for m in messages]
             expected = in_process(batch)
             signed = support.count_calls(patch, crypto.KeyPair, "sign")
@@ -339,18 +336,18 @@ class TestSignBatch:
     @pytest.mark.parametrize(
         "work, signed_there",
         [
-            (lambda batch, slots, first, step: os._exit(0), 0),
-            (lambda batch, slots, first, step: os.kill(os.getpid(), signal.SIGKILL), 0),
+            (lambda batch, slots, positions: os._exit(0), 0),
+            (lambda batch, slots, positions: os.kill(os.getpid(), signal.SIGKILL), 0),
             (signatures_without_state_byte, 0),
-            # signs its first slot only: the next position would be past the front
-            (lambda batch, slots, first, step: SIGN_FROM_BACK(batch, slots, first, first + 1), 1),
+            # signs its first slot only
+            (lambda batch, slots, positions: SIGN_FROM_BACK(batch, slots, positions[:1]), 1),
         ],
         ids=["exits_early", "dies", "no_state_byte", "short"],
     )
     def test_a_failed_worker_has_its_share_signed_here(self, forking, work, signed_there):
         forking.setattr(crypto, "_sign_from_back", work)
         pids = support.record_forks(forking)
-        workers_exited_first(forking, pids)
+        support.copies_exit_first(forking, pids)
         batch = requests(12)
         expected = in_process(batch)
         signed = support.count_calls(forking, crypto.KeyPair, "sign")
@@ -395,7 +392,7 @@ class TestSignBatch:
 
     def test_workers_leave_buffered_output_alone(self, forking, capfd):
         sys.stdout.write("written once")  # still in the buffer when the worker forks
-        workers_exited_first(forking, support.record_forks(forking))
+        support.copies_exit_first(forking, support.record_forks(forking))
         batch = requests(6)
         assert crypto.sign_batch(batch) == in_process(batch)
         sys.stdout.flush()
@@ -422,7 +419,7 @@ class TestSignedHere:
             patch.setattr(crypto, "_MIN_CHECKS_PER_WORKER", 1)
             patch.setattr(crypto, "_usable_cpus", lambda: cpus)
             pids = support.record_forks(patch)
-            workers_exited_first(patch, pids)
+            support.copies_exit_first(patch, pids)
             signers = SIGNERS + [MISMATCHED]
             batch = [(signers[len(m) % len(signers)], m) for m in messages]
             made = list(zip(batch, crypto.sign_batch(batch)))

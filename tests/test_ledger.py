@@ -933,16 +933,23 @@ LIE = b"\xab" * 32
 ROOTS_IN_ORDER = ledger._roots_in_order
 
 
+class LyingSlots:
+    """The roots copy's slots, in which every root it puts from slot
+    first_lie on is a lie."""
+
+    def __init__(self, slots, first_lie):
+        self.slots, self.first_lie = slots, first_lie
+
+    def put(self, position, make):
+        self.slots.put(position, make if position < self.first_lie else lambda: LIE)
+
+
 def lying_from(first_lie):
     """A faulty roots copy: the true roots before slot first_lie, then a
-    written lie in every later slot."""
+    lie in every later slot."""
 
-    def work(genesis, base, state, blocks, slots, first, step):
-        ROOTS_IN_ORDER(genesis, base, state, blocks, slots, first, step)
-        for position in range(first_lie, len(blocks)):
-            start = position * ledger._ROOT_SLOT_BYTES
-            slots[start + 1 : start + ledger._ROOT_SLOT_BYTES] = LIE
-            slots[start] = ledger._ROOT_WRITTEN
+    def work(genesis, base, state, blocks, slots, positions):
+        ROOTS_IN_ORDER(genesis, base, state, blocks, LyingSlots(slots, first_lie), positions)
 
     return work
 
@@ -986,7 +993,7 @@ class TestRootsAhead:
         self, genesis, keys, plan, forking, monkeypatch, tmp_path
     ):
         expected = self.one_cpu_chain(genesis, keys, plan, tmp_path / "alone.jsonl")
-        support.copy_exits_first(monkeypatch, forking)
+        support.copies_exit_first(monkeypatch, forking)
         store = ledger.create_store(tmp_path / "copy.jsonl", genesis)
         roots = support.count_calls(monkeypatch, registry, "state_commitment")
         self.extend_plan(store, keys, plan)
@@ -999,7 +1006,7 @@ class TestRootsAhead:
         """The control for the next tests: on the plan, a written root is
         taken as it stands."""
         monkeypatch.setattr(ledger, "_roots_in_order", lying_from(2))
-        support.copy_exits_first(monkeypatch, forking)
+        support.copies_exit_first(monkeypatch, forking)
         store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
         self.extend_plan(store, keys, plan[:3])
         assert store.tip.state_root == canonical.to_hex(LIE)
@@ -1017,7 +1024,7 @@ class TestRootsAhead:
         empty blocks keep both the state and, with three authorities, the
         sealer schedule, but not the tip index."""
         monkeypatch.setattr(ledger, "_roots_in_order", lying_from(2))
-        support.copy_exits_first(monkeypatch, forking)
+        support.copies_exit_first(monkeypatch, forking)
         store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
         roots = support.count_calls(monkeypatch, registry, "state_commitment")
         positions = []

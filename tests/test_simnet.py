@@ -181,8 +181,8 @@ ROOTS_IN_ORDER = ledger._roots_in_order
 def roots_then(count, end):
     """A roots copy that writes the first count roots, then calls end."""
 
-    def work(genesis, base, state, blocks, slots, first, step):
-        ROOTS_IN_ORDER(genesis, base, state, blocks[:count], slots, first, step)
+    def work(genesis, base, state, blocks, slots, positions):
+        ROOTS_IN_ORDER(genesis, base, state, blocks[:count], slots, positions)
         end()
 
     return work
@@ -197,7 +197,7 @@ class TestRootsAhead:
         monkeypatch.setattr(crypto, "_usable_cpus", lambda: cpus)
         forks = support.record_forks(monkeypatch)
         if cpus > 1:
-            support.copy_exits_first(monkeypatch, forks)
+            support.copies_exit_first(monkeypatch, forks)
         roots = support.count_calls(monkeypatch, registry, "state_commitment")
         result = simnet.run_scenario(scenario, out)
         files = [path.read_bytes() for path in (
