@@ -183,6 +183,7 @@ def cmd_init(args) -> int:
     except Exception:
         genesis_path.unlink()  # a retry must not find a half-made chain's genesis
         raise
+    ledger.checkpoint(store)  # the first tx opens at a tip sidecar
     print(f"chain_id: {genesis.chain_id}")
     print(f"genesis: {genesis_path}")
     print(f"db: {db_path}")

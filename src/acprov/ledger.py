@@ -22,10 +22,10 @@ Design notes that matter for interoperability:
   header, its state, the file's length and the sha256 of its bytes.  It
   walks only the blocks after a checkpoint k kept in a sidecar
   ``<chain>.tip``, which vouches for lines 0..k by the sha256 of their
-  bytes and holds the state after block k.  An open that walks past k
-  writes it, and so do ``tx`` and the simulator at the tip they wrote
-  (``checkpoint``).  The sidecar is a cache: any doubt about it means a
-  full replay.
+  bytes and holds the state after block k.  Its one writer is
+  ``checkpoint(store)``: ``init`` at block 0, an open that walks past k,
+  and ``tx`` and the simulator at the tip they wrote.  The sidecar is a
+  cache: any doubt about it means a full replay.
 * ``extend`` is the one path that builds and appends a block.  A writer
   that knows the blocks it will append (the simulator) hands them to
   ``extend_plan``, which appends each through ``extend``'s body: a forked
@@ -797,11 +797,11 @@ def load_chain(path, genesis: GenesisConfig) -> Chain:
 #      is header k's state_root; a read checks that hash before it
 #      decodes them.
 # An open (a read or tx) whose file starts with those L bytes trusts blocks
-# 0..k byte for byte, seals included, since a replay or the simulator on
-# this machine accepted exactly them, and walks only the lines after L.  The genesis
-# digest is needed because block 0 commits to roles, balances and keys but
-# not to gas_params or the faucet settings, which change what every later
-# block executes to.
+# 0..k byte for byte, seals included, since init, a replay or the simulator
+# on this machine wrote or accepted exactly them, and walks only the lines
+# after L.  The genesis digest is needed because block 0 commits to roles,
+# balances and keys but not to gas_params or the faucet settings, which
+# change what every later block executes to.
 
 
 def _tip_path(path: Path) -> Path:
@@ -852,36 +852,41 @@ def _from_checkpoint(
 _TEMP_SUFFIX_CHARS = 8
 
 
-def _write_checkpoint(
-    path: Path,
-    genesis: GenesisConfig,
-    header: BlockHeader,
-    state: registry.RegistryState,
-    size: int,
-    prefix: str,
-) -> None:
-    """Atomically replace the sidecar of path with a checkpoint at header,
-    whose line is the last of the chain file's first size bytes, which
-    hash to prefix.
+def checkpoint(store: LedgerStore) -> None:
+    """Atomically replace the sidecar of store's file with a checkpoint at
+    its tip, so that the next read walks no block.  This is the sidecar's
+    one writer: ``init`` at block 0, an open that walked past the
+    sidecar's k, and ``tx`` and the simulator at the tip they wrote.
 
-    The sidecar is only a cache, so an OSError (a read-only directory, a
-    full disk) leaves things as they were and is not reported.  Any other
-    exception (a KeyboardInterrupt) propagates, and in either case the
-    temporary file is removed.  Once the sidecar is in place, any other
-    temporary file is removed too: one a killed process left behind, or
-    one a concurrent write would have put in place, whose os.replace then
-    fails as an OSError.
+    The sidecar vouches for the file's first store.size bytes by the
+    digest the store kept of them as this process wrote or read them.  If
+    the file changed since, the digest no longer matches its bytes and a
+    read replays in full.  A store whose last line lacks its newline, or
+    that holds no whole line, gets no sidecar, since a sidecar must end at
+    a newline.
+
+    The sidecar is only a cache, so an OSError (a chain file gone or
+    unreadable, a read-only directory, a full disk) leaves things as they
+    were and is not reported.  Any other exception (a KeyboardInterrupt)
+    propagates, and in either case the temporary file is removed.  Once
+    the sidecar is in place, any other temporary file is removed too: one
+    a killed process left behind, or one a concurrent write would have put
+    in place, whose os.replace then fails as an OSError.
     """
-    head = canonical_serialize({
-        "bytes": size,
-        "genesis": _genesis_digest(genesis),
-        "hash": header.hash,
-        "index": header.index,
-        "prefix": prefix,
-    })
-    data = head + b"\n" + registry.state_bytes(state) + b"\n"
-    target = _tip_path(path)
+    target = _tip_path(store.path)
     try:
+        with open(store.path, "rb") as handle:
+            handle.seek(store.size - 1)
+            if handle.read(1) != b"\n":
+                return
+        head = canonical_serialize({
+            "bytes": store.size,
+            "genesis": _genesis_digest(store.genesis),
+            "hash": store.tip.hash,
+            "index": store.tip.index,
+            "prefix": to_hex(store.digest.digest()),
+        })
+        data = head + b"\n" + registry.state_bytes(store.state) + b"\n"
         fd, temp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
     except OSError:
         return
@@ -904,25 +909,6 @@ def _write_checkpoint(
             raise
 
 
-def checkpoint(store: LedgerStore) -> None:
-    """Write the sidecar of store's file at its tip, for a writer that
-    holds the tip state (``tx``, the simulator), so that the next read
-    walks no block.
-
-    The sidecar vouches for the file's first store.size bytes by the
-    digest the store kept of them as this process wrote or read them.  If
-    the file changed since, the digest no longer matches its bytes and a
-    read replays in full.  A store whose last line lacks its newline gets
-    no sidecar, since a sidecar must end at a newline.
-    """
-    with open(store.path, "rb") as handle:
-        handle.seek(store.size - 1)
-        if handle.read(1) != b"\n":
-            return
-    prefix = to_hex(store.digest.digest())
-    _write_checkpoint(store.path, store.genesis, store.tip, store.state, store.size, prefix)
-
-
 def open_store(path, genesis: GenesisConfig) -> LedgerStore:
     """The store of a chain file at its tip, for a read or an append.
 
@@ -933,8 +919,8 @@ def open_store(path, genesis: GenesisConfig) -> LedgerStore:
     parse and replay, so the store, or the error raised, is always that of
     load_chain.  ``validate`` never reads the sidecar.
 
-    A walk past k (a fallback's walk starts before block 0) rewrites the
-    sidecar at the last block whose line ends in a newline.  A sidecar
+    A walk past k (a fallback's walk starts before block 0) checkpoints
+    the store at the last block whose line ends in a newline.  A sidecar
     must end at a newline, so a last line that lacks one stays in the
     tail, and the next append, which writes the newline first, leaves the
     sidecar valid.
@@ -949,15 +935,16 @@ def open_store(path, genesis: GenesisConfig) -> LedgerStore:
         sha256 of those start bytes."""
         done = blocks if whole == len(raw) else blocks[:-1]
         state, _ = _replay(parent, done, genesis, state)
-        tip = done[-1].header if done else parent
         digest.update(memoryview(raw)[start:whole])
-        if whole and tip.index > k:
-            _write_checkpoint(path, genesis, tip, state, whole, to_hex(digest.digest()))
+        store = LedgerStore(path, genesis, done[-1].header if done else parent, state, whole, digest)
+        if store.tip.index > k:
+            checkpoint(store)
         if len(done) < len(blocks):
-            state, _ = _replay(tip, blocks[-1:], genesis, state)
-            tip = blocks[-1].header
+            store.state, _ = _replay(store.tip, blocks[-1:], genesis, store.state)
+            store.tip = blocks[-1].header
         digest.update(memoryview(raw)[whole:])
-        return LedgerStore(path, genesis, tip, state, len(raw), digest)
+        store.size = len(raw)
+        return store
 
     try:
         parent, start, state, digest = _from_checkpoint(raw, genesis, _tip_path(path).read_bytes())

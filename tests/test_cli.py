@@ -677,6 +677,71 @@ class TestSidecar:
                 assert replayed[0] == (3 if product_id == "GHOST-1" else 0)
 
 
+class TestOneSidecarWriter:
+    """ledger.checkpoint(store) is the one function that writes <chain>.tip."""
+
+    def init(self, ws, capsys):
+        """The arguments for a chain of one authority and one consumer,
+        made by keygen and init in this process."""
+        for tag, role in (("auth", "authority"), ("c", "consumer")):
+            assert cli.main(["keygen", "--role", role, "--out", str(ws / f"{tag}.json")]) == 0
+        base = ["--db", str(ws / "chain.jsonl"), "--genesis", str(ws / "genesis.json")]
+        argv = ["init", "--authority", str(ws / "auth.json"), "--account", f"{ws / 'c.json'}:consumer"]
+        assert cli.main(base + argv) == 0
+        capsys.readouterr()
+        return base
+
+    def test_init_leaves_the_sidecar_at_block_0(self, tmp_path, monkeypatch, capsys):
+        """init, the first tx and the second each write the sidecar once, and
+        init's sidecar is the one a read of the fresh chain writes."""
+        renames = count_calls(monkeypatch, os, "replace")
+        tip = tmp_path / "chain.jsonl.tip"
+
+        def written():
+            return sum(1 for _, target in renames if Path(target) == tip)
+
+        base = self.init(tmp_path, capsys)
+        counts = [written()]
+        by_init = tip.read_bytes()
+        tip.unlink()
+        ledger.open_store(tmp_path / "chain.jsonl", ledger.GenesisConfig.load(tmp_path / "genesis.json"))
+        assert tip.read_bytes() == by_init
+        for expected in (0, 1):  # accepted, then refused by the cooldown
+            before = written()
+            assert cli.main(base + ["tx", "faucet", "--key", str(tmp_path / "c.json")]) == expected
+            counts.append(written() - before)
+        assert counts == [1, 1, 1]
+
+    def test_every_sidecar_rename_is_inside_checkpoint(self, tmp_path, monkeypatch, capsys):
+        """init, a tx, a read at a stale sidecar and simulate each rename a
+        sidecar into place, and only from inside ledger.checkpoint."""
+        running, renames = [], []
+        real_checkpoint, real_replace = ledger.checkpoint, os.replace
+
+        def checkpoint(store):
+            running.append(store)
+            try:
+                real_checkpoint(store)
+            finally:
+                running.pop()
+
+        def replace(source, target):
+            renames.append((Path(target).name, bool(running)))
+            real_replace(source, target)
+
+        monkeypatch.setattr(ledger, "checkpoint", checkpoint)
+        monkeypatch.setattr(os, "replace", replace)
+        base = self.init(tmp_path, capsys)
+        stale = (tmp_path / "chain.jsonl.tip").read_bytes()
+        assert cli.main(base + ["tx", "faucet", "--key", str(tmp_path / "c.json")]) == 0
+        (tmp_path / "chain.jsonl.tip").write_bytes(stale)
+        assert cli.main(base + ["history", "--id", "P-404"]) == 3
+        scenario = ["simulate", "--scenario", str(FIXTURES / "scenario50.json"), "--out", str(tmp_path / "sim")]
+        assert cli.main(scenario) == 0
+        assert [name for name, _ in renames if name.endswith(".tip")] == ["chain.jsonl.tip"] * 4
+        assert all(inside for name, inside in renames if name.endswith(".tip"))
+
+
 @pytest.fixture(scope="module")
 def fuzz_chain(tmp_path_factory):
     """The committed 50-block chain, and valid sidecars of other blocks and chains."""

@@ -737,6 +737,14 @@ class TestCheckpoint:
         ledger.checkpoint(opened)
         assert not sidecar_of(store.path).exists()
 
+    def test_a_vanished_chain_file_gets_no_sidecar(self, genesis, tmp_path):
+        """The sidecar is only a cache: a chain file gone before the write
+        leaves no sidecar and no temporary file, and raises nothing."""
+        created = ledger.create_store(tmp_path / "chain.jsonl", genesis)
+        created.path.unlink()
+        ledger.checkpoint(created)
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_left_over_temp_file_goes_with_the_next_write(self, genesis, store):
         """A process killed between mkstemp and os.replace leaves its
         temporary file behind; the next sidecar write removes it, and only
@@ -899,9 +907,9 @@ class TestBatchedSignatures:
         blocks, k = long_chain.blocks, 400
         state_k = state_after(blocks[: k + 1], genesis)
         prefix = b"".join(ledger.block_line(block) for block in blocks[: k + 1])
-        ledger._write_checkpoint(
-            long_chain.path, genesis, blocks[k].header, state_k, len(prefix), canonical.hash_of(prefix)
-        )
+        ledger.checkpoint(ledger.LedgerStore(
+            long_chain.path, genesis, blocks[k].header, state_k, len(prefix), hashlib.sha256(prefix)
+        ))
         workers(monkeypatch, 2)
         forks = support.record_forks(monkeypatch)
         batches = support.count_calls(monkeypatch, ledger, "verify_ahead")
