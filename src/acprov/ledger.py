@@ -17,7 +17,9 @@ Design notes that matter for interoperability:
   over the blocks after it: header rules, seals, execution and state
   roots.  A full replay (``load_chain``: ``validate``, ``gas-report``)
   walks blocks 1.. from block 0, once block 0 matches the genesis config,
-  and returns every block and receipt.
+  and returns every block and receipt.  With a forked worker checking
+  the signatures, the walk takes those not answered yet as valid and
+  settles them after; if one is invalid, it walks again strictly.
 * A store (``open_store``: the reads and ``tx``) is the chain's tip: its
   header, its state, the file's length and the sha256 of its bytes.  It
   walks only the blocks after a checkpoint k kept in a sidecar
@@ -455,13 +457,14 @@ def _check_header(block: Block, prev: BlockHeader, genesis: GenesisConfig) -> No
         raise _invalid(index, RULE_TX_ROOT, f"tx_root {h.tx_root} != {recomputed_root}")
 
 
-def _replay(
+def _walk(
     parent: BlockHeader,
     blocks: Sequence[Block],
     genesis: GenesisConfig,
     state: registry.RegistryState,
 ) -> Tuple[registry.RegistryState, List[List[registry.Receipt]]]:
-    """The one walk over a chain; raises ValidationFailedError on the first offense.
+    """The rules of a replay, block by block; raises ValidationFailedError
+    on the first offense.
 
     Each of blocks must meet the header rules against the block before
     it, parent first, is executed from state (the state after parent) on,
@@ -470,18 +473,53 @@ def _replay(
     """
     receipts_per_block: List[List[registry.Receipt]] = []
     prev = parent
-    with verify_ahead(_signatures(blocks, genesis)):
-        for block in blocks:
-            _check_header(block, prev, genesis)
-            h = prev = block.header
-            state, receipts = _execute(
-                state, block.txs, make_context(genesis, h.index, h.timestamp, h.sealer)
-            )
-            commitment = registry.state_commitment(state)
-            if h.state_root != commitment:
-                raise _invalid(h.index, RULE_STATE_ROOT, f"state_root {h.state_root} != {commitment}")
-            receipts_per_block.append(receipts)
+    for block in blocks:
+        _check_header(block, prev, genesis)
+        h = prev = block.header
+        state, receipts = _execute(
+            state, block.txs, make_context(genesis, h.index, h.timestamp, h.sealer)
+        )
+        commitment = registry.state_commitment(state)
+        if h.state_root != commitment:
+            raise _invalid(h.index, RULE_STATE_ROOT, f"state_root {h.state_root} != {commitment}")
+        receipts_per_block.append(receipts)
     return state, receipts_per_block
+
+
+def _replay(
+    parent: BlockHeader,
+    blocks: Sequence[Block],
+    genesis: GenesisConfig,
+    state: registry.RegistryState,
+) -> Tuple[registry.RegistryState, List[List[registry.Receipt]]]:
+    """The one walk over a chain (``_walk``): its result, or the
+    ValidationFailedError of its first offense.
+
+    The walk runs while forked workers check its listed signatures from
+    the back, and takes each one they have not answered yet as valid;
+    then the signatures are settled: the caller checks from the front
+    what the workers have not.  If every one is valid, the assumed walk
+    is the strict walk and its result stands.  If one is invalid, or the
+    walk raised after assuming, the blocks are walked again, strictly,
+    with every answer found so far memoized, so the report is the strict
+    walk's first offense: an invalid chain may be walked twice, at most
+    once in full.  With no worker the walk is strict from the start and
+    runs once.
+    """
+    walk = partial(_walk, parent, blocks, genesis, state)
+    with verify_ahead(_signatures(blocks, genesis)) as batch:
+        try:
+            with batch.assuming():
+                walked = walk()
+        except Exception:
+            # A signature taken as valid may be what broke the walk, in any
+            # way; the strict walk below tells, and raises what is real.
+            if not batch.assumed:
+                raise
+        else:
+            if batch.settle():
+                return walked
+    return walk()
 
 
 def _genesis_parent(blocks: Sequence[Block], genesis: GenesisConfig) -> BlockHeader:

@@ -298,6 +298,59 @@ class TestVerifyBatch:
         assert all(crypto.verify(*item) for item in items)
 
 
+class TestAssumeThenSettle:
+    """A verify_ahead block's assumption: a listed item no worker has
+    answered verifies as True, unmemoized, until the block settles."""
+
+    def items(self):
+        """Three valid items, then an invalid one, then a valid one."""
+        items = signed_items(3) + [(SIGNERS[0].public_key, b"x", SIGNERS[0].sign(b"y"))]
+        return unmemoized(items + signed_items(5)[4:])
+
+    def test_an_unanswered_item_is_assumed_then_settled(self, forking):
+        forking.setattr(crypto, "_check_from_back", lambda items, slots, positions: os._exit(0))
+        checked = support.count_calls(forking, crypto, "_check")
+        items = self.items()
+        with crypto.verify_ahead(items) as batch:
+            with batch.assuming():
+                assert all(crypto.verify(*item) for item in items)
+            assert (checked, crypto._memo, batch.assumed) == ([], {}, True)
+            assert batch.settle() is False
+            assert checked == items[:4], "settling stops at the first invalid item"
+        assert [crypto._memo.get(item) for item in items] == [True, True, True, False, None]
+        assert crypto.verify(*items[3]) is False
+
+    def test_a_filled_slot_answers_while_assuming(self, forking):
+        items = self.items()
+        with crypto.verify_ahead(items) as batch:
+            support.verify_workers_finished()
+            checked = support.count_calls(forking, crypto, "_check")
+            with batch.assuming():
+                assert [crypto.verify(*item) for item in items] == [True] * 3 + [False, True]
+            assert batch.assumed is False
+            assert all(item in crypto._memo for item in items)
+            assert batch.settle() is False
+        assert checked == []
+
+    def test_without_a_worker_nothing_is_assumed(self, forking):
+        forking.setattr(crypto, "_usable_cpus", lambda: 1)
+        items = self.items()
+        with crypto.verify_ahead(items) as batch:
+            with batch.assuming():
+                assert [crypto.verify(*item) for item in items] == [True] * 3 + [False, True]
+            assert batch.assumed is False
+            assert batch.settle() is True, "nothing is listed, so nothing is left to settle"
+
+    def test_the_assumption_ends_with_its_block(self, forking):
+        items = self.items()
+        with crypto.verify_ahead(items) as batch:
+            with pytest.raises(ZeroDivisionError):
+                with batch.assuming():
+                    1 / 0
+            assert crypto._assuming is None
+            assert crypto.verify(*items[3]) is False
+
+
 def requests(count):
     """count (key, message) pairs, spread over the signers."""
     return [(signer, n.to_bytes(2, "big")) for n, signer in zip(range(count), SIGNERS * count)]

@@ -936,6 +936,155 @@ class TestBatchedSignatures:
         assert len(forks) == 1
 
 
+def record_in_order(monkeypatch, events, *targets):
+    """Append the name of each call to module.name, for each (module, name)
+    of targets, to the one list events."""
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def recording(*args, real=real, name=name):
+            events.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, recording)
+
+
+class TestAssumedWalk:
+    """_replay walks while a forked worker checks its signatures, taking
+    each one not answered yet as valid, then settles them; the report is
+    the strict walk's first offense, and nothing assumed outlives it."""
+
+    EARLY, LATE = TestBatchedSignatures.EARLY, TestBatchedSignatures.LATE
+    reseal = TestBatchedSignatures.reseal
+    bad_seal = TestBatchedSignatures.bad_seal
+    bad_tx_signature = TestBatchedSignatures.bad_tx_signature
+
+    def resealed(self, genesis, keys, blocks, at, **changes):
+        """blocks, with the header of block at changed and sealed anew."""
+        header = replace(blocks[at].header, **changes)
+        bad = replace(blocks[at], header=header, seal=self.reseal(genesis, keys, header))
+        return blocks[:at] + [bad] + blocks[at + 1 :]
+
+    def early_bad_tx_signature(self, genesis, keys, blocks):
+        return self.bad_tx_signature(genesis, keys, blocks, at=self.EARLY)
+
+    def bad_signature_then_bad_root(self, genesis, keys, blocks):
+        blocks = self.bad_tx_signature(genesis, keys, blocks, at=100)
+        return self.resealed(genesis, keys, blocks, 300, state_root="0x" + "ab" * 32)
+
+    def header_break_then_bad_seal(self, genesis, keys, blocks):
+        blocks = self.bad_seal(genesis, keys, blocks, at=self.LATE)
+        return self.resealed(genesis, keys, blocks, 300, timestamp=blocks[299].header.timestamp - 1)
+
+    def test_the_caller_checks_only_after_the_walk(self, genesis, long_chain, monkeypatch):
+        workers(monkeypatch, 2)
+        events = []
+        record_in_order(monkeypatch, events, (crypto, "_check"), (registry, "state_commitment"))
+        loaded = ledger.load_chain(long_chain.path, genesis)
+        assert loaded == (long_chain.blocks, long_chain.state, long_chain.receipts)
+        assert events.count("state_commitment") == 1 + 640, "block 0's, then one walk"
+        last_root = len(events) - events[::-1].index("state_commitment")
+        assert "_check" not in events[:last_root]
+
+    @pytest.mark.parametrize(
+        "spoil, offense",
+        [
+            ("early_bad_tx_signature", (EARLY, ledger.RULE_TX_SIGNATURE)),
+            ("bad_signature_then_bad_root", (100, ledger.RULE_TX_SIGNATURE)),
+            ("header_break_then_bad_seal", (300, ledger.RULE_TIMESTAMP)),
+        ],
+    )
+    def test_the_report_is_the_strict_walks(
+        self, genesis, keys, long_chain, monkeypatch, spoil, offense
+    ):
+        blocks = getattr(self, spoil)(genesis, keys, list(long_chain.blocks))
+        reports = []
+        for cpus in (1, 2):
+            workers(monkeypatch, cpus)
+            reports.append(support.validate_blocks(blocks, genesis))
+        assert reports[0] == reports[1]
+        assert (reports[0].block_index, reports[0].rule) == offense
+
+    @pytest.mark.parametrize("at", [EARLY, LATE])
+    def test_a_bad_signature_is_never_memoized_as_valid(
+        self, genesis, keys, long_chain, monkeypatch, at
+    ):
+        blocks = self.bad_seal(genesis, keys, list(long_chain.blocks), at=at)
+        workers(monkeypatch, 2)
+        assert support.validate_blocks(blocks, genesis).block_index == at
+        bad = ledger._signatures(blocks[at : at + 1], genesis)[0]  # its seal
+        assert crypto._memo.get(bad) is not True
+
+    def test_an_early_bad_seal_is_walked_in_full_once(self, genesis, keys, long_chain, monkeypatch):
+        blocks = self.bad_seal(genesis, keys, list(long_chain.blocks), at=self.EARLY)
+        workers(monkeypatch, 2)
+        forks = support.record_forks(monkeypatch)
+        checks = support.count_calls(monkeypatch, crypto, "_check")
+        roots = support.count_calls(monkeypatch, registry, "state_commitment")
+        batches = support.count_calls(monkeypatch, ledger, "verify_ahead")
+        report = support.validate_blocks(blocks, genesis)
+        assert (report.block_index, report.rule) == (self.EARLY, ledger.RULE_SEAL)
+        assert len(batches) == 1, "the strict walk runs outside the batch"
+        assert len(forks) == 1
+        support.assert_reaped(forks)
+        assert len(checks) == len(set(checks)), "the caller checks nothing twice"
+        assert len(roots) <= 1 + 640 + self.EARLY, "block 0's, then one walk in full at most"
+
+    def test_one_cpu_walks_once_checking_in_walk_order(self, genesis, keys, long_chain, monkeypatch):
+        workers(monkeypatch, 1)
+        checks = support.count_calls(monkeypatch, crypto, "_check")
+        assert ledger.load_chain(long_chain.path, genesis).state == long_chain.state
+        assert checks == ledger._signatures(long_chain.blocks[1:], genesis)
+        blocks = self.bad_seal(genesis, keys, list(long_chain.blocks))
+        roots = support.count_calls(monkeypatch, registry, "state_commitment")
+        assert support.validate_blocks(blocks, genesis).block_index == self.LATE
+        assert len(roots) == 1 + self.LATE - 1, "block 0's, then one walk"
+
+    @pytest.mark.parametrize("outcome", ["returns", "invalid", "raises"])
+    def test_the_assumption_ends_with_the_replay(
+        self, genesis, keys, long_chain, monkeypatch, outcome
+    ):
+        blocks = list(long_chain.blocks)
+        if outcome == "invalid":
+            blocks = self.bad_seal(genesis, keys, blocks)
+        workers(monkeypatch, 2)
+        if outcome == "raises":
+            apply_tx = registry.apply_tx
+
+            def failing_at_300(state, tx, ctx):
+                if ctx.block_index == 300:
+                    1 / 0
+                return apply_tx(state, tx, ctx)
+
+            monkeypatch.setattr(registry, "apply_tx", failing_at_300)
+            with pytest.raises(ZeroDivisionError):
+                support.validate_blocks(blocks, genesis)
+        else:
+            assert support.validate_blocks(blocks, genesis).ok == (outcome == "returns")
+        assert crypto._assuming is None
+        assert crypto._answers is None and crypto._positions == {}
+        signer = keys["consumer"]
+        assert crypto.verify(signer.public_key, b"x", signer.sign(b"y")) is False
+
+    @pytest.mark.parametrize("failure", ["worker_exits", "fork_fails"])
+    def test_a_missing_worker_leaves_every_check_to_the_caller(
+        self, genesis, long_chain, monkeypatch, failure
+    ):
+        workers(monkeypatch, 2)
+        if failure == "worker_exits":
+            monkeypatch.setattr(crypto, "_check_from_back", lambda items, slots, positions: os._exit(0))
+        else:
+
+            def no_fork():
+                raise OSError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        checks = support.count_calls(monkeypatch, crypto, "_check")
+        loaded = ledger.load_chain(long_chain.path, genesis)
+        assert loaded == (long_chain.blocks, long_chain.state, long_chain.receipts)
+        assert sorted(checks) == sorted(ledger._signatures(long_chain.blocks[1:], genesis))
+
+
 # What a lying roots copy writes in place of a root.
 LIE = b"\xab" * 32
 ROOTS_IN_ORDER = ledger._roots_in_order
