@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -379,7 +379,7 @@ def cmd_simulate(args) -> int:
         with _reading():
             scenario = simnet.Scenario.load(args.scenario)
         if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
+            scenario = scenario.replace(seed=args.seed)
             scenario.validate()
         with _writing(args.out):
             result = simnet.run_scenario(scenario, args.out)
@@ -489,11 +489,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush what the command printed.  A write that fails (a
+    closed pipe, a full disk) is a usage error, and what it left unwritten
+    is dropped, so that the interpreter's exit does not try it again."""
+    with _writing("standard output"):
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    printed = io.StringIO()  # the command's stdout, written out when it ends
     try:
-        return args.func(args)
+        try:
+            with contextlib.redirect_stdout(printed):
+                return args.func(args)
+        finally:
+            _write_stdout(printed.getvalue())
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

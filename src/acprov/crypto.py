@@ -7,9 +7,10 @@ test oracles verify the same envelopes many times over.  A signature
 this process makes is memoized as valid under the key its secret
 derives, under which it always verifies (RFC 8032, section 5.1); a
 reader is a fresh process and checks every signature.  With more than
-one usable CPU, forked copies of the process (POSIX only) do known work
-ahead of the caller through one helper, ``_ahead``, into slots of a
-shared map: a copy fills a slot unless the caller has taken it, the
+one usable CPU, forked copies of the process (POSIX only), each on a CPU
+of its own where the platform lets it, do known work ahead of the caller
+through one helper, ``_ahead``, into slots of a shared map: a copy
+fills a slot unless the caller has taken it, the
 bytes first and then the state byte, and the caller takes each slot,
 doing the work of an empty one itself.  So ``sign_batch`` signs,
 ``verify_ahead``'s copies check the signatures the caller will verify,
@@ -33,11 +34,10 @@ import mmap
 import os
 import signal
 import threading
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .canonical import ADDRESS_BYTES, from_hex, to_hex
+from .canonical import ADDRESS_BYTES, Record, from_hex, to_hex
 
 SEED_BYTES = 32
 SIGNATURE_BYTES = 64
@@ -64,10 +64,10 @@ def _public_key_of(secret_key: str) -> str:
     return to_hex(_private_key_obj(secret_key).public_key().public_bytes_raw())
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(Record):
     """An Ed25519 key pair: a secret seed and its verification key."""
-    secret_key: str = field(repr=False)  # 32-byte seed, 0x hex; kept out of repr
+    SECRET: ClassVar[Tuple[str, ...]] = ("secret_key",)  # kept out of repr
+    secret_key: str  # 32-byte seed, 0x hex
     public_key: str  # 32-byte Ed25519 verification key, 0x hex
 
     @cached_property
@@ -234,8 +234,19 @@ def _ahead(
     whatever it filled is in the slots and no more will be; the slots
     stay readable after the block.  Copies leave by os._exit, so they run
     no exit handler and never flush the parent's stdio buffers.
+
+    While copies run, and the caller may use two CPUs or more, the caller
+    runs on the first CPU of its affinity mask and each copy on another,
+    so that no copy shares the caller's CPU; the caller's mask is restored
+    on exit.  This is best effort: where os.sched_setaffinity is missing
+    or fails, the kernel places them.
     """
     slots = _Slots(count, width)
+    try:
+        mask = os.sched_getaffinity(0)
+    except (AttributeError, OSError):  # not on Linux
+        mask = set()
+    cpus = sorted(mask)
     pids = []
     try:
         for worker in range(workers):
@@ -245,15 +256,27 @@ def _ahead(
                 break
             if pid == 0:
                 try:
+                    if len(cpus) > 1:
+                        _pin({cpus[1 + worker % (len(cpus) - 1)]})
                     work(slots, range(count - 1 - worker, -1, -workers))
                 finally:
                     os._exit(0)
             pids.append(pid)
+        if pids and len(cpus) > 1:
+            _pin({cpus[0]})
         yield slots
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if pids and len(cpus) > 1:
+            _pin(mask)
+
+
+def _pin(cpus: set) -> None:
+    """Best effort: let this process run on cpus only."""
+    with contextlib.suppress(AttributeError, OSError):
+        os.sched_setaffinity(0, cpus)
 
 
 def _sign_from_back(

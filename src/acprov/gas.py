@@ -10,11 +10,10 @@ lives in scripts/calibrate_gas_price.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import partial
 from typing import Any, ClassVar, Iterable
 
-from .canonical import _as_int, _canonical, _check_fields, _record
+from .canonical import Record, _as_int, _canonical, _check_fields, _record
 
 WEI_PER_ETH = 10**18
 WEI_PER_GWEI = 10**9
@@ -24,8 +23,7 @@ DEFAULT_GAS_PRICE = 1_100_000_000  # wei per gas unit (1.1 gwei), calibrated
 CATEGORIES = ("Deploy", "Register", "Transfer", "Sell", "FaucetClaim")
 
 
-@dataclass(frozen=True)
-class GasParams:
+class GasParams(Record):
     """A chain's gas schedule and default gas price (the genesis gas_params)."""
     CHECKS: ClassVar[dict]  # every member a strictly positive integer; set below
     base_tx: int = 21_000
@@ -47,7 +45,7 @@ class GasParams:
         return _record(cls, defaults=True)(doc, "gas_params")
 
 
-GasParams.CHECKS = dict.fromkeys((f.name for f in fields(GasParams)), partial(_as_int, minimum=1))
+GasParams.CHECKS = dict.fromkeys(GasParams.FIELDS, partial(_as_int, minimum=1))
 
 
 def calldata_gas(data: bytes, params: GasParams) -> int:
@@ -100,8 +98,7 @@ def format_eth(wei: int) -> str:
     return f"{value:.8f}"
 
 
-@dataclass(frozen=True)
-class GasReportRow:
+class GasReportRow(Record):
     """One category's line of the gas report."""
     category: str
     tx_count: int
@@ -120,8 +117,7 @@ class GasReportRow:
         )
 
 
-@dataclass(frozen=True)
-class GasReport:
+class GasReport(Record):
     """The gas report: one row per category, then the total."""
     rows: tuple  # one GasReportRow per category, fixed order
     total: GasReportRow

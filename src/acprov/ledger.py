@@ -24,7 +24,8 @@ Design notes that matter for interoperability:
   header, its state, the file's length and the sha256 of its bytes.  It
   walks only the blocks after a checkpoint k kept in a sidecar
   ``<chain>.tip``, which vouches for lines 0..k by the sha256 of their
-  bytes and holds the state after block k.  Its one writer is
+  bytes and holds the state after block k, whose records a read decodes
+  only as it reads them.  Its one writer is
   ``checkpoint(store)``: ``init`` at block 0, an open that walks past k,
   and ``tx`` and the simulator at the tip they wrote.  The sidecar is a
   cache: any doubt about it means a full replay.
@@ -48,14 +49,15 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, ClassVar, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import registry
 from .canonical import (
     HASH_BYTES,
+    Record,
     ZERO_HASH,
     _as_address,
     _as_hash,
@@ -133,8 +135,7 @@ class TornTailError(ParseError):
         self.size = size  # the length of the file that was read
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """The verdict of a chain check: ok, or the first block and rule it breaks."""
     ok: bool
     block_index: Optional[int] = None
@@ -162,8 +163,7 @@ def _key_pair(value: Any, name: str) -> Tuple[str, str]:
     return tuple(value)
 
 
-@dataclass(frozen=True)
-class GenesisConfig:
+class GenesisConfig(Record):
     """The trust root of a chain: its authorities, accounts, balances and rules."""
     CHECKS: ClassVar[dict] = {
         "chain_id": partial(_as_int, minimum=1),
@@ -175,17 +175,19 @@ class GenesisConfig:
         "faucet_cooldown": _as_int,
         "account_keys": _dict_of(_as_str),
     }
+    # A default is one object that every config leaving the field out
+    # shares, so the maps' defaults are read-only.
     chain_id: int = 5
     authorities: Tuple[Tuple[str, str], ...] = ()
-    roles: Mapping[str, registry.Role] = field(default_factory=dict)
-    initial_balances: Mapping[str, int] = field(default_factory=dict)
-    gas_params: GasParams = field(default_factory=GasParams)
+    roles: Mapping[str, registry.Role] = MappingProxyType({})
+    initial_balances: Mapping[str, int] = MappingProxyType({})
+    gas_params: GasParams = GasParams()
     faucet_amount: int = 5 * 10**17  # 0.5 ETH per claim
     faucet_cooldown: int = 86_400  # one claim per 24 h
     # Verification keys for non-authority accounts; authorities carry
     # theirs in the authority list.  Every role-bearing address needs a
     # key so transaction signatures can be checked during replay.
-    account_keys: Mapping[str, str] = field(default_factory=dict)
+    account_keys: Mapping[str, str] = MappingProxyType({})
 
     @property
     def authority_addresses(self) -> Tuple[str, ...]:
@@ -261,8 +263,7 @@ class GenesisConfig:
 # Blocks
 
 
-@dataclass(frozen=True)
-class BlockHeader:
+class BlockHeader(Record):
     """A block header: what the seal signs and the next block links to."""
     CHECKS: ClassVar[dict] = {
         "index": _as_int,
@@ -292,8 +293,7 @@ class BlockHeader:
     to_canonical = _canonical
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """A sealed block: its header, its transactions and the sealer's signature."""
     CHECKS: ClassVar[dict] = {
         "header": _record(BlockHeader),
@@ -543,18 +543,24 @@ def block_line(block: Block) -> bytes:
     )
 
 
-@dataclass
 class LedgerStore:
     """A chain file at its tip, as this process opened or wrote it: what a
     read answers from and an append extends."""
-    path: Path
-    genesis: GenesisConfig
-    tip: BlockHeader
-    state: registry.RegistryState
-    # The file's length when this store last read or wrote it; an append
-    # that finds another length refuses, since another writer got there first.
-    size: int
-    digest: Any  # the running sha256 (hashlib) of the file's first size bytes
+
+    def __init__(
+        self,
+        path: Path,
+        genesis: GenesisConfig,
+        tip: BlockHeader,
+        state: registry.RegistryState,
+        size: int,
+        digest: Any,
+    ):
+        self.path, self.genesis, self.tip, self.state = path, genesis, tip, state
+        # The file's length when this store last read or wrote it; an append
+        # that finds another length refuses, since another writer got there first.
+        self.size = size
+        self.digest = digest  # the running sha256 (hashlib) of the file's first size bytes
 
 
 def create_store(path, genesis: GenesisConfig) -> LedgerStore:
@@ -817,7 +823,12 @@ def load_chain(path, genesis: GenesisConfig) -> Chain:
     """Read, strictly parse and fully replay a chain file, for the commands
     that need every block (validate, gas-report).  It neither reads nor
     writes the sidecar."""
-    blocks = parse_chain_bytes(read_chain(path))
+    return _full_replay(read_chain(path), genesis)
+
+
+def _full_replay(raw: bytes, genesis: GenesisConfig) -> Chain:
+    """load_chain's answer for a chain file of the bytes raw."""
+    blocks = parse_chain_bytes(raw)
     parent = _genesis_parent(blocks, genesis)
     state, receipts = _replay(parent, blocks[1:], genesis, genesis_state(genesis))
     return Chain(blocks, state, [[]] + receipts)
@@ -860,9 +871,16 @@ def _from_checkpoint(
     The sidecar must be for this genesis, its digest must match raw's first
     L bytes, which end line k, that line must be header k under the
     sidecar's hash, and the state line's sha256 must be its state_root.
-    Only then is the state line decoded, strictly.  Raises ValueError
-    otherwise.  The root is the hash of exactly those bytes, so the state
-    is not encoded again; a state line with other spacing is refused.
+    Raises ValueError otherwise.  The root is the hash of exactly those
+    bytes, so the state is not encoded again; a state line with other
+    spacing is refused.
+
+    Only then is the state line parsed.  Its account and product records
+    are decoded strictly as they are read (registry.state_from_canonical),
+    so a scan decodes the one product it prints.  The bytes are those of a
+    committed state, so a record that fails to decode (a state written
+    under other rules) is read from the full replay of the first L bytes:
+    the state load_chain finds at block k, or the error it raises.
     """
     head, body, rest = sidecar.split(b"\n", 2)
     _require(rest == b"", "sidecar has more than two lines")
@@ -882,7 +900,8 @@ def _from_checkpoint(
         hash_of(body) == header.state_root,
         f"sidecar state does not commit to block {k}'s state_root",
     )
-    return header, size, registry.state_from_canonical(json.loads(body)), digest
+    replayed = cache(lambda: _full_replay(raw[:size], genesis).state)
+    return header, size, registry.state_from_canonical(json.loads(body), replayed), digest
 
 
 # The temporary files of sidecar writes are named <chain>.tip.XXXXXXXX:

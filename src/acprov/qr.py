@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import dataclass
 
-from .canonical import is_address_str
+from .canonical import Record, is_address_str
 from .registry import is_valid_product_id
 
 PREFIX = "acp:v1:"
@@ -52,8 +51,7 @@ class BadProductId(PayloadError):
     pass
 
 
-@dataclass(frozen=True)
-class QrPayload:
+class QrPayload(Record):
     """A decoded QR payload."""
     version: int
     chain_id: int

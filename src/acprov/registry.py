@@ -25,13 +25,13 @@ from __future__ import annotations
 import hashlib
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
-from typing import Any, ClassVar, Optional, Sequence, Tuple, Union, get_args
+from typing import Any, Callable, ClassVar, Optional, Sequence, Tuple, Union, get_args
 
 from . import gas as gas_model
 from .canonical import (
+    Record,
     _as_address,
     _as_int,
     _as_str,
@@ -96,21 +96,19 @@ def is_valid_product_id(product_id: Any) -> bool:
 # Transaction kinds
 #
 # Each kind's class is the one place that names its wire form: TYPE is
-# the "type" member of its canonical object, its dataclass fields are the
+# the "type" member of its canonical object, its fields are the
 # other members, and CHECKS says how each is checked when decoded (see
 # canonical._decode).  The class name is its gas-report category.
 
 
-@dataclass(frozen=True)
-class Deploy:
+class Deploy(Record):
     """Deploy the registry contract."""
     TYPE: ClassVar[str] = "deploy"
     CHECKS: ClassVar[dict] = {"code_size": _as_int}
     code_size: int
 
 
-@dataclass(frozen=True)
-class Register:
+class Register(Record):
     """Register a new product, owned by its manufacturer."""
     TYPE: ClassVar[str] = "register"
     CHECKS: ClassVar[dict] = {"product_id": _as_str, "name": _as_str, "metadata": _as_str}
@@ -119,8 +117,7 @@ class Register:
     metadata: str = ""
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(Record):
     """Move an available product to another trusted node."""
     TYPE: ClassVar[str] = "transfer"
     CHECKS: ClassVar[dict] = {"product_id": _as_str, "new_owner": _as_address}
@@ -128,8 +125,7 @@ class Transfer:
     new_owner: str
 
 
-@dataclass(frozen=True)
-class Sell:
+class Sell(Record):
     """Sell an available product to a consumer; it becomes unavailable."""
     TYPE: ClassVar[str] = "sell"
     CHECKS: ClassVar[dict] = {"product_id": _as_str, "consumer": _as_address}
@@ -137,8 +133,7 @@ class Sell:
     consumer: str
 
 
-@dataclass(frozen=True)
-class FaucetClaim:
+class FaucetClaim(Record):
     """Claim the fee-free faucet amount, once per cooldown."""
     TYPE: ClassVar[str] = "faucet_claim"
     CHECKS: ClassVar[dict] = {}
@@ -165,8 +160,7 @@ def kind_from_canonical(doc: Any, name: str = "kind") -> TxKind:
 # Envelopes and receipts
 
 
-@dataclass(frozen=True)
-class TxEnvelope:
+class TxEnvelope(Record):
     """A signed transaction: sender, nonce, kind and gas price."""
     CHECKS: ClassVar[dict] = {
         "sender": _as_address,
@@ -180,12 +174,11 @@ class TxEnvelope:
     kind: TxKind
     gas_price: int
     signature: str
-    # Canonical bytes, encoded once at construction: the kind (the metered
-    # calldata) and the signing payload after its chain_id member.
-    kind_bytes: bytes = field(init=False, repr=False, compare=False)
-    payload_tail: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # Canonical bytes, encoded once at construction: the kind (the metered
+        # calldata) and the signing payload after its chain_id member.  They
+        # are not fields, so neither equality nor repr reads them.
         kind_bytes = canonical_serialize(kind_to_canonical(self.kind))
         object.__setattr__(self, "kind_bytes", kind_bytes)
         object.__setattr__(
@@ -257,8 +250,7 @@ def tx_hash(tx: TxEnvelope) -> str:
     return tx.hash
 
 
-@dataclass(frozen=True)
-class Receipt:
+class Receipt(Record):
     """The outcome of one transaction: gas, fee, and its error code if rejected."""
     tx_hash: str
     accepted: bool
@@ -273,8 +265,7 @@ class Receipt:
 # State
 
 
-@dataclass(frozen=True)
-class Account:
+class Account(Record):
     """An account's role, balance, nonce, last faucet claim and public key."""
     CHECKS: ClassVar[dict] = {
         "address": _as_address,
@@ -299,8 +290,7 @@ class Account:
     to_canonical = _canonical
 
 
-@dataclass(frozen=True)
-class ProductRecord:
+class ProductRecord(Record):
     """A registered product: its maker, owner, status and owner history."""
     CHECKS: ClassVar[dict] = {
         "product_id": _as_str,
@@ -329,8 +319,7 @@ class ProductRecord:
     to_canonical = _canonical
 
 
-@dataclass(frozen=True)
-class ContractInfo:
+class ContractInfo(Record):
     """The deployed registry contract's address and deployer."""
     CHECKS: ClassVar[dict] = {"address": _as_address, "deployer": _as_address}
     address: str
@@ -339,8 +328,7 @@ class ContractInfo:
     to_canonical = _canonical
 
 
-@dataclass(frozen=True)
-class RegistryState:
+class RegistryState(Record):
     """The registry state after a block: what its state_root commits to."""
     # A map's key must equal its record's own address or product_id.
     CHECKS: ClassVar[dict] = {
@@ -379,13 +367,26 @@ def state_commitment(state: RegistryState) -> str:
     return hash_of(state_bytes(state))
 
 
-def state_from_canonical(doc: Any) -> RegistryState:
-    """Strict inverse of ``RegistryState.to_canonical``; ValueError on any misfit."""
-    return _decode(RegistryState, doc, "state")
+def state_from_canonical(
+    doc: Any, replayed: Optional[Callable[[], RegistryState]] = None
+) -> RegistryState:
+    """Strict inverse of ``RegistryState.to_canonical``; ValueError on any misfit.
+
+    With replayed, the account and product maps are read-only and decode a
+    record strictly when it is first read, and every record once a map is
+    iterated.  A record that fails to decode is read from replayed(), the
+    same state made another way, which raises if it cannot be made.
+    """
+    if replayed is None:
+        return _decode(RegistryState, doc, "state")
+    return _decode(RegistryState, doc, "state", {
+        **RegistryState.CHECKS,
+        "accounts": _map_of(Account, "address", lambda: replayed().accounts),
+        "products": _map_of(ProductRecord, "product_id", lambda: replayed().products),
+    })
 
 
-@dataclass(frozen=True)
-class TxContext:
+class TxContext(Record):
     """The block a transaction executes in, and the chain's gas and faucet rules."""
     block_index: int
     timestamp: int

@@ -18,12 +18,12 @@ import hashlib
 import json
 import random
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import ledger, registry
 from .canonical import (
+    Record,
     _as_address,
     _as_int,
     _as_str,
@@ -58,8 +58,7 @@ def _as_byte(value: Any, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Mutation:
+class Mutation(Record):
     """One byte of the chain file to overwrite after the honest run."""
     CHECKS: ClassVar[dict] = {"target": _as_int, "byte_offset": _as_int, "new_byte": _as_byte}
     target: int  # block index == 0-based line number in the chain file
@@ -69,8 +68,7 @@ class Mutation:
     to_canonical = _canonical
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A simulation's inputs: seed, actors, products, pacing and tamper plan."""
     CHECKS: ClassVar[dict] = {
         "seed": functools.partial(_as_int, minimum=None),
@@ -136,8 +134,7 @@ def _any(value: Any, name: str) -> Any:
     return value
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(Record):
     """One trace line: a submitted transaction or a scan, and its outcome."""
     CHECKS: ClassVar[dict] = {
         "step": _as_int,
@@ -155,8 +152,7 @@ class TraceEvent:
     to_canonical = _canonical
 
 
-@dataclass(frozen=True)
-class Actor:
+class Actor(Record):
     """A simulated participant: its key and role."""
     key: KeyPair
     role: Role
@@ -166,17 +162,23 @@ class Actor:
         return self.key.address
 
 
-@dataclass
 class SimulationResult:
     """The files run_scenario wrote, and the chain and state it ended with."""
-    scenario: Scenario
-    genesis: ledger.GenesisConfig
-    blocks: List[ledger.Block]
-    final_state: registry.RegistryState
-    trace: List[TraceEvent]
-    chain_path: Path
-    trace_path: Path
-    genesis_path: Path
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        genesis: ledger.GenesisConfig,
+        blocks: List[ledger.Block],
+        final_state: registry.RegistryState,
+        trace: List[TraceEvent],
+        chain_path: Path,
+        trace_path: Path,
+        genesis_path: Path,
+    ):
+        self.scenario, self.genesis, self.blocks, self.final_state = scenario, genesis, blocks, final_state
+        self.trace, self.chain_path, self.trace_path = trace, chain_path, trace_path
+        self.genesis_path = genesis_path
 
     @property
     def tip_commitment(self) -> str:

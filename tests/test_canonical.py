@@ -82,3 +82,79 @@ class TestShapePredicates:
 
     def test_zero_hash_is_a_hash(self):
         assert canonical.is_hash_str(canonical.ZERO_HASH)
+
+
+class TestRecord:
+    """The base every record class derives from: dataclass-like fields,
+    defaults, replace and equality, made without dataclasses."""
+
+    ADDRESS = "0x" + "ab" * 20
+
+    def test_kinds_with_equal_fields_are_unequal(self):
+        from acprov.registry import Sell, Transfer
+
+        transfer, sell = Transfer("P-1", self.ADDRESS), Sell("P-1", self.ADDRESS)
+        assert transfer != sell and not transfer == sell
+        assert transfer == Transfer(product_id="P-1", new_owner=self.ADDRESS)
+        assert hash(transfer) == hash(Transfer("P-1", self.ADDRESS))
+        assert transfer != Transfer("P-2", self.ADDRESS)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        from acprov.registry import Register
+
+        kind = Register("P-1", "Widget")
+        for name in ("product_id", "metadata", "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(kind, name, "x")
+            with pytest.raises(AttributeError):
+                delattr(kind, name)
+        assert kind == Register("P-1", "Widget", "")
+
+    def test_defaults_and_replace(self):
+        from acprov import gas, ledger, registry
+
+        kind = registry.Register("P-1", "Widget")
+        assert registry.Register.FIELDS == ("product_id", "name", "metadata")
+        assert registry.Register.DEFAULTS == {"metadata": ""}
+        assert kind.metadata == "" and repr(kind) == "Register(product_id='P-1', name='Widget', metadata='')"
+        with pytest.raises(TypeError):
+            registry.Register("P-1")
+        with pytest.raises(TypeError):
+            registry.Register("P-1", "Widget", "", "extra")
+
+        changed = kind.replace(name="Gadget")
+        assert changed == registry.Register("P-1", "Gadget") and changed is not kind
+        assert kind.name == "Widget"
+        assert kind.replace() == kind and kind.replace() is not kind
+        with pytest.raises(TypeError):
+            kind.replace(colour="red")
+
+        genesis = ledger.GenesisConfig()
+        assert (genesis.chain_id, genesis.authorities, genesis.roles) == (5, (), {})
+        assert genesis.gas_params == gas.GasParams() and genesis.account_keys == {}
+        with pytest.raises(TypeError):
+            genesis.roles["0x" + "00" * 20] = registry.Role.AUTHORITY  # a shared default is read-only
+        assert ledger.GenesisConfig(chain_id=7).replace(chain_id=5) == genesis
+
+    def test_a_subclass_gets_its_fields_and_post_init(self):
+        from typing import ClassVar
+
+        class Pair(canonical.Record):
+            KIND: ClassVar[str] = "pair"
+            low: int
+            high: int = 10
+
+            def __post_init__(self):
+                if self.low > self.high:
+                    raise ValueError("low above high")
+
+        class Triple(Pair):
+            label: str = ""
+
+        assert Pair.FIELDS == ("low", "high") and Triple.FIELDS == ("low", "high", "label")
+        assert Triple(1, label="x") == Triple(1, 10, "x") != Pair(1, 10)
+        with pytest.raises(ValueError, match="low above high"):
+            Pair(11)
+        with pytest.raises(ValueError, match="low above high"):
+            Triple(1).replace(low=12)
+        assert repr(Triple(1)).endswith(".Triple(low=1, high=10, label='')")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import acprov
-from acprov import cli, crypto, ledger, qr, registry, simnet
+from acprov import canonical, cli, crypto, ledger, qr, registry, simnet
 from acprov.canonical import canonical_serialize
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -962,6 +962,42 @@ class TestUnwritableOutputs:
         assert not (tmp_path / "nowhere").exists() and not (tmp_path / "new.jsonl").exists()
 
 
+class TestUnwritableStdout:
+    """Standard output that cannot be written (a reader that went away, a
+    full disk) is a usage error like an unwritable output path, not a
+    traceback, whether Python buffers stdout or not."""
+
+    @pytest.fixture(params=["buffered", "unbuffered"])
+    def env(self, request):
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if request.param == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    def test_a_closed_pipe(self, workspace, env):
+        """history | head -1, with head gone before history writes."""
+        child = subprocess.Popen(
+            [sys.executable, "-m", "acprov.cli", "history", "--id", "P-100"],
+            cwd=workspace["dir"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert (child.wait(), err) == (2, "error: cannot write standard output: Broken pipe\n")
+
+    def test_a_full_device(self, workspace, env):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        with open("/dev/full", "w") as full:
+            res = subprocess.run(
+                [sys.executable, "-m", "acprov.cli", "validate"],
+                cwd=workspace["dir"], env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert (res.returncode, res.stderr) == (
+            2, "error: cannot write standard output: No space left on device\n"
+        )
+
+
 def test_cold_commands_import_neither_simnet_nor_key_serialization():
     res = subprocess.run(
         [
@@ -980,8 +1016,9 @@ def test_cold_commands_import_neither_simnet_nor_key_serialization():
 def test_a_tip_read_loads_no_signature_or_decimal_library(tmp_path, monkeypatch, capsys):
     """verify and history at a tip sidecar check no signature and format no
     money, so a child process that runs them imports neither cryptography
-    nor decimal.  validate loads cryptography, and run here with no worker
-    it checks each signature ledger._signatures lists once."""
+    nor decimal.  No command loads dataclasses or inspect: the records make
+    their methods without them.  validate loads cryptography, and run here
+    with no worker it checks each signature ledger._signatures lists once."""
     for name in ("genesis50.json", "chain50.jsonl"):
         shutil.copy(FIXTURES / name, tmp_path / name)
     genesis = ledger.GenesisConfig.load(tmp_path / "genesis50.json")
@@ -991,7 +1028,8 @@ def test_a_tip_read_loads_no_signature_or_decimal_library(tmp_path, monkeypatch,
     base = ["--db", str(tmp_path / "chain50.jsonl"), "--genesis", str(tmp_path / "genesis50.json")]
     script = (
         "import sys; from acprov import cli; code = cli.main(sys.argv[1:]); "
-        "print(code, sorted({m.split('.')[0] for m in sys.modules} & {'cryptography', 'decimal'}))"
+        "print(code, sorted({m.split('.')[0] for m in sys.modules}"
+        " & {'cryptography', 'decimal', 'dataclasses', 'inspect'}))"
     )
     loaded = {}
     for args in (["verify", "--qr", payload], ["history", "--id", product], ["validate"]):
@@ -1011,6 +1049,28 @@ def test_a_tip_read_loads_no_signature_or_decimal_library(tmp_path, monkeypatch,
     listed = ledger._signatures(blocks[1:], genesis)
     assert len(listed) > len(blocks) - 1  # every seal, and the transactions' signatures
     assert sorted(checks) == sorted(listed)
+
+
+def test_a_tip_verify_decodes_one_product_record(tmp_path, monkeypatch, capsys):
+    """At a tip sidecar, verify decodes the one product record it prints
+    and no account; history and qr decode the same one record."""
+    for name in ("genesis50.json", "chain50.jsonl"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    genesis = ledger.GenesisConfig.load(tmp_path / "genesis50.json")
+    state = ledger.open_store(tmp_path / "chain50.jsonl", genesis).state  # writes the tip sidecar
+    product = sorted(state.products)[-1]
+    payload = qr.encode_payload(genesis.chain_id, state.contract.address, product)
+    base = ["--db", str(tmp_path / "chain50.jsonl"), "--genesis", str(tmp_path / "genesis50.json")]
+    decoded = count_calls(monkeypatch, canonical, "_decode")
+    for args in (["verify", "--qr", payload], ["history", "--id", product], ["qr", "--id", product]):
+        decoded.clear()
+        assert cli.main(base + args) == 0
+        records = [cls for cls, _, what, *_ in decoded if cls in (registry.Account, registry.ProductRecord)]
+        assert records == [registry.ProductRecord], args[0]
+        assert [what for cls, _, what, *_ in decoded if cls is registry.ProductRecord] == [
+            f"products entry {product}"
+        ]
+    assert product in capsys.readouterr().out
 
 
 class TestUsage:

@@ -2,6 +2,7 @@ import hashlib
 import os
 import signal
 import sys
+import time
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -450,6 +451,78 @@ class TestSignBatch:
         assert crypto.sign_batch(batch) == in_process(batch)
         sys.stdout.flush()
         assert capfd.readouterr().out == "written once"
+
+
+MASK_BYTES = 128  # a CPU set as a bit mask, for up to 1,024 CPUs
+
+
+def affinity_into_slot(slots, positions):
+    """A copy's job: put the CPUs it may run on into its slot."""
+    mask = sum(1 << cpu for cpu in os.sched_getaffinity(0))
+    slots.put(positions[0], lambda: mask.to_bytes(MASK_BYTES, "little"))
+
+
+def cpus_of(mask: bytes) -> set:
+    bits = int.from_bytes(mask, "little")
+    return {cpu for cpu in range(8 * MASK_BYTES) if bits >> cpu & 1}
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two usable CPUs",
+)
+class TestPlacement:
+    """While _ahead's copies run, the caller runs on one CPU of its mask and
+    each copy on another; the caller's mask comes back on exit."""
+
+    def copy_and_caller(self, copies=1):
+        """The CPUs the copies and the caller may use inside the block."""
+        with crypto._ahead(copies, copies, MASK_BYTES, affinity_into_slot) as slots:
+            caller = os.sched_getaffinity(0)
+            deadline = time.monotonic() + 10
+            while any(slots.filled(p) is None for p in range(copies)):
+                assert time.monotonic() < deadline, "a copy left its slot empty"
+                time.sleep(0.001)
+            return [cpus_of(slots.filled(p)) for p in range(copies)], caller
+
+    def test_a_copy_runs_on_another_cpu(self):
+        before = os.sched_getaffinity(0)
+        [copy], caller = self.copy_and_caller()
+        assert len(caller) == 1 and len(copy) == 1 and not copy & caller
+        assert caller | copy <= before
+        assert os.sched_getaffinity(0) == before
+
+    def test_a_raising_block_restores_the_mask(self):
+        before = os.sched_getaffinity(0)
+        with pytest.raises(ZeroDivisionError):
+            with crypto._ahead(1, 1, 1, lambda slots, positions: None):
+                assert len(os.sched_getaffinity(0)) == 1
+                1 / 0
+        assert os.sched_getaffinity(0) == before
+
+    def test_no_copy_no_pinning(self):
+        before = os.sched_getaffinity(0)
+        with crypto._ahead(0, 1, 1, lambda slots, positions: None):
+            assert os.sched_getaffinity(0) == before
+
+    @pytest.mark.parametrize("case", ["refused", "missing"])
+    def test_placement_that_fails_changes_no_result(self, forking, case):
+        if case == "refused":
+            def refuse(pid, cpus):
+                raise OSError(22, "Invalid argument")
+
+            forking.setattr(os, "sched_setaffinity", refuse)
+        else:
+            forking.delattr(os, "sched_setaffinity")
+        before = os.sched_getaffinity(0)
+        pids = support.record_forks(forking)
+        batch = requests(12)
+        assert crypto.sign_batch(batch) == in_process(batch)
+        ahead_agrees(unmemoized(signed_items(6)))
+        assert len(pids) == 2
+        support.assert_reaped(pids)
+        [copy], caller = self.copy_and_caller()
+        assert copy == caller == before == os.sched_getaffinity(0)
 
 
 # Signs with SIGNERS[0]'s secret but claims SIGNERS[1]'s public key.

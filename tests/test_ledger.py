@@ -3,17 +3,18 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from acprov import canonical, cli, crypto, ledger, registry
-from acprov.canonical import from_hex
+from acprov.canonical import Record, from_hex
 from acprov.registry import Deploy, FaucetClaim, Register, Transfer
 
 import support
+
+replace = Record.replace  # the record with the given fields changed
 
 PRICE = 10**9
 

@@ -1,11 +1,12 @@
-from dataclasses import replace
-
 import pytest
 
 from acprov import ledger, oracle, registry, simnet
+from acprov.canonical import Record
 from acprov.registry import Deploy, FaucetClaim, Register, Sell, Transfer
 
 import support
+
+replace = Record.replace  # the record with the given fields changed
 
 PRICE = 10**9
 

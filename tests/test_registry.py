@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import MISSING, fields
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -667,7 +666,7 @@ PRODUCTS = st.builds(
 )
 CONTRACTS = st.builds(registry.ContractInfo, address=ADDRESSES, deployer=ADDRESSES)
 POSITIVE = st.integers(min_value=1, max_value=2**80)
-GAS_PARAMS = st.builds(gas.GasParams, **{f.name: POSITIVE for f in fields(gas.GasParams)})
+GAS_PARAMS = st.builds(gas.GasParams, **dict.fromkeys(gas.GasParams.FIELDS, POSITIVE))
 KEY_POOL = [support.key_for(f"codec:{i}") for i in range(5)]
 
 
@@ -766,7 +765,7 @@ class TestRecordCodec:
         assert decode(cls, doc) == record
         required = sorted(doc)
         if cls in (simnet.Scenario, gas.GasParams):
-            required = [f.name for f in fields(cls) if f.default is MISSING]
+            required = [name for name in cls.FIELDS if name not in cls.DEFAULTS]
         for member in required:
             dropped = {name: value for name, value in doc.items() if name != member}
             with pytest.raises(ValueError, match=member):

@@ -4,15 +4,17 @@ import os
 import signal
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from acprov import canonical, crypto, gas, ledger, registry, simnet
+from acprov.canonical import Record
 from acprov.registry import Role, Status
 
 import support
+
+replace = Record.replace  # the record with the given fields changed
 
 SMALL = simnet.Scenario(
     seed=7,

@@ -13,15 +13,16 @@ import io
 import json
 import os
 import shutil
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from acprov import cli, ledger, qr, registry, simnet
-from acprov.canonical import canonical_serialize
+from acprov.canonical import Record, canonical_serialize, from_hex
 
 import support
+
+replace = Record.replace  # the record with the given fields changed
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -165,6 +166,46 @@ def test_every_sidecar_opens_the_store_of_a_full_replay(grid, name):
             tip.write_bytes(sidecar)
         assert outcome(ledger.open_store) == expected, label
     assert chain.read_bytes() == data
+
+
+def test_a_record_that_fails_its_decode_answers_as_no_sidecar(grid, tmp_path):
+    """A state written under other rules: block 49 is sealed over a state
+    whose first product, the one the reads ask for, has a status the
+    decoder refuses, and the tip sidecar holds that state.  The sidecar's
+    checks pass and the record is decoded only when it is read; then each
+    command answers as it does without the sidecar, which is load_chain's
+    error at block 49."""
+    genesis, raw = grid["genesis"], grid["inputs"]["intact"]
+    blocks = ledger.parse_chain_bytes(raw)
+    state = ledger.load_chain(FIXTURES / "chain50.jsonl", genesis).state
+    product = sorted(state.products)[0]
+    other = state.replace(products={**state.products, product: state.products[product].replace(status="stolen")})
+    scenario = simnet.Scenario.load(FIXTURES / "scenario50.json")
+    keys = {actor.address: actor.key for actors in simnet.scenario_actors(scenario).values() for actor in actors}
+    header = blocks[49].header.replace(state_root=registry.state_commitment(other))
+    sealed = blocks[49].replace(header=header, seal=keys[header.sealer].sign(from_hex(header.hash)))
+    data = raw[: -len(ledger.block_line(blocks[49]))] + ledger.block_line(sealed)
+    chain, tip = tmp_path / "chain.jsonl", tmp_path / "chain.jsonl.tip"
+    chain.write_bytes(data)
+    ledger.checkpoint(ledger.LedgerStore(chain, genesis, header, other, len(data), hashlib.sha256(data)))
+    sidecar = tip.read_bytes()
+
+    opened = ledger._from_checkpoint(data, genesis, sidecar)[2]
+    with pytest.raises(ledger.ValidationFailedError, match="rule state_root"):
+        opened.products.get(product)
+    base = ["--db", str(chain), "--genesis", str(grid["dir"] / "genesis.json")]
+
+    def answer(command, sidecar):
+        chain.write_bytes(data)
+        tip.unlink(missing_ok=True)
+        if sidecar is not None:
+            tip.write_bytes(sidecar)
+        return run(base + command), chain.read_bytes()
+
+    for command in grid["commands"]:
+        expect = answer(command, None)
+        assert expect[0][0] == 1 and "rule=state_root" in "".join(expect[0][1:]), command[0]
+        assert answer(command, sidecar) == expect, command[0]
 
 
 def test_a_tx_at_a_tip_sidecar_walks_no_block(grid, monkeypatch):
