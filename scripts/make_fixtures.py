@@ -11,6 +11,8 @@ reproduce the commitments recorded in goldens.json.
 
 With --check nothing under tests/fixtures/ is written: the script exits 1
 and names the first file whose bytes differ, or exits 0 when all match.
+A chain's tip sidecar (``*.tip``, git-ignored), which a read command leaves
+next to the chain it walked, is a cache and not a fixture: --check skips it.
 """
 
 from __future__ import annotations
@@ -75,12 +77,17 @@ def write_fixtures(out: Path) -> dict:
     return goldens
 
 
+def _fixture_names(directory: Path) -> set:
+    """The names of the fixture files in directory: all but tip sidecars."""
+    return {p.name for p in directory.iterdir() if p.suffix != ".tip"}
+
+
 def check() -> int:
     """Regenerate into a temp directory and compare with the committed files."""
     with tempfile.TemporaryDirectory() as tmp:
         fresh = Path(tmp)
         write_fixtures(fresh)
-        names = sorted({p.name for p in fresh.iterdir()} | {p.name for p in FIXTURES.iterdir()})
+        names = sorted(_fixture_names(fresh) | _fixture_names(FIXTURES))
         for name in names:
             committed, regenerated = FIXTURES / name, fresh / name
             if not committed.is_file() or not regenerated.is_file():
@@ -102,9 +109,11 @@ def main(argv=None) -> int:
     )
     if parser.parse_args(argv).check:
         return check()
-    goldens = write_fixtures(FIXTURES)
-    for name in sorted(p.name for p in FIXTURES.iterdir()):
-        print(f"wrote {name}")
+    with tempfile.TemporaryDirectory() as tmp:
+        goldens = write_fixtures(Path(tmp))
+        for path in sorted(Path(tmp).iterdir()):
+            shutil.copy(path, FIXTURES / path.name)
+            print(f"wrote {path.name}")
     print(f"blocks={goldens['blocks']} tip={goldens['tip_commitment']}")
     return 0
 

@@ -234,13 +234,12 @@ class Record:
 
 
 @lru_cache(maxsize=None)
-def _layout(cls: type) -> Tuple[Tuple[str, ...], FrozenSet[str], str]:
-    """A record class's fields, its member set, and the listing of its
-    members that a member-set error gives."""
-    names = cls.FIELDS
-    members = (("type",) if hasattr(cls, "TYPE") else ()) + names
+def _layout(cls: type) -> Tuple[FrozenSet[str], str]:
+    """A record class's member set, and the listing of its members that a
+    member-set error gives."""
+    members = (("type",) if hasattr(cls, "TYPE") else ()) + cls.FIELDS
     listing = f"field {members[0]} only" if len(members) == 1 else f"fields {', '.join(members)}"
-    return names, frozenset(members), listing
+    return frozenset(members), listing
 
 
 _SCALARS = frozenset({str, int, bool, type(None)})
@@ -261,7 +260,7 @@ def _plain(value: Any) -> Any:
 
 def _canonical(record: Any) -> dict:
     """The record's canonical object."""
-    doc = {name: _plain(getattr(record, name)) for name in _layout(type(record))[0]}
+    doc = {name: _plain(getattr(record, name)) for name in record.FIELDS}
     if hasattr(record, "TYPE"):
         doc["type"] = record.TYPE
     return doc
@@ -273,17 +272,17 @@ def _decode(cls: type, doc: Any, what: str, checks: Optional[Mapping] = None) ->
     ValueError, naming the member, for any misfit."""
     if not isinstance(doc, Mapping):
         raise ValueError(f"{what} must be an object")
-    names, members, listing = _layout(cls)
+    members, listing = _layout(cls)
     if doc.keys() != members:
         raise ValueError(f"{what} has {listing}")
     checks = checks or cls.CHECKS
-    return cls(**{name: checks[name](doc[name], name) for name in names})
+    return cls(**{name: checks[name](doc[name], name) for name in cls.FIELDS})
 
 
 def _check_fields(record: Any) -> None:
     """Raise the ValueError _decode would give for a member of record."""
     checks = record.CHECKS
-    for name in _layout(type(record))[0]:
+    for name in record.FIELDS:
         checks[name](_plain(getattr(record, name)), name)
 
 

@@ -14,11 +14,11 @@ fills a slot unless the caller has taken it, the
 bytes first and then the state byte, and the caller takes each slot,
 doing the work of an empty one itself.  So ``sign_batch`` signs,
 ``verify_ahead``'s copies check the signatures the caller will verify,
-and ``ledger.extend_plan``'s copy commits state roots.  A verify_ahead
-block can also assume: while it does, a listed signature no copy has
-answered yet verifies as True, unmemoized, and the block's ``settle``
-then checks every one of them.  Only a caller that redoes its work
-strictly when the settle fails may assume (``ledger._replay``).
+and ``ledger.extend_plan``'s copy commits state roots.  Inside a
+verify_ahead block a listed signature no copy has answered yet verifies
+as True, unmemoized, and the block's ``settle`` then checks every one of
+them, so its one caller (``ledger._replay``) redoes its work strictly
+when the settle fails.
 
 The ``cryptography`` package is imported at the first sign or verify,
 not with this module: a read at a sidecar checkpoint (``acprov verify``,
@@ -116,12 +116,12 @@ def _remember(item: Check, ok: bool) -> bool:
     return ok
 
 
-# While a verify_ahead block runs: the slot of each of its checks, and
-# the slots, whose one byte is 1 for a valid signature and 0 otherwise;
-# while it assumes, also its batch.
+# While a verify_ahead block runs: the slot of each of its checks, the
+# slots, whose one byte is 1 for a valid signature and 0 otherwise, and
+# its batch.
 _positions: Dict[Check, int] = {}
 _answers: Optional["_Slots"] = None
-_assuming: Optional["_Batch"] = None
+_batch: Optional["_Batch"] = None
 
 
 def verify(public_key: str, message: bytes, signature: str) -> bool:
@@ -129,31 +129,22 @@ def verify(public_key: str, message: bytes, signature: str) -> bool:
 
     Malformed keys or signatures verify as False rather than raising;
     a transaction carrying garbage bytes is simply unauthenticated.
-    Inside a verify_ahead block an answer a worker already wrote is
-    taken from its slot; one checked here has its slot taken first.
-    While the block assumes, a listed item whose slot no worker has
-    filled verifies as True: it is neither memoized nor taken, so the
-    block's settle still checks it.
+    Inside a verify_ahead block a listed item is answered from its slot
+    if a worker filled it, and is otherwise assumed valid: it verifies as
+    True, neither memoized nor taken, so the block's settle still checks it.
     """
     item = (public_key, message, signature)
     ok = _memo.get(item)
     if ok is not None:
         return ok
     position = _positions.get(item)
-    if position is None or _assuming is None:
-        return _answer(item, position)
+    if position is None:
+        return _remember(item, _check(*item))
     answer = _answers.filled(position)
     if answer is None:
-        _assuming.assumed = True
+        _batch.assumed = True
         return True
     return _remember(item, answer[0] == 1)
-
-
-def _answer(item: Check, position: Optional[int]) -> bool:
-    """The memoized answer for item, from its slot at position if a
-    worker filled it, else checked here once the slot is taken."""
-    answer = None if position is None else _answers.take(position)
-    return _remember(item, _check(*item) if answer is None else answer[0] == 1)
 
 
 # A fork costs about as much as 15 checks; below this many checks (or
@@ -316,24 +307,12 @@ def _check_from_back(items: Sequence[Check], slots: _Slots, positions: range) ->
 
 
 class _Batch:
-    """What a verify_ahead block yields: ``assuming``, to walk its checks
-    taking each one no worker has answered as valid, then ``settle``."""
+    """What a verify_ahead block yields.  The caller must redo its work
+    strictly, outside the block, if the work raised once ``assumed`` was
+    set or ``settle`` is False; if every listed signature is valid, the
+    assumed answers are the true ones."""
 
     assumed = False  # set once verify has taken an item as valid unchecked
-
-    @contextlib.contextmanager
-    def assuming(self) -> Iterator[None]:
-        """Within it, a listed item no worker has answered verifies as
-        True.  The caller must redo its work strictly, outside the
-        verify_ahead block, if the work raised once ``assumed`` was set or
-        ``settle`` is False; if every listed signature is valid, the
-        assumed answers are the true ones."""
-        global _assuming
-        _assuming = self
-        try:
-            yield
-        finally:
-            _assuming = None
 
     def settle(self) -> bool:
         """True iff every listed item is a valid signature.  The caller
@@ -343,7 +322,8 @@ class _Batch:
         for item, position in _positions.items():
             ok = _memo.get(item)
             if ok is None:
-                ok = _answer(item, position)
+                answer = _answers.take(position)
+                ok = _remember(item, _check(*item) if answer is None else answer[0] == 1)
             if not ok:
                 return False
         return True
@@ -355,18 +335,17 @@ def verify_ahead(items: Iterable[Check]) -> Iterator[_Batch]:
 
     Each distinct item not yet memoized gets a one-byte slot.  With more
     than one usable CPU and enough items, workers answer them from the
-    back of the list while ``verify`` takes the ones the caller reaches
-    first, so neither waits for the other.  A caller that would rather
-    not wait at all walks under the yielded batch's ``assuming`` and then
-    calls its ``settle``, which checks from the front what the workers
-    have not.  On exit the workers are stopped and reaped and every
-    answer they wrote is memoized.  A worker that cannot be started or
-    dies leaves its slots empty, and the caller checks those items
-    itself: the answers are the same either way.  With no worker nothing
-    is listed, so verify checks each item as it comes, even while
-    assuming, and there is nothing to settle.
+    back of the list while the caller walks without waiting: ``verify``
+    answers a listed item from its filled slot or assumes it valid, and
+    the yielded batch's ``settle`` then checks from the front what the
+    workers have not.  On exit the workers are stopped and reaped and
+    every answer they wrote is memoized.  A worker that cannot be started
+    or dies leaves its slots empty, and settle checks those items itself:
+    the answers are the same either way.  With no worker nothing is
+    listed, so verify checks each item as it comes and there is nothing
+    to settle.
     """
-    global _positions, _answers
+    global _positions, _answers, _batch
     todo = [item for item in dict.fromkeys(items) if item not in _memo]
     workers = _worker_count(len(todo))
     if not workers:
@@ -374,11 +353,11 @@ def verify_ahead(items: Iterable[Check]) -> Iterator[_Batch]:
         return
     with _ahead(workers, len(todo), 1, partial(_check_from_back, todo)) as slots:
         _positions = {item: position for position, item in enumerate(todo)}
-        _answers = slots
+        _answers, _batch = slots, _Batch()
         try:
-            yield _Batch()
+            yield _batch
         finally:
-            _positions, _answers = {}, None
+            _positions, _answers, _batch = {}, None, None
     for position, item in enumerate(todo):
         answer = slots.take(position)
         if answer is not None:

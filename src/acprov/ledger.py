@@ -509,8 +509,7 @@ def _replay(
     walk = partial(_walk, parent, blocks, genesis, state)
     with verify_ahead(_signatures(blocks, genesis)) as batch:
         try:
-            with batch.assuming():
-                walked = walk()
+            walked = walk()
         except Exception:
             # A signature taken as valid may be what broke the walk, in any
             # way; the strict walk below tells, and raises what is real.

@@ -19,7 +19,7 @@ import json
 import random
 import tempfile
 from pathlib import Path
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import ledger, registry
 from .canonical import (
@@ -162,23 +162,16 @@ class Actor(Record):
         return self.key.address
 
 
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """The files run_scenario wrote, and the chain and state it ended with."""
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        genesis: ledger.GenesisConfig,
-        blocks: List[ledger.Block],
-        final_state: registry.RegistryState,
-        trace: List[TraceEvent],
-        chain_path: Path,
-        trace_path: Path,
-        genesis_path: Path,
-    ):
-        self.scenario, self.genesis, self.blocks, self.final_state = scenario, genesis, blocks, final_state
-        self.trace, self.chain_path, self.trace_path = trace, chain_path, trace_path
-        self.genesis_path = genesis_path
+    scenario: Scenario
+    genesis: ledger.GenesisConfig
+    blocks: List[ledger.Block]
+    final_state: registry.RegistryState
+    trace: List[TraceEvent]
+    chain_path: Path
+    trace_path: Path
+    genesis_path: Path
 
     @property
     def tip_commitment(self) -> str:

@@ -96,7 +96,7 @@ def wait_for_exit(pid: int, timeout: float = 10.0) -> None:
 
 def verify_workers_finished(timeout: float = 10.0) -> None:
     """Inside a verify_ahead block: wait until every item's slot has its
-    state byte, which only the workers write until verify is called."""
+    state byte, which only the workers write until settle is called."""
     deadline = time.monotonic() + timeout
     while crypto._answers is not None and 0 in crypto._answers._map[::2]:
         assert time.monotonic() < deadline, "the workers left items unanswered"

@@ -151,13 +151,21 @@ def forking(monkeypatch):
 
 
 def ahead_agrees(items, before_verify=lambda: None):
-    """verify_ahead answers every item, and as the library does."""
-    with crypto.verify_ahead(items):
+    """verify_ahead answers every item, and as the library does: inside the
+    block an answer is the library's or, once the batch has assumed, True;
+    settle is True iff every listed item is valid (with no worker nothing
+    is listed); after the block every answer is the library's, and
+    memoized."""
+    reference = [reference_verify(*item) for item in items]
+    with crypto.verify_ahead(items) as batch:
         before_verify()
         inside = [crypto.verify(*item) for item in items]
+        assert all(ok in (expected, True) for ok, expected in zip(inside, reference))
+        assert inside == reference or batch.assumed
+        listed = [ok for item, ok in zip(items, reference) if item in crypto._positions]
+        assert batch.settle() is all(listed)
+    assert [crypto.verify(*item) for item in items] == reference
     assert all(item in crypto._memo for item in items)
-    assert inside == [reference_verify(*item) for item in items]
-    assert [crypto.verify(*item) for item in items] == inside
 
 
 def unmemoized(items):
@@ -226,9 +234,10 @@ class TestVerifyBatch:
         bad = (signer.public_key, b"n", signer.sign(b"m"))
         unmemoized([good, bad])
         checked = support.count_calls(forking, crypto, "_check")
-        with crypto.verify_ahead([good, bad, good, bad]):
+        with crypto.verify_ahead([good, bad, good, bad]) as batch:
             for item in (good, bad, good, bad):
                 crypto.verify(*item)
+            assert batch.settle() is False
         forking.setattr(os, "fork", lambda: pytest.fail("forked for memoized items"))
         with crypto.verify_ahead([bad]):
             assert (crypto.verify(*good), crypto.verify(*bad)) == (True, False)
@@ -313,8 +322,7 @@ class TestAssumeThenSettle:
         checked = support.count_calls(forking, crypto, "_check")
         items = self.items()
         with crypto.verify_ahead(items) as batch:
-            with batch.assuming():
-                assert all(crypto.verify(*item) for item in items)
+            assert all(crypto.verify(*item) for item in items)
             assert (checked, crypto._memo, batch.assumed) == ([], {}, True)
             assert batch.settle() is False
             assert checked == items[:4], "settling stops at the first invalid item"
@@ -326,30 +334,48 @@ class TestAssumeThenSettle:
         with crypto.verify_ahead(items) as batch:
             support.verify_workers_finished()
             checked = support.count_calls(forking, crypto, "_check")
-            with batch.assuming():
-                assert [crypto.verify(*item) for item in items] == [True] * 3 + [False, True]
+            assert [crypto.verify(*item) for item in items] == [True] * 3 + [False, True]
             assert batch.assumed is False
             assert all(item in crypto._memo for item in items)
             assert batch.settle() is False
         assert checked == []
 
+    def test_settle_reads_what_the_workers_wrote(self, forking):
+        """settle takes a filled slot's answer without checking it, and
+        the answers nobody read are memoized when the block ends."""
+        items = self.items()
+        with crypto.verify_ahead(items) as batch:
+            support.verify_workers_finished()
+            checked = support.count_calls(forking, crypto, "_check")
+            assert batch.settle() is False
+            assert [crypto._memo.get(item) for item in items] == [True, True, True, False, None]
+        assert checked == []
+        assert [crypto._memo.get(item) for item in items] == [True, True, True, False, True]
+
+    def test_settle_takes_each_slot_it_checks(self, forking):
+        """A slot settle checks itself is marked taken, for a worker to skip."""
+        forking.setattr(crypto, "_check_from_back", lambda items, slots, positions: os._exit(0))
+        items = self.items()
+        with crypto.verify_ahead(items) as batch:
+            assert batch.settle() is False
+            assert list(crypto._answers._map[::2]) == [crypto._TAKEN] * 4 + [0]
+
     def test_without_a_worker_nothing_is_assumed(self, forking):
         forking.setattr(crypto, "_usable_cpus", lambda: 1)
         items = self.items()
         with crypto.verify_ahead(items) as batch:
-            with batch.assuming():
-                assert [crypto.verify(*item) for item in items] == [True] * 3 + [False, True]
+            assert [crypto.verify(*item) for item in items] == [True] * 3 + [False, True]
             assert batch.assumed is False
             assert batch.settle() is True, "nothing is listed, so nothing is left to settle"
 
     def test_the_assumption_ends_with_its_block(self, forking):
         items = self.items()
-        with crypto.verify_ahead(items) as batch:
-            with pytest.raises(ZeroDivisionError):
-                with batch.assuming():
-                    1 / 0
-            assert crypto._assuming is None
-            assert crypto.verify(*items[3]) is False
+        with pytest.raises(ZeroDivisionError):
+            with crypto.verify_ahead(items) as batch:
+                assert crypto._batch is batch
+                1 / 0
+        assert crypto._batch is None
+        assert crypto.verify(*items[3]) is False
 
 
 def requests(count):

@@ -1062,7 +1062,7 @@ class TestAssumedWalk:
                 support.validate_blocks(blocks, genesis)
         else:
             assert support.validate_blocks(blocks, genesis).ok == (outcome == "returns")
-        assert crypto._assuming is None
+        assert crypto._batch is None
         assert crypto._answers is None and crypto._positions == {}
         signer = keys["consumer"]
         assert crypto.verify(signer.public_key, b"x", signer.sign(b"y")) is False

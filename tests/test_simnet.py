@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -22,6 +23,16 @@ SMALL = simnet.Scenario(
     products=2,
 )
 MAKE_FIXTURES = Path(__file__).parent.parent / "scripts" / "make_fixtures.py"
+
+
+def load_make_fixtures():
+    """scripts/make_fixtures.py as a module."""
+    spec = importlib.util.spec_from_file_location("make_fixtures", MAKE_FIXTURES)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    return make_fixtures
+
+
 LIFECYCLE = simnet.Scenario(
     seed=42,
     actors={"manufacturer": 1, "distributor": 1, "retailer": 1, "consumer": 1, "authority": 1},
@@ -158,10 +169,23 @@ class TestDeterminism:
         assert sorted(signature for _, _, signature in checked) == sorted(signatures)
 
     def test_fixture_script_reproduces_the_committed_files(self, capsys):
-        spec = importlib.util.spec_from_file_location("make_fixtures", MAKE_FIXTURES)
-        make_fixtures = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(make_fixtures)
+        assert load_make_fixtures().check() == 0, capsys.readouterr().err
+
+    def test_fixture_check_skips_a_tip_sidecar_only(self, tmp_path, monkeypatch, capsys):
+        """A sidecar a read leaves next to the fixture chain is a cache,
+        not a fixture; any other file the fixtures lack still fails."""
+        make_fixtures = load_make_fixtures()
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(make_fixtures.FIXTURES, fixtures, ignore=shutil.ignore_patterns("*.tip"))
+        monkeypatch.setattr(make_fixtures, "FIXTURES", fixtures)
+        genesis = ledger.GenesisConfig.load(fixtures / "genesis50.json")
+        ledger.open_store(fixtures / "chain50.jsonl", genesis)
+        assert (fixtures / "chain50.jsonl.tip").is_file()
         assert make_fixtures.check() == 0, capsys.readouterr().err
+        assert capsys.readouterr().out == "6 fixture files match\n"
+        (fixtures / "extra.txt").write_text("stray\n")
+        assert make_fixtures.check() == 1
+        assert "extra.txt: present in only one of the two sets" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "script", [["make_fixtures.py", "--check"], ["calibrate_gas_price.py"]], ids=lambda s: s[0]
