@@ -13,10 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import typing
 from collections.abc import Mapping
 from enum import Enum
 from functools import lru_cache, partial
-from typing import Any, Callable, ClassVar, Dict, FrozenSet, Optional, Tuple
+from json.encoder import encode_basestring
+from typing import Any, Callable, ClassVar, Dict, FrozenSet, Optional, Tuple, Union
 
 HASH_BYTES = 32
 ADDRESS_BYTES = 20
@@ -33,6 +35,11 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=
 def canonical_serialize(value: Any) -> bytes:
     """Serialize plain dicts/lists/scalars to canonical JSON bytes."""
     return _ENCODER.encode(value).encode("utf-8")
+
+
+def _string(value: str) -> bytes:
+    """A string's canonical bytes: canonical_serialize's escaper, then UTF-8."""
+    return encode_basestring(value).encode("utf-8")
 
 
 def hash_of(data: bytes) -> str:
@@ -162,7 +169,9 @@ class Record:
     has one.  A field that a class lists in SECRET stays out of its repr.
     An instance cannot be assigned to; ``functools.cached_property`` still
     works, since it writes the instance's ``__dict__``.  Two records are
-    equal when they are of the same class with equal fields.
+    equal when they are of the same class with equal fields.  ``to_bytes``
+    gives a record's canonical bytes, through an encoder made for its class
+    when the first of its records is encoded.
     """
 
     FIELDS: ClassVar[Tuple[str, ...]] = ()
@@ -193,6 +202,16 @@ class Record:
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.FIELDS, cls.DEFAULTS = tuple(names), defaults
+        if "to_bytes" not in cls.__dict__:
+            cls.to_bytes = Record.to_bytes  # so no class encodes through its base's encoder
+
+    def to_bytes(self) -> bytes:
+        """The record's canonical bytes: those canonical_serialize gives for
+        its canonical object.  The first call for a class generates the
+        class's encoder (_encoder), which then stands in for this method."""
+        cls = type(self)
+        cls.to_bytes = _encoder(cls, cls.FIELDS)
+        return cls.to_bytes(self)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -266,6 +285,74 @@ def _canonical(record: Any) -> dict:
     return doc
 
 
+# Encoders.  A record class's canonical bytes are made by one function,
+# generated from the class's fields and their annotations the first time
+# one of its records is encoded (Record.to_bytes): a %-format of its
+# members in sorted key order, as canonical_serialize gives them.  A member
+# of a type the generator has no form for goes through _plain and
+# canonical_serialize, which is always right and only slower.
+
+# A dict of these values goes to canonical_serialize as it is.
+_JSON_VALUES = (str, int, bool, Any)
+
+
+def _encoding(tp: Any, value: str, depth: int = 0) -> str:
+    """A Python expression giving the canonical bytes of the expression
+    value, a value of type tp."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is str:
+        return f"_e({value}).encode()"
+    if tp is int:
+        return f"(b'%d' % {value})"
+    if tp is bool:
+        return f"(b'true' if {value} else b'false')"
+    if origin is Union and type(None) in args and len(args) == 2:
+        inner = _encoding(next(arg for arg in args if arg is not type(None)), value, depth)
+        return f"(b'null' if {value} is None else {inner})"
+    records = args if origin is Union else (tp,)  # a record class, or a union of them
+    if all(isinstance(arg, type) and issubclass(arg, Record) for arg in records):
+        return f"{value}.to_bytes()"
+    if isinstance(tp, type) and issubclass(tp, Enum) and issubclass(tp, (str, int)):
+        # a member of a str or int enum is a str or int of its value
+        return _encoding(str if issubclass(tp, str) else int, value, depth)
+    if origin is tuple and args and (args[-1] is Ellipsis or len(set(args)) == 1):
+        item = f"x{depth}"  # a tuple of items of one type
+        return f"(b'[%s]' % b','.join([{_encoding(args[0], item, depth + 1)} for {item} in {value}]))"
+    if isinstance(origin, type) and issubclass(origin, Mapping) and len(args) == 2 and args[1] in _JSON_VALUES:
+        return f"_serialize({value} if type({value}) is dict else _plain({value}))"
+    return f"_serialize(_plain({value}))"
+
+
+@lru_cache(maxsize=None)
+def _encoder(cls: type, names: Tuple[str, ...]) -> Callable[[Any], bytes]:
+    """Generate the function that gives, for a record of class cls, the
+    bytes canonical_serialize gives for the object of its fields names (and
+    "type" when cls has a TYPE), from the fields' annotations."""
+    types = typing.get_type_hints(cls)
+    members = sorted(names + (("type",) if hasattr(cls, "TYPE") else ()))
+    parts, values = [], []
+    for name in members:
+        key = encode_basestring(name)
+        if name == "type":
+            parts.append(f"{key}:{encode_basestring(cls.TYPE)}".replace("%", "%%"))
+            continue
+        tp = types[name]
+        parts.append(key.replace("%", "%%") + (":%d" if tp is int else ":%s"))
+        value = f"d[{name!r}]"
+        values.append(value if tp is int else _encoding(tp, value))
+    template = ("{" + ",".join(parts) + "}").encode("utf-8")
+    source = [
+        "def to_bytes(self):",
+        "    d = self.__dict__",
+        f"    return {template!r} % ({''.join(value + ', ' for value in values)})",
+    ]
+    namespace = {"_e": encode_basestring, "_serialize": canonical_serialize, "_plain": _plain}
+    exec("\n".join(source), namespace)
+    encoder = namespace["to_bytes"]
+    encoder.__qualname__ = f"{cls.__qualname__}.to_bytes"
+    return encoder
+
+
 def _decode(cls: type, doc: Any, what: str, checks: Optional[Mapping] = None) -> Any:
     """The record of class cls that doc is the canonical object of, each
     member checked by its entry in checks (cls.CHECKS by default);
@@ -280,21 +367,33 @@ def _decode(cls: type, doc: Any, what: str, checks: Optional[Mapping] = None) ->
 
 
 def _check_fields(record: Any) -> None:
-    """Raise the ValueError _decode would give for a member of record."""
-    checks = record.CHECKS
+    """Raise the ValueError _decode would give for a member of record.  A
+    member holding a record of a class that its check decodes (the check's
+    ``decodes``) has that record's members checked where they are, which
+    gives the decoder's verdict without making the record's canonical object."""
+    checks, values = record.CHECKS, record.__dict__
     for name in record.FIELDS:
-        checks[name](_plain(getattr(record, name)), name)
+        value, check = values[name], checks[name]
+        if type(value) in _SCALARS:
+            check(value, name)
+        elif type(value) in getattr(check, "decodes", ()):
+            _check_fields(value)
+        else:
+            check(_plain(value), name)
 
 
 def _record(cls: type, defaults: bool = False) -> Callable[[Any, str], Any]:
     """Check of a member holding a record of class cls; with defaults, each
     member left out that has a default takes that default."""
     if not defaults:
-        return lambda value, name: _decode(cls, value, name)
-    filled = {name: _plain(default) for name, default in cls.DEFAULTS.items()}
-    return lambda value, name: _decode(
-        cls, {**filled, **value} if isinstance(value, Mapping) else value, name
-    )
+        check = lambda value, name: _decode(cls, value, name)
+    else:
+        filled = {name: _plain(default) for name, default in cls.DEFAULTS.items()}
+        check = lambda value, name: _decode(
+            cls, {**filled, **value} if isinstance(value, Mapping) else value, name
+        )
+    check.decodes = (cls,)
+    return check
 
 
 class _Records(Mapping):

@@ -71,6 +71,7 @@ from .canonical import (
     _one_of,
     _record,
     _require,
+    _string,
     canonical_serialize,
     from_hex,
     hash_of,
@@ -283,7 +284,7 @@ class BlockHeader(Record):
     @cached_property
     def canonical_bytes(self) -> bytes:
         """The header's canonical encoding, computed on first use."""
-        return canonical_serialize(self.to_canonical())
+        return self.to_bytes()
 
     @cached_property
     def hash(self) -> str:
@@ -305,6 +306,14 @@ class Block(Record):
     seal: str
 
     to_canonical = _canonical
+
+    def to_bytes(self) -> bytes:
+        """The block's canonical encoding, joined from cached encodings."""
+        return b'{"header":%s,"seal":%s,"txs":[%s]}' % (
+            self.header.canonical_bytes,
+            _string(self.seal),
+            b",".join([tx.canonical_bytes for tx in self.txs]),
+        )
 
     @classmethod
     def from_canonical(cls, doc: Any) -> "Block":
@@ -524,7 +533,7 @@ def _replay(
 def _genesis_parent(blocks: Sequence[Block], genesis: GenesisConfig) -> BlockHeader:
     """Block 0's header, where a full replay starts, once block 0 matches
     the genesis config."""
-    if block_line(blocks[0]) != block_line(genesis_block(genesis)):
+    if blocks[0].to_bytes() != genesis_block(genesis).to_bytes():
         raise _invalid(0, RULE_GENESIS, "block 0 does not match the genesis config")
     return blocks[0].header
 
@@ -534,12 +543,8 @@ def _genesis_parent(blocks: Sequence[Block], genesis: GenesisConfig) -> BlockHea
 
 
 def block_line(block: Block) -> bytes:
-    """The block's line in the ledger file, joined from cached encodings."""
-    return b'{"header":%s,"seal":%s,"txs":[%s]}\n' % (
-        block.header.canonical_bytes,
-        canonical_serialize(block.seal),
-        b",".join(tx.canonical_bytes for tx in block.txs),
-    )
+    """The block's line in the ledger file."""
+    return block.to_bytes() + b"\n"
 
 
 class LedgerStore:
@@ -741,10 +746,10 @@ def _parse_line(line: bytes) -> Block:
     try:
         block = Block.from_canonical(doc)
         # a string escaping a lone surrogate parses but cannot re-encode
-        encoded = block_line(block)
+        encoded = block.to_bytes()
     except (KeyError, TypeError) as exc:
         raise ValueError(str(exc)) from exc
-    if encoded[:-1] != line:
+    if encoded != line:
         raise ValueError("line is not the canonical block encoding")
     return block
 
@@ -864,12 +869,12 @@ def _from_checkpoint(
     raw: bytes, genesis: GenesisConfig, sidecar: bytes
 ) -> Tuple[BlockHeader, int, registry.RegistryState, Any]:
     """(header k, L, state after block k, sha256 of the first L bytes) from
-    a sidecar that vouches for the first L bytes of raw; only line k, the
-    last of them, is parsed.
+    a sidecar that vouches for the first L bytes of raw; of them, only the
+    header of line k, the last, is decoded, so no record is encoded.
 
     The sidecar must be for this genesis, its digest must match raw's first
-    L bytes, which end line k, that line must be header k under the
-    sidecar's hash, and the state line's sha256 must be its state_root.
+    L bytes, which end line k, that line's header must be header k under
+    the sidecar's hash, and the state line's sha256 must be its state_root.
     Raises ValueError otherwise.  The root is the hash of exactly those
     bytes, so the state is not encoded again; a state line with other
     spacing is refused.
@@ -893,8 +898,14 @@ def _from_checkpoint(
     _require(0 < size <= len(raw) and raw[size - 1] == 0x0A, "sidecar bytes do not end a line")
     digest = hashlib.sha256(memoryview(raw)[:size])
     _require(to_hex(digest.digest()) == doc["prefix"], "the chain's first bytes changed")
-    header = _parse_line(raw[raw.rfind(b"\n", 0, size - 1) + 1 : size - 1]).header
-    _require(header.index == k and header.hash == doc["hash"], f"sidecar names another block {k}")
+    # Line k is among the bytes the digest vouches for, so it is canonical,
+    # and its header, whose members are ints and hex strings, ends at its
+    # first "}".  The rest of the line is not read.
+    line = raw[raw.rfind(b"\n", 0, size - 1) + 1 : size - 1]
+    _require(line.startswith(b'{"header":{'), f"line {k + 1} is not a block line")
+    encoded = line[len(b'{"header":') : line.index(b"}") + 1]
+    header = _decode(BlockHeader, json.loads(encoded), "header")
+    _require(header.index == k and hash_of(encoded) == doc["hash"], f"sidecar names another block {k}")
     _require(
         hash_of(body) == header.state_root,
         f"sidecar state does not commit to block {k}'s state_root",

@@ -38,12 +38,13 @@ from .canonical import (
     _canonical,
     _check_fields,
     _decode,
+    _encoder,
     _list_of,
     _map_of,
     _one_of,
     _optional,
     _record,
-    canonical_serialize,
+    _string,
     from_hex,
     hash_of,
     to_hex,
@@ -156,8 +157,14 @@ def kind_from_canonical(doc: Any, name: str = "kind") -> TxKind:
     return _decode(cls, doc, f"{kind_type} kind")
 
 
+kind_from_canonical.decodes = tuple(_KIND_OF_TYPE.values())  # so check_fields checks a kind in place
+
+
 # ---------------------------------------------------------------------------
 # Envelopes and receipts
+
+
+_SIGNED = ("gas_price", "kind", "nonce", "sender")  # what a signature covers besides chain_id
 
 
 class TxEnvelope(Record):
@@ -175,24 +182,25 @@ class TxEnvelope(Record):
     gas_price: int
     signature: str
 
-    def __post_init__(self) -> None:
-        # Canonical bytes, encoded once at construction: the kind (the metered
-        # calldata) and the signing payload after its chain_id member.  They
-        # are not fields, so neither equality nor repr reads them.
-        kind_bytes = canonical_serialize(kind_to_canonical(self.kind))
-        object.__setattr__(self, "kind_bytes", kind_bytes)
-        object.__setattr__(
-            self, "payload_tail", _payload_tail(self.sender, self.nonce, kind_bytes, self.gas_price)
-        )
+    # Canonical bytes, each encoded once, on first use: the kind (the metered
+    # calldata) and the signing payload after its chain_id member.  They are
+    # not fields, so neither equality nor repr reads them.
+    @cached_property
+    def kind_bytes(self) -> bytes:
+        return self.kind.to_bytes()
 
     @cached_property
-    def canonical_bytes(self) -> bytes:
+    def payload_tail(self) -> bytes:
+        """The signing payload after its leading chain_id member: the
+        encoding of the object of the _SIGNED members, after its "{"."""
+        return _encoder(TxEnvelope, _SIGNED)(self)[1:]
+
+    def to_bytes(self) -> bytes:
         """The envelope's canonical encoding: the payload's members less
         chain_id, plus the signature, which sorts last."""
-        return b'{%s,"signature":%s}' % (
-            self.payload_tail[:-1],
-            canonical_serialize(self.signature),
-        )
+        return b'{%s,"signature":%s}' % (self.payload_tail[:-1], _string(self.signature))
+
+    canonical_bytes = cached_property(to_bytes)  # encoded once, after signing
 
     @cached_property
     def hash(self) -> str:
@@ -207,21 +215,6 @@ class TxEnvelope(Record):
     check_fields = _check_fields
 
 
-def _payload_tail(sender: str, nonce: int, kind_bytes: bytes, gas_price: int) -> bytes:
-    """The signing payload after its leading chain_id member.
-
-    Members are in sorted key order, strings go through the canonical
-    encoder and ints are written in decimal, so the bytes equal those
-    canonical_serialize gives for the same document.
-    """
-    return b'"gas_price":%d,"kind":%s,"nonce":%d,"sender":%s}' % (
-        gas_price,
-        kind_bytes,
-        nonce,
-        canonical_serialize(sender),
-    )
-
-
 def _signing_payload(chain_id: int, tail: bytes) -> bytes:
     return b'{"chain_id":%d,' % chain_id + tail
 
@@ -230,8 +223,8 @@ def sign_txs(chain_id: int, unsigned: Sequence[Tuple[KeyPair, TxEnvelope]]) -> N
     """Sign each envelope in place with its sender's key (crypto.sign_batch).
 
     Every envelope must still hold the empty signature it was built
-    with, unread, so that no cached encoding holds it; its kind and
-    payload tail are then encoded once.  make_tx is the one-item case.
+    with, unread, so that no cached encoding holds it; its payload tail
+    is encoded here, once.  make_tx is the one-item case.
     """
     signatures = sign_batch([(key, tx.signing_payload(chain_id)) for key, tx in unsigned])
     for (_, tx), signature in zip(unsigned, signatures):
@@ -285,7 +278,7 @@ class Account(Record):
     @cached_property
     def canonical_bytes(self) -> bytes:
         """This account's ``"address":{...}`` member of the canonical state."""
-        return canonical_serialize({self.address: self.to_canonical()})[1:-1]
+        return b"%s:%s" % (_string(self.address), self.to_bytes())
 
     to_canonical = _canonical
 
@@ -314,7 +307,7 @@ class ProductRecord(Record):
     @cached_property
     def canonical_bytes(self) -> bytes:
         """This record's ``"product_id":{...}`` member of the canonical state."""
-        return canonical_serialize({self.product_id: self.to_canonical()})[1:-1]
+        return b"%s:%s" % (_string(self.product_id), self.to_bytes())
 
     to_canonical = _canonical
 
@@ -349,17 +342,20 @@ def state_bytes(state: RegistryState) -> bytes:
     """The canonical state document; maps serialize in sorted key order.
 
     The document is joined from each record's cached member bytes, so a
-    record is encoded once however many blocks it stays unchanged.
+    record is encoded once however many blocks it stays unchanged.  It is
+    the state's encoder (RegistryState.to_bytes), since a map of records
+    fits no %-format.
     """
-    accounts = b",".join(state.accounts[a].canonical_bytes for a in sorted(state.accounts))
-    products = b",".join(state.products[p].canonical_bytes for p in sorted(state.products))
-    contract = state.contract.to_canonical() if state.contract else None
-    return b'{"accounts":{%s},"chain_id":%s,"contract":%s,"products":{%s}}' % (
-        accounts,
-        canonical_serialize(state.chain_id),
-        canonical_serialize(contract),
-        products,
+    accounts, products = state.accounts, state.products
+    return b'{"accounts":{%s},"chain_id":%d,"contract":%s,"products":{%s}}' % (
+        b",".join([accounts[a].canonical_bytes for a in sorted(accounts)]),
+        state.chain_id,
+        state.contract.to_bytes() if state.contract else b"null",
+        b",".join([products[p].canonical_bytes for p in sorted(products)]),
     )
+
+
+RegistryState.to_bytes = state_bytes
 
 
 def state_commitment(state: RegistryState) -> str:

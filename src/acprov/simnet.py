@@ -34,7 +34,6 @@ from .canonical import (
     _optional,
     _record,
     _require,
-    canonical_serialize,
 )
 from .crypto import KeyPair
 from .registry import (
@@ -249,7 +248,9 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     (registry.sign_txs); signatures made here are memoized, so not rechecked.
     The blocks it seals are known then too, so they are appended in one
     call, whose forked copy commits their state roots ahead
-    (ledger.extend_plan).  The run then writes the chain's tip checkpoint
+    (ledger.extend_plan); each block's trace lines are encoded once it is
+    written, while the copy works, and the trace file is written after the
+    last.  The run then writes the chain's tip checkpoint
     (ledger.checkpoint), before any tamper plan is applied.
     """
     scenario.validate()
@@ -268,6 +269,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     keys = {actor.address: actor.key for group in actors.values() for actor in group}
     nonces = {address: 0 for address in keys}
     trace: List[TraceEvent] = []
+    lines: List[bytes] = []  # the trace's lines, encoded as they are traced
     # Scripting first is sound because the rng draws, nonces, block
     # boundaries, clocks and trace order depend on the scenario alone,
     # never on a receipt or the state.
@@ -283,14 +285,16 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     # block 0 as create_store wrote it (genesis_block would commit its state again)
     blocks = [ledger.Block(store.tip, (), ledger.ZERO_SEAL)]
 
+    def traced(event: TraceEvent) -> None:
+        trace.append(event)
+        lines.append(event.to_bytes() + b"\n")
+
     def after(position: int, block: ledger.Block, receipts: List[registry.Receipt]) -> None:
         """Keep block position, trace its transactions, then the scans that follow it."""
         blocks.append(block)
         entries, scans = sealed[position]
         for (event_step, actor_address, action, detail, _), receipt in zip(entries, receipts):
-            trace.append(
-                TraceEvent(event_step, actor_address, action, detail, receipt.to_canonical())
-            )
+            traced(TraceEvent(event_step, actor_address, action, detail, receipt.to_canonical()))
         for event_step, actor_address, product_id in scans:
             product = store.state.products.get(product_id)
             outcome = {
@@ -300,9 +304,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
                 "manufacturer": product and product.manufacturer,
                 "status": product and product.status.value,
             }
-            trace.append(
-                TraceEvent(event_step, actor_address, "verify", {"product_id": product_id}, outcome)
-            )
+            traced(TraceEvent(event_step, actor_address, "verify", {"product_id": product_id}, outcome))
 
     def flush() -> None:
         if pending:
@@ -413,8 +415,7 @@ def run_scenario(scenario: Scenario, out_dir) -> SimulationResult:
     ledger.checkpoint(store)  # so the first read after the run walks no block
 
     with trace_path.open("wb") as handle:
-        for event in trace:
-            handle.write(canonical_serialize(event.to_canonical()) + b"\n")
+        handle.writelines(lines)
 
     result = SimulationResult(
         scenario=scenario,

@@ -1,8 +1,12 @@
+import typing
+from collections.abc import Mapping
+from enum import Enum
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acprov import canonical
+from acprov import canonical, gas, ledger, qr, registry, simnet  # noqa: F401  (every record class)
 
 # sha256 of zero bytes, the best-known digest there is
 EMPTY_SHA256 = "0xe3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -158,3 +162,118 @@ class TestRecord:
         with pytest.raises(ValueError, match="low above high"):
             Triple(1).replace(low=12)
         assert repr(Triple(1)).endswith(".Triple(low=1, high=10, label='')")
+
+
+# Every record class that has a canonical object, and the function that
+# makes it: the classes that define to_canonical, and the five kinds.
+def _encoded_classes():
+    def below(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from below(sub)
+
+    with_object = [cls for cls in below(canonical.Record) if "to_canonical" in vars(cls)]
+    kinds = list(typing.get_args(registry.TxKind))
+    return [(cls, cls.to_canonical) for cls in with_object] + [(cls, canonical._canonical) for cls in kinds]
+
+
+ENCODED = _encoded_classes()
+
+# Strings with what an escaper can get wrong: quotes, backslashes, control
+# characters, non-ASCII and lone surrogates (which cannot be UTF-8).
+TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f é€😀'),
+        st.characters(),
+        st.characters(categories=["Cs"]),
+    ),
+    max_size=6,
+)
+INTS = st.one_of(st.integers(-1000, 1000), st.integers(-(2**200), 2**200))
+JSON = st.recursive(
+    st.none() | st.booleans() | INTS | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _values(tp, positive=False):
+    """A strategy for values of the annotation tp."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is str:
+        return TEXT
+    if tp is int:
+        return st.integers(1, 2**70) if positive else INTS
+    if tp is bool:
+        return st.booleans()
+    if tp is typing.Any:
+        return JSON
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return st.sampled_from(list(tp))
+    if isinstance(tp, type) and issubclass(tp, canonical.Record):
+        return _records(tp)
+    if origin is typing.Union:
+        return st.one_of([st.none() if arg is type(None) else _values(arg) for arg in args])
+    if origin is tuple and args[-1] is Ellipsis:
+        return st.lists(_values(args[0]), max_size=3).map(tuple)
+    if origin is tuple:
+        return st.tuples(*map(_values, args))
+    if isinstance(origin, type) and issubclass(origin, Mapping):
+        return st.dictionaries(TEXT, _values(args[1]), max_size=3)
+    raise AssertionError(f"no strategy for {tp!r}")
+
+
+def _records(cls):
+    if cls is registry.RegistryState:  # each map keyed by its records' own key, as the decoder demands
+        return st.builds(
+            lambda chain_id, contract, accounts, products: cls(
+                chain_id, contract,
+                {a.address: a for a in accounts}, {p.product_id: p for p in products},
+            ),
+            INTS, _values(typing.Optional[registry.ContractInfo]),
+            st.lists(_records(registry.Account), max_size=3),
+            st.lists(_records(registry.ProductRecord), max_size=3),
+        )
+    types = typing.get_type_hints(cls)
+    positive = cls is gas.GasParams  # its __post_init__ demands it
+    return st.builds(cls, **{name: st.deferred(lambda tp=types[name]: _values(tp, positive)) for name in cls.FIELDS})
+
+
+def _outcome(make):
+    """What make() gives, or the class of what it raises."""
+    try:
+        return make()
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("cls, to_canonical", ENCODED, ids=[cls.__name__ for cls, _ in ENCODED])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_records_encoder_gives_the_json_encoders_bytes(cls, to_canonical, data):
+    """Each class's generated encoder gives the bytes canonical_serialize
+    gives for the record's canonical object, or both raise alike."""
+    record = data.draw(_records(cls))
+    assert _outcome(record.to_bytes) == _outcome(
+        lambda: canonical.canonical_serialize(to_canonical(record))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_joined_encodings_give_the_json_encoders_bytes(data):
+    """The bytes made from a record's encoder: an account's and a product's
+    member of the state, and an envelope's signing payload."""
+    serialize = canonical.canonical_serialize
+    account, product, tx = (
+        data.draw(_records(cls)) for cls in (registry.Account, registry.ProductRecord, registry.TxEnvelope)
+    )
+    chain_id = data.draw(INTS)
+    doc = tx.to_canonical()
+    del doc["signature"]
+    for made, expected in [
+        (lambda: account.canonical_bytes, lambda: serialize({account.address: account.to_canonical()})[1:-1]),
+        (lambda: product.canonical_bytes, lambda: serialize({product.product_id: product.to_canonical()})[1:-1]),
+        (lambda: tx.signing_payload(chain_id), lambda: serialize({**doc, "chain_id": chain_id})),
+    ]:
+        assert _outcome(made) == _outcome(expected)

@@ -590,8 +590,9 @@ class TestSidecar:
 
     def test_tx_leaves_the_sidecar_at_its_tip(self, workspace, tmp_path, monkeypatch, capsys):
         """After a tx at a tip sidecar the sidecar is at the block tx wrote,
-        so the next verify parses the tip's line alone, executes nothing
-        and, in a child process, loads no signature library."""
+        so the next verify parses no line (it decodes the tip's header
+        alone), executes nothing and, in a child process, loads no
+        signature library."""
         ws = clone(workspace, tmp_path)
         reads = self.reads(workspace)
         answers(ws, reads[:1])
@@ -603,7 +604,7 @@ class TestSidecar:
         lines = count_calls(monkeypatch, ledger, "_parse_line")
         applied = count_calls(monkeypatch, registry, "apply_tx")
         assert cli.main(base + list(reads[0])) == 0
-        assert (len(lines), applied) == (1, [])
+        assert (len(lines), applied) == (0, [])
         script = (
             "import sys; from acprov import cli; code = cli.main(sys.argv[1:]); "
             "print(code, 'cryptography' in sys.modules)"
@@ -642,8 +643,8 @@ class TestSidecar:
             os.chmod(ws, 0o755)
 
     def test_second_history_executes_nothing(self, workspace, tmp_path, monkeypatch, capsys):
-        """At a tip sidecar a read parses the tip's line alone, and executes
-        and verifies nothing."""
+        """At a tip sidecar a read parses no line (it decodes the tip's
+        header alone), and executes and verifies nothing."""
         ws = clone(workspace, tmp_path)
         argv = ["--db", str(ws / "chain.jsonl"), "--genesis", str(ws / "genesis.json"),
                 "history", "--id", "P-100"]
@@ -656,7 +657,7 @@ class TestSidecar:
         checks = count_calls(monkeypatch, crypto, "_check")
         assert cli.main(argv) == 0
         assert capsys.readouterr() == first
-        assert (len(lines), applied, checks) == (1, [], [])
+        assert (len(lines), applied, checks) == (0, [], [])
 
     def test_every_product_of_the_fixture(self, tmp_path, capsys):
         for name in ("genesis50.json", "chain50.jsonl"):
@@ -1049,6 +1050,35 @@ def test_a_tip_read_loads_no_signature_or_decimal_library(tmp_path, monkeypatch,
     listed = ledger._signatures(blocks[1:], genesis)
     assert len(listed) > len(blocks) - 1  # every seal, and the transactions' signatures
     assert sorted(checks) == sorted(listed)
+
+
+def test_a_tip_read_generates_no_encoder(tmp_path):
+    """Importing acprov.cli, and verify and history at a tip sidecar,
+    generate no record encoder (canonical._encoder): generated code is
+    compiled in every process, bytecode cache or not.  validate, which
+    re-encodes every line, generates the encoders of what it encodes."""
+    for name in ("genesis50.json", "chain50.jsonl"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    genesis = ledger.GenesisConfig.load(tmp_path / "genesis50.json")
+    state = ledger.open_store(tmp_path / "chain50.jsonl", genesis).state  # writes the tip sidecar
+    product = sorted(state.products)[0]
+    payload = qr.encode_payload(genesis.chain_id, state.contract.address, product)
+    base = ["--db", str(tmp_path / "chain50.jsonl"), "--genesis", str(tmp_path / "genesis50.json")]
+    script = (
+        "import sys; from acprov import canonical; made = []; generate = canonical._encoder\n"
+        "canonical._encoder = lambda cls, names: made.append(cls.__name__) or generate(cls, names)\n"
+        "from acprov import cli; imported = list(made); code = cli.main(sys.argv[1:])\n"
+        "print(code, imported, sorted(set(made)))"
+    )
+    made = {}
+    for args in (["verify", "--qr", payload], ["history", "--id", product], ["validate"]):
+        res = subprocess.run(
+            [sys.executable, "-c", script, *base, *args], capture_output=True, text=True, env=cli_env()
+        )
+        assert res.returncode == 0, res.stderr
+        made[args[0]] = res.stdout.splitlines()[-1]
+    assert made["verify"] == made["history"] == "0 [] []"
+    assert made["validate"].startswith("0 [] [") and "'BlockHeader'" in made["validate"]
 
 
 def test_a_tip_verify_decodes_one_product_record(tmp_path, monkeypatch, capsys):

@@ -115,11 +115,23 @@ class TestKindCodec:
             ),
         ],
     )
-    def test_error_texts(self, doc, message):
-        """The texts reach stderr as `error: corrupt file: line N: ...`."""
+    def test_error_texts(self, doc, message, monkeypatch):
+        """The texts reach stderr as `error: corrupt file: line N: ...`.  A
+        kind of this member set built in memory, in an envelope, gets the
+        same text from TxEnvelope.check_fields, which checks it in place:
+        it decodes nothing."""
         with pytest.raises(ValueError) as err:
             registry.kind_from_canonical(doc)
         assert str(err.value) == message
+        kind_type = doc.get("type") if isinstance(doc, dict) else None
+        cls = registry._KIND_OF_TYPE.get(kind_type) if isinstance(kind_type, str) else None
+        if cls is not None and doc.keys() == {"type", *cls.FIELDS}:
+            kind = cls(*(doc[name] for name in cls.FIELDS))
+            tx = registry.TxEnvelope("0x" + "a" * 40, 0, kind, PRICE, signature="")
+            decoded = support.count_calls(monkeypatch, registry, "_decode")
+            with pytest.raises(ValueError) as err:
+                tx.check_fields()
+            assert (str(err.value), decoded) == (message, [])
 
     def test_malformed_address_rejected(self):
         with pytest.raises(ValueError):

@@ -209,8 +209,8 @@ def test_a_record_that_fails_its_decode_answers_as_no_sidecar(grid, tmp_path):
 
 
 def test_a_tx_at_a_tip_sidecar_walks_no_block(grid, monkeypatch):
-    """An append at a tip sidecar parses the tip's line alone and executes
-    only its own transaction."""
+    """An append at a tip sidecar parses no line (it decodes the tip's
+    header alone) and executes only its own transaction."""
     chain, tip = grid["dir"] / "chain.jsonl", grid["dir"] / "chain.jsonl.tip"
     chain.write_bytes(grid["inputs"]["intact"])
     tip.write_bytes(grid["sidecars"]["k=49"])
@@ -219,7 +219,7 @@ def test_a_tx_at_a_tip_sidecar_walks_no_block(grid, monkeypatch):
     executed = support.count_calls(monkeypatch, registry, "apply_tx")
     code, out, err = run(base + grid["commands"][-1])
     assert code in (0, 1) and err == "" and json.loads(out)["block_index"] == 50
-    assert len(parsed) == 1 and [tx.hash for _, tx, _ in executed] == [json.loads(out)["tx_hash"]]
+    assert parsed == [] and [tx.hash for _, tx, _ in executed] == [json.loads(out)["tx_hash"]]
 
 
 def test_a_short_append_prints_no_receipt(grid, monkeypatch):
@@ -255,7 +255,7 @@ def test_a_state_line_with_other_spacing_is_refused(grid):
 
 def test_the_simulator_leaves_the_tip_checkpoint(grid, tmp_path, monkeypatch):
     """run_scenario writes the sidecar a read at the tip writes, so each read
-    after it parses one line and executes nothing, and answers as a read
+    after it parses no line and executes nothing, and answers as a read
     without it."""
     result = simnet.run_scenario(simnet.Scenario.load(FIXTURES / "scenario50.json"), tmp_path)
     assert result.chain_path.read_bytes() == grid["inputs"]["intact"]
@@ -269,7 +269,7 @@ def test_the_simulator_leaves_the_tip_checkpoint(grid, tmp_path, monkeypatch):
     parsed = support.count_calls(monkeypatch, ledger, "_parse_line")
     executed = support.count_calls(monkeypatch, registry, "apply_tx")
     kept = [run(base + command) for command in tip_reads]
-    assert (len(parsed), executed) == (len(tip_reads), [])
+    assert (parsed, executed) == ([], [])
     bare = []
     for command in tip_reads:
         tip.unlink()
@@ -414,7 +414,7 @@ class TestTornTail:
     def test_a_sidecar_from_before_the_cut(self, tmp_path, monkeypatch, cut):
         """A sidecar at the tip, k = 49, written before a crash: after repair
         it is still accepted when the cut took only a partial line appended
-        after it (one line parsed, nothing executed), and a read falls back
+        after it (no line parsed, nothing executed), and a read falls back
         to a full replay when the cut took line 49.  Either way the read
         answers as it does without the sidecar."""
         raw = (FIXTURES / "chain50.jsonl").read_bytes()
@@ -437,7 +437,7 @@ class TestTornTail:
         executed = support.count_calls(monkeypatch, registry, "apply_tx")
         answer = run(history)
         if cut == "partial-line-appended":
-            assert (len(parsed), len(executed)) == (1, 0)
+            assert (len(parsed), len(executed)) == (0, 0)
         else:
             assert len(parsed) == 49 and executed
             assert json.loads(tip.read_bytes().split(b"\n")[0])["index"] == 48
