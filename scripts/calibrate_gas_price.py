@@ -38,8 +38,8 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    _, blocks, receipts = simnet.build_cost_model_chain(gas_price=args.gas_price)
-    report = gas.gas_report(blocks, receipts)
+    _, _, totals = simnet.build_cost_model_chain(gas_price=args.gas_price)
+    report = gas.build_report(totals)
 
     print(f"candidate gas price: {args.gas_price} wei")
     for row in report.rows:

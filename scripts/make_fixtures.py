@@ -60,15 +60,15 @@ def write_fixtures(out: Path) -> dict:
         shutil.copy(result.trace_path, out / "trace50.jsonl")
 
     genesis = ledger.GenesisConfig.load(out / "genesis50.json")
-    chain = ledger.load_chain(out / "chain50.jsonl", genesis)
-    report = gas.gas_report(chain.blocks, chain.receipts)
+    store = ledger.load_chain(out / "chain50.jsonl", genesis)
+    report = gas.build_report(store.gas)
     (out / "gas_report50.csv").write_text(report.to_csv(), encoding="utf-8")
 
     goldens = {
-        "blocks": len(chain.blocks),
-        "tip_commitment": chain.blocks[-1].header.state_root,
-        "tip_header_hash": ledger.header_hash(chain.blocks[-1].header),
-        "genesis_header_hash": ledger.header_hash(chain.blocks[0].header),
+        "blocks": store.tip.index + 1,
+        "tip_commitment": store.tip.state_root,
+        "tip_header_hash": store.tip.hash,
+        "genesis_header_hash": ledger.genesis_block(genesis).header.hash,
         "total_gas": report.total.total_gas,
         "total_fee_wei": report.total.total_fee,
     }

@@ -96,7 +96,7 @@ def _load_genesis(args) -> ledger.GenesisConfig:
 
 def _open(args, genesis: ledger.GenesisConfig, opener, cut: bool = False):
     """opener(args.db, genesis): ledger.open_store for the reads and tx,
-    ledger.load_chain for the commands that need every block.
+    ledger.load_chain for the full replay of validate and repair.
 
     Only the writers, tx and repair, cut: a torn last line, an append cut
     short, is truncated (see ledger.cut_torn_tail), said so, and the file
@@ -330,9 +330,7 @@ def cmd_qr(args) -> int:
 
 
 def cmd_gas_report(args) -> int:
-    chain = _open(args, _load_genesis(args), ledger.load_chain)
-    report = gas_model.gas_report(chain.blocks, chain.receipts)
-    csv_text = report.to_csv()
+    csv_text = gas_model.build_report(_read(args).gas).to_csv()
     if args.csv:
         with _writing(args.csv):
             Path(args.csv).write_text(csv_text, encoding="utf-8")
@@ -343,7 +341,7 @@ def cmd_gas_report(args) -> int:
 def cmd_validate(args, cut: bool = False) -> int:
     genesis = _load_genesis(args)
     try:
-        chain = _open(args, genesis, ledger.load_chain, cut)
+        store = _open(args, genesis, ledger.load_chain, cut)
     except ledger.TornTailError as exc:
         print(
             f"INVALID block={exc.line_number - 1} rule=torn_tail "
@@ -361,7 +359,7 @@ def cmd_validate(args, cut: bool = False) -> int:
         report = exc.report
         print(f"INVALID block={report.block_index} rule={report.rule} detail={report.detail}")
         return EXIT_CHAIN_FAILURE
-    print(f"OK blocks={len(chain.blocks)} tip={chain.blocks[-1].header.state_root}")
+    print(f"OK blocks={store.tip.index + 1} tip={store.tip.state_root}")
     return EXIT_OK
 
 

@@ -11,9 +11,10 @@ lives in scripts/calibrate_gas_price.py.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, ClassVar, Iterable
+from types import MappingProxyType
+from typing import Any, ClassVar, Mapping, Sequence, Tuple
 
-from .canonical import Record, _as_int, _canonical, _check_fields, _record
+from .canonical import Record, _as_int, _canonical, _check_fields, _list_of, _record, _require
 
 WEI_PER_ETH = 10**18
 WEI_PER_GWEI = 10**9
@@ -103,8 +104,11 @@ class GasReportRow(Record):
     category: str
     tx_count: int
     total_gas: int
-    avg_gas_per_tx: int
     total_fee: int
+
+    @property
+    def avg_gas_per_tx(self) -> int:
+        return self.total_gas // self.tx_count if self.tx_count else 0
 
     @property
     def total_fee_eth(self) -> str:
@@ -129,41 +133,36 @@ class GasReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def build_report(categorized: Iterable[tuple]) -> GasReport:
-    """Aggregate (category, gas_used, fee_wei) triples into a report."""
-    counts = {c: 0 for c in CATEGORIES}
-    gas_totals = {c: 0 for c in CATEGORIES}
-    fee_totals = {c: 0 for c in CATEGORIES}
-    for category, gas_used, fee_wei in categorized:
-        counts[category] += 1
-        gas_totals[category] += gas_used
-        fee_totals[category] += fee_wei
-    rows = tuple(
-        GasReportRow(
-            category=c,
-            tx_count=counts[c],
-            total_gas=gas_totals[c],
-            avg_gas_per_tx=gas_totals[c] // counts[c] if counts[c] else 0,
-            total_fee=fee_totals[c],
-        )
-        for c in CATEGORIES
-    )
-    grand_count = sum(counts.values())
-    grand_gas = sum(gas_totals.values())
-    total = GasReportRow(
-        category="TOTAL",
-        tx_count=grand_count,
-        total_gas=grand_gas,
-        avg_gas_per_tx=grand_gas // grand_count if grand_count else 0,
-        total_fee=sum(fee_totals.values()),
-    )
-    return GasReport(rows=rows, total=total)
+# A chain's gas totals: (tx_count, total_gas, total_fee) per category, over
+# its transactions through some block.  The ledger tallies them as it walks
+# and appends, and its tip sidecar keeps them.
+Totals = Mapping[str, Tuple[int, int, int]]
+
+NO_GAS: Totals = MappingProxyType(dict.fromkeys(CATEGORIES, (0, 0, 0)))
 
 
-def gas_report(blocks, receipts_per_block) -> GasReport:
-    """Aggregate a validated chain's receipts, one list per block, by category."""
-    return build_report(
-        (type(tx.kind).__name__, receipt.gas_used, receipt.fee)
-        for block, receipts in zip(blocks, receipts_per_block)
-        for tx, receipt in zip(block.txs, receipts)
-    )
+def tally(totals: Totals, txs: Sequence[Any], receipts: Sequence[Any]) -> Totals:
+    """totals with each of txs added to its kind's category, by its
+    receipt's gas and fee: the one place where gas is summed."""
+    totals = dict(totals)
+    for tx, receipt in zip(txs, receipts):
+        category = type(tx.kind).__name__
+        count, gas_used, fee_wei = totals[category]
+        totals[category] = (count + 1, gas_used + receipt.gas_used, fee_wei + receipt.fee)
+    return totals
+
+
+def totals_from_canonical(doc: Any) -> Totals:
+    """The totals whose canonical object is doc, {category: [tx_count,
+    total_gas, total_fee]}; ValueError for any misfit."""
+    _require(isinstance(doc, dict) and doc.keys() == set(CATEGORIES), "gas totals must hold each category")
+    totals = {category: _list_of(_as_int)(doc[category], category) for category in CATEGORIES}
+    _require(all(len(row) == 3 for row in totals.values()), "gas totals must be three integers")
+    return totals
+
+
+def build_report(totals: Totals) -> GasReport:
+    """The report of a chain's gas totals: a row per category, then the total."""
+    sums = [totals[category] for category in CATEGORIES]
+    rows = tuple(GasReportRow(category, *row) for category, row in zip(CATEGORIES, sums))
+    return GasReport(rows=rows, total=GasReportRow("TOTAL", *map(sum, zip(*sums))))

@@ -15,17 +15,18 @@ Design notes that matter for interoperability:
   parse or validation failure.
 * Every check of a chain is one walk (``_replay``) from a parent header
   over the blocks after it: header rules, seals, execution and state
-  roots.  A full replay (``load_chain``: ``validate``, ``gas-report``)
-  walks blocks 1.. from block 0, once block 0 matches the genesis config,
-  and returns every block and receipt.  With a forked worker checking
+  roots, and a tally of the gas totals.  With a forked worker checking
   the signatures, the walk takes those not answered yet as valid and
   settles them after; if one is invalid, it walks again strictly.
-* A store (``open_store``: the reads and ``tx``) is the chain's tip: its
-  header, its state, the file's length and the sha256 of its bytes.  It
-  walks only the blocks after a checkpoint k kept in a sidecar
-  ``<chain>.tip``, which vouches for lines 0..k by the sha256 of their
-  bytes and holds the state after block k, whose records a read decodes
-  only as it reads them.  Its one writer is
+* Opening a chain gives its store (``LedgerStore``): the tip's header,
+  state and gas totals, the file's length and the sha256 of its bytes.
+  A full replay (``load_chain``: ``validate``, ``repair``) walks blocks
+  1.. from block 0, once block 0 matches the genesis config.
+  ``open_store`` (the other reads and ``tx``) walks only the blocks after
+  a checkpoint k kept in a sidecar ``<chain>.tip``, which vouches for
+  lines 0..k by the sha256 of their bytes and holds the state and gas
+  totals after block k; a read decodes the state's records only as it
+  reads them.  Its one writer is
   ``checkpoint(store)``: ``init`` at block 0, an open that walks past k,
   and ``tx`` and the simulator at the tip they wrote.  The sidecar is a
   cache: any doubt about it means a full replay.
@@ -52,7 +53,7 @@ import tempfile
 from functools import cache, cached_property, partial
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, ClassVar, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, List, Mapping, Optional, Sequence, Tuple
 
 from . import registry
 from .canonical import (
@@ -88,7 +89,7 @@ from .crypto import (
     verify,
     verify_ahead,
 )
-from .gas import GasParams
+from .gas import NO_GAS, GasParams, Totals, tally, totals_from_canonical
 
 EMPTY_TX_ROOT = hash_of(b"")
 ZERO_SEAL = "0x" + "00" * 64
@@ -471,16 +472,17 @@ def _walk(
     blocks: Sequence[Block],
     genesis: GenesisConfig,
     state: registry.RegistryState,
-) -> Tuple[registry.RegistryState, List[List[registry.Receipt]]]:
+    gas: Totals,
+) -> Tuple[registry.RegistryState, Totals]:
     """The rules of a replay, block by block; raises ValidationFailedError
     on the first offense.
 
     Each of blocks must meet the header rules against the block before
     it, parent first, is executed from state (the state after parent) on,
     and must commit to its state_root.  Returns the state after the last
-    block and one receipt list per block.
+    block and the gas totals after it: gas, the totals after parent, with
+    each block's receipts tallied.
     """
-    receipts_per_block: List[List[registry.Receipt]] = []
     prev = parent
     for block in blocks:
         _check_header(block, prev, genesis)
@@ -491,8 +493,8 @@ def _walk(
         commitment = registry.state_commitment(state)
         if h.state_root != commitment:
             raise _invalid(h.index, RULE_STATE_ROOT, f"state_root {h.state_root} != {commitment}")
-        receipts_per_block.append(receipts)
-    return state, receipts_per_block
+        gas = tally(gas, block.txs, receipts)
+    return state, gas
 
 
 def _replay(
@@ -500,7 +502,8 @@ def _replay(
     blocks: Sequence[Block],
     genesis: GenesisConfig,
     state: registry.RegistryState,
-) -> Tuple[registry.RegistryState, List[List[registry.Receipt]]]:
+    gas: Totals,
+) -> Tuple[registry.RegistryState, Totals]:
     """The one walk over a chain (``_walk``): its result, or the
     ValidationFailedError of its first offense.
 
@@ -515,7 +518,7 @@ def _replay(
     once in full.  With no worker the walk is strict from the start and
     runs once.
     """
-    walk = partial(_walk, parent, blocks, genesis, state)
+    walk = partial(_walk, parent, blocks, genesis, state, gas)
     with verify_ahead(_signatures(blocks, genesis)) as batch:
         try:
             walked = walk()
@@ -559,12 +562,14 @@ class LedgerStore:
         state: registry.RegistryState,
         size: int,
         digest: Any,
+        gas: Totals,
     ):
         self.path, self.genesis, self.tip, self.state = path, genesis, tip, state
         # The file's length when this store last read or wrote it; an append
         # that finds another length refuses, since another writer got there first.
         self.size = size
         self.digest = digest  # the running sha256 (hashlib) of the file's first size bytes
+        self.gas = gas  # the gas totals (gas.tally) of the transactions through tip
 
 
 def create_store(path, genesis: GenesisConfig) -> LedgerStore:
@@ -590,11 +595,12 @@ def create_store(path, genesis: GenesisConfig) -> LedgerStore:
     except OSError as exc:
         path.unlink()
         raise StorageError(f"cannot write chain file {path}: {exc}") from exc
-    return LedgerStore(path, genesis, block.header, genesis_state(genesis), len(line), hashlib.sha256(line))
+    return LedgerStore(path, genesis, block.header, genesis_state(genesis), len(line), hashlib.sha256(line), NO_GAS)
 
 
-def _write(store: LedgerStore, block: Block, state: registry.RegistryState) -> None:
-    """Append a checked block to the file in one write, then to the store.
+def _write(store: LedgerStore, block: Block, state: registry.RegistryState, gas: Totals) -> None:
+    """Append a checked block to the file in one write, then to the store,
+    with state and gas, the state and gas totals after it.
 
     The write happens under an exclusive lock and only while the file is
     as long as the store last saw it, so two writers that loaded the same
@@ -627,7 +633,7 @@ def _write(store: LedgerStore, block: Block, state: registry.RegistryState) -> N
         )
     store.size += len(line)
     store.digest.update(line)
-    store.tip, store.state = block.header, state
+    store.tip, store.state, store.gas = block.header, state, gas
 
 
 def _append(
@@ -645,7 +651,7 @@ def _append(
     state, receipts = _execute(store.state, txs, ctx)
     block = seal_block(txs, parent, root_of(state), sealer_key, timestamp)
     _check_header(block, parent, store.genesis)
-    _write(store, block, state)
+    _write(store, block, state, tally(store.gas, txs, receipts))
     return block, receipts
 
 
@@ -816,35 +822,53 @@ def cut_torn_tail(path, torn: TornTailError) -> bool:
         raise StorageError(f"cannot truncate {path}: {exc}") from exc
 
 
-class Chain(NamedTuple):
-    """A chain file replayed in full."""
-    blocks: List[Block]
-    state: registry.RegistryState  # after the last block
-    receipts: List[List[registry.Receipt]]  # one list per block, block 0's empty
+def _walk_on(store: LedgerStore, raw: bytes, blocks: Sequence[Block], k: Optional[int] = None) -> LedgerStore:
+    """Walk store, the store of the first store.size bytes of raw, on over
+    blocks, the lines after them, to the store of raw.  With k, checkpoint
+    it at the last block whose line ends in a newline if that is past k:
+    a sidecar ends at a newline, and the append after a last line that
+    lacks one writes the newline first, which leaves the sidecar valid."""
+    whole = raw.rfind(b"\n") + 1  # the bytes of the lines that end in a newline
+    done = blocks if whole == len(raw) or k is None else blocks[:-1]
+    store.state, store.gas = _replay(store.tip, done, store.genesis, store.state, store.gas)
+    store.tip = done[-1].header if done else store.tip
+    store.digest.update(memoryview(raw)[store.size : whole])
+    store.size = whole
+    if k is not None and store.tip.index > k:
+        checkpoint(store)
+    if len(done) < len(blocks):
+        store.state, store.gas = _replay(store.tip, blocks[-1:], store.genesis, store.state, store.gas)
+        store.tip = blocks[-1].header
+    store.digest.update(memoryview(raw)[whole:])
+    store.size = len(raw)
+    return store
 
 
-def load_chain(path, genesis: GenesisConfig) -> Chain:
-    """Read, strictly parse and fully replay a chain file, for the commands
-    that need every block (validate, gas-report).  It neither reads nor
-    writes the sidecar."""
-    return _full_replay(read_chain(path), genesis)
-
-
-def _full_replay(raw: bytes, genesis: GenesisConfig) -> Chain:
-    """load_chain's answer for a chain file of the bytes raw."""
+def _replayed(path: Path, raw: bytes, genesis: GenesisConfig, k: Optional[int] = None) -> LedgerStore:
+    """The store of a full replay of raw, the bytes of the chain file at
+    path: every line parsed, block 0 matched with the genesis config, and
+    blocks 1.. walked from its header (_walk_on, which checkpoints past k)."""
     blocks = parse_chain_bytes(raw)
     parent = _genesis_parent(blocks, genesis)
-    state, receipts = _replay(parent, blocks[1:], genesis, genesis_state(genesis))
-    return Chain(blocks, state, [[]] + receipts)
+    start = LedgerStore(path, genesis, parent, genesis_state(genesis), 0, hashlib.sha256(), NO_GAS)
+    return _walk_on(start, raw, blocks[1:], k)
+
+
+def load_chain(path, genesis: GenesisConfig) -> LedgerStore:
+    """Read, strictly parse and fully replay a chain file, for validate and
+    repair: the store at its tip.  It neither reads nor writes the sidecar."""
+    path = Path(path)
+    return _replayed(path, read_chain(path), genesis)
 
 
 # ---------------------------------------------------------------------------
 # Stores opened from a sealed tip checkpoint
 #
 # The sidecar <chain>.tip holds two lines:
-#   1. canonical JSON {"bytes": L, "genesis": <hash of the canonical
-#      genesis config>, "hash": <hash of header k>, "index": k,
-#      "prefix": <sha256 of the chain file's first L bytes>}, where the
+#   1. canonical JSON {"bytes": L, "gas": <the gas totals after block k,
+#      {category: [tx_count, total_gas, total_fee]}>, "genesis": <hash of
+#      the canonical genesis config>, "hash": <hash of header k>, "index":
+#      k, "prefix": <sha256 of the chain file's first L bytes>}, where the
 #      first L bytes are lines 0..k, each with its newline;
 #   2. the canonical state document after block k, the bytes whose hash
 #      is header k's state_root; a read checks that hash before it
@@ -865,12 +889,10 @@ def _genesis_digest(genesis: GenesisConfig) -> str:
     return hash_obj(genesis.to_canonical())
 
 
-def _from_checkpoint(
-    raw: bytes, genesis: GenesisConfig, sidecar: bytes
-) -> Tuple[BlockHeader, int, registry.RegistryState, Any]:
-    """(header k, L, state after block k, sha256 of the first L bytes) from
-    a sidecar that vouches for the first L bytes of raw; of them, only the
-    header of line k, the last, is decoded, so no record is encoded.
+def _from_checkpoint(path: Path, raw: bytes, genesis: GenesisConfig, sidecar: bytes) -> LedgerStore:
+    """The store of the first L bytes of raw, the bytes of the chain file at
+    path, from a sidecar that vouches for them; of them, only the header of
+    line k, the last, is decoded, so no record is encoded.
 
     The sidecar must be for this genesis, its digest must match raw's first
     L bytes, which end line k, that line's header must be header k under
@@ -884,14 +906,15 @@ def _from_checkpoint(
     so a scan decodes the one product it prints.  The bytes are those of a
     committed state, so a record that fails to decode (a state written
     under other rules) is read from the full replay of the first L bytes:
-    the state load_chain finds at block k, or the error it raises.
+    the state load_chain finds at block k, or the error it raises.  The gas
+    totals are the head's, which must be well formed.
     """
     head, body, rest = sidecar.split(b"\n", 2)
     _require(rest == b"", "sidecar has more than two lines")
     doc = json.loads(head)
     _require(
-        isinstance(doc, dict) and set(doc) == {"bytes", "genesis", "hash", "index", "prefix"},
-        "sidecar head must have fields bytes, genesis, hash, index, prefix",
+        isinstance(doc, dict) and set(doc) == {"bytes", "gas", "genesis", "hash", "index", "prefix"},
+        "sidecar head must have fields bytes, gas, genesis, hash, index, prefix",
     )
     _require(doc["genesis"] == _genesis_digest(genesis), "sidecar is for another genesis")
     k, size = _as_int(doc["index"], "index"), _as_int(doc["bytes"], "bytes")
@@ -910,8 +933,9 @@ def _from_checkpoint(
         hash_of(body) == header.state_root,
         f"sidecar state does not commit to block {k}'s state_root",
     )
-    replayed = cache(lambda: _full_replay(raw[:size], genesis).state)
-    return header, size, registry.state_from_canonical(json.loads(body), replayed), digest
+    replayed = cache(lambda: _replayed(path, raw[:size], genesis).state)
+    state = registry.state_from_canonical(json.loads(body), replayed)
+    return LedgerStore(path, genesis, header, state, size, digest, totals_from_canonical(doc["gas"]))
 
 
 # The temporary files of sidecar writes are named <chain>.tip.XXXXXXXX:
@@ -948,6 +972,7 @@ def checkpoint(store: LedgerStore) -> None:
                 return
         head = canonical_serialize({
             "bytes": store.size,
+            "gas": dict(store.gas),
             "genesis": _genesis_digest(store.genesis),
             "hash": store.tip.hash,
             "index": store.tip.index,
@@ -984,41 +1009,16 @@ def open_store(path, genesis: GenesisConfig) -> LedgerStore:
     it are parsed, and only the blocks after k are walked.  Any failure on
     that path, whether from the sidecar or the chain, falls back to a full
     parse and replay, so the store, or the error raised, is always that of
-    load_chain.  ``validate`` never reads the sidecar.
-
-    A walk past k (a fallback's walk starts before block 0) checkpoints
-    the store at the last block whose line ends in a newline.  A sidecar
-    must end at a newline, so a last line that lacks one stays in the
-    tail, and the next append, which writes the newline first, leaves the
-    sidecar valid.
+    load_chain.  ``validate`` never reads the sidecar.  A walk past k (a
+    fallback's walk starts before block 0) checkpoints the store
+    (_walk_on).
     """
     path = Path(path)
     raw = read_chain(path)
-    whole = raw.rfind(b"\n") + 1  # the bytes of the lines that end in a newline
-
-    def walk(parent, blocks, state, start, digest, k) -> LedgerStore:
-        """The store after blocks, the lines of raw after its first start
-        bytes, walked from parent and the state after it; digest is the
-        sha256 of those start bytes."""
-        done = blocks if whole == len(raw) else blocks[:-1]
-        state, _ = _replay(parent, done, genesis, state)
-        digest.update(memoryview(raw)[start:whole])
-        store = LedgerStore(path, genesis, done[-1].header if done else parent, state, whole, digest)
-        if store.tip.index > k:
-            checkpoint(store)
-        if len(done) < len(blocks):
-            store.state, _ = _replay(store.tip, blocks[-1:], genesis, store.state)
-            store.tip = blocks[-1].header
-        digest.update(memoryview(raw)[whole:])
-        store.size = len(raw)
-        return store
-
     try:
-        parent, start, state, digest = _from_checkpoint(raw, genesis, _tip_path(path).read_bytes())
-        tail = [_parse_line(line) for line in _lines(raw[start:])]
-        return walk(parent, tail, state, start, digest, parent.index)
+        store = _from_checkpoint(path, raw, genesis, _tip_path(path).read_bytes())
+        tail = [_parse_line(line) for line in _lines(raw[store.size :])]
+        return _walk_on(store, raw, tail, store.tip.index)
     except (OSError, LedgerError, ValueError, KeyError, TypeError, RecursionError):
         pass
-    blocks = parse_chain_bytes(raw)
-    parent = _genesis_parent(blocks, genesis)
-    return walk(parent, blocks[1:], genesis_state(genesis), 0, hashlib.sha256(), -1)
+    return _replayed(path, raw, genesis, -1)

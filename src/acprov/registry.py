@@ -38,7 +38,6 @@ from .canonical import (
     _canonical,
     _check_fields,
     _decode,
-    _encoder,
     _list_of,
     _map_of,
     _one_of,
@@ -164,9 +163,6 @@ kind_from_canonical.decodes = tuple(_KIND_OF_TYPE.values())  # so check_fields c
 # Envelopes and receipts
 
 
-_SIGNED = ("gas_price", "kind", "nonce", "sender")  # what a signature covers besides chain_id
-
-
 class TxEnvelope(Record):
     """A signed transaction: sender, nonce, kind and gas price."""
     CHECKS: ClassVar[dict] = {
@@ -183,8 +179,9 @@ class TxEnvelope(Record):
     signature: str
 
     # Canonical bytes, each encoded once, on first use: the kind (the metered
-    # calldata) and the signing payload after its chain_id member.  They are
-    # not fields, so neither equality nor repr reads them.
+    # calldata) and the signing payload after its chain_id member, which
+    # holds the kind's.  They are not fields, so neither equality nor repr
+    # reads them.
     @cached_property
     def kind_bytes(self) -> bytes:
         return self.kind.to_bytes()
@@ -192,8 +189,11 @@ class TxEnvelope(Record):
     @cached_property
     def payload_tail(self) -> bytes:
         """The signing payload after its leading chain_id member: the
-        encoding of the object of the _SIGNED members, after its "{"."""
-        return _encoder(TxEnvelope, _SIGNED)(self)[1:]
+        encoding of the object of the members a signature covers besides
+        chain_id, in key order, after its "{"."""
+        return b'"gas_price":%d,"kind":%s,"nonce":%d,"sender":%s}' % (
+            self.gas_price, self.kind_bytes, self.nonce, _string(self.sender)
+        )
 
     def to_bytes(self) -> bytes:
         """The envelope's canonical encoding: the payload's members less

@@ -36,6 +36,7 @@ from .canonical import (
     _require,
 )
 from .crypto import KeyPair
+from .gas import Totals
 from .registry import (
     Deploy,
     FaucetClaim,
@@ -445,14 +446,14 @@ def _cost_model_key(label: str) -> KeyPair:
 
 def build_cost_model_chain(
     gas_price: Optional[int] = None,
-) -> Tuple[ledger.GenesisConfig, List[ledger.Block], List[List[registry.Receipt]]]:
+) -> Tuple[ledger.GenesisConfig, List[ledger.Block], Totals]:
     """Deterministic chain with exactly one Deploy, Register, and Sell.
 
     The manufacturer is funded at genesis so no faucet claim appears;
     all three transactions pay the shipped default gas price unless a
     candidate ``gas_price`` (wei) is given.  This is the chain the total
     system cost is calibrated against.  Returns the genesis, the blocks
-    and the receipts per block.
+    and the chain's gas totals.
     """
     manufacturer = _cost_model_key("manufacturer")
     consumer = _cost_model_key("consumer")
@@ -478,7 +479,7 @@ def build_cost_model_chain(
         Register(product_id="P-001", name="Widget", metadata=""),
         Sell(product_id="P-001", consumer=consumer.address),
     )
-    blocks, receipts = [ledger.genesis_block(genesis)], [[]]
+    blocks = [ledger.genesis_block(genesis)]
     with tempfile.TemporaryDirectory() as tmp:
         store = ledger.create_store(Path(tmp) / "chain.jsonl", genesis)
         for offset, kind in enumerate(kinds):
@@ -487,5 +488,4 @@ def build_cost_model_chain(
             if not receipt.accepted:
                 raise RuntimeError(f"cost-model tx rejected: {receipt.error}")
             blocks.append(block)
-            receipts.append([receipt])
-    return genesis, blocks, receipts
+    return genesis, blocks, store.gas

@@ -100,8 +100,8 @@ def random_log_runs():
 
 def test_cost_ordering(capsys):
     t0 = time.monotonic()
-    _, blocks, receipts = simnet.build_cost_model_chain()
-    rows = {row.category: row for row in gas.gas_report(blocks, receipts).rows}
+    _, _, totals = simnet.build_cost_model_chain()
+    rows = {row.category: row for row in gas.build_report(totals).rows}
     got = {k: rows[k].total_gas for k in EXPECTED_GAS}
     elapsed = time.monotonic() - t0
 
@@ -120,8 +120,8 @@ def test_cost_ordering(capsys):
 
 def test_total_cost_calibration(capsys):
     t0 = time.monotonic()
-    _, blocks, receipts = simnet.build_cost_model_chain()
-    total_wei = gas.gas_report(blocks, receipts).total.total_fee
+    _, _, totals = simnet.build_cost_model_chain()
+    total_wei = gas.build_report(totals).total.total_fee
     actual_eth = Decimal(total_wei) / gas.WEI_PER_ETH
     deviation = (actual_eth - COST_TARGET_ETH) / COST_TARGET_ETH
     elapsed = time.monotonic() - t0
@@ -460,11 +460,11 @@ def test_replay_determinism(capsys):
     genesis = ledger.GenesisConfig.load(FIXTURES / "genesis50.json")
     first = ledger.load_chain(FIXTURES / "chain50.jsonl", genesis)
     second = ledger.load_chain(FIXTURES / "chain50.jsonl", genesis)
-    csv_first = gas.gas_report(first.blocks, first.receipts).to_csv()
-    csv_second = gas.gas_report(second.blocks, second.receipts).to_csv()
+    csv_first = gas.build_report(first.gas).to_csv()
+    csv_second = gas.build_report(second.gas).to_csv()
     committed_csv = (FIXTURES / "gas_report50.csv").read_text()
 
-    tip, second_tip = first.blocks[-1].header, second.blocks[-1].header
+    tip, second_tip = first.tip, second.tip
     in_process = tip.state_root == second_tip.state_root and csv_first == csv_second
     # the committed goldens were produced by scripts/make_fixtures.py in
     # a separate process, so agreeing with them is a restart replay
@@ -472,7 +472,7 @@ def test_replay_determinism(capsys):
         tip.state_root == goldens["tip_commitment"]
         and csv_first == committed_csv
         and ledger.header_hash(tip) == goldens["tip_header_hash"]
-        and ledger.header_hash(first.blocks[0].header) == goldens["genesis_header_hash"]
+        and ledger.header_hash(ledger.genesis_block(genesis).header) == goldens["genesis_header_hash"]
     )
     ok = in_process and across_restart
     report(

@@ -381,20 +381,21 @@ class TestGasReport:
         res = run_cli("gas-report", "--csv", str(out), cwd=workspace["dir"])
         assert out.read_text() == res.stdout
 
-    def test_replays_the_chain_once(self, workspace, monkeypatch, capsys):
-        calls = []
-        replay = ledger._replay
-
-        def counting(parent, blocks, genesis, state):
-            calls.append((parent.index, len(blocks)))
-            return replay(parent, blocks, genesis, state)
-
-        monkeypatch.setattr(ledger, "_replay", counting)
-        ws = workspace["dir"]
-        argv = ["--db", str(ws / "chain.jsonl"), "--genesis", str(ws / "genesis.json")]
-        assert cli.main([*argv, "gas-report"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1].startswith("TOTAL,4,")
-        assert calls == [(0, 4)]
+    def test_replays_the_chain_once(self, workspace, tmp_path, monkeypatch, capsys):
+        """At the tip sidecar the last tx left, gas-report walks no block;
+        without a sidecar it replays the chain once and writes one."""
+        ws = clone(workspace, tmp_path)
+        shutil.copy(workspace["dir"] / "chain.jsonl.tip", ws / "chain.jsonl.tip")
+        replays = count_calls(monkeypatch, ledger, "_replay")
+        argv = ["--db", str(ws / "chain.jsonl"), "--genesis", str(ws / "genesis.json"), "gas-report"]
+        assert cli.main(argv) == 0
+        at_tip = capsys.readouterr().out
+        assert at_tip.splitlines()[-1].startswith("TOTAL,4,")
+        (ws / "chain.jsonl.tip").unlink()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == at_tip
+        assert [(parent.index, len(blocks)) for parent, blocks, *_ in replays] == [(4, 0), (0, 4)]
+        assert (ws / "chain.jsonl.tip").exists()
 
 
 class TestValidate:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,11 +133,22 @@ class TestFormatting:
         assert gas.format_eth(646_949_600_000_000) == "0.00064695"
 
 
+def tx_of(kind):
+    """As much of an envelope of kind as gas.tally reads."""
+    return SimpleNamespace(kind=kind)
+
+
+def receipt(gas_used, fee):
+    return registry.Receipt(tx_hash=canonical.ZERO_HASH, accepted=True, gas_used=gas_used, fee=fee)
+
+
 class TestReport:
     def test_aggregation_and_averages(self):
-        report = gas.build_report(
-            [("Deploy", 100, 1_000), ("Sell", 50, 500), ("Deploy", 200, 2_000)]
-        )
+        txs = [tx_of(Deploy(code_size=1)), tx_of(Sell("P-1", "0x" + "11" * 20)), tx_of(Deploy(code_size=2))]
+        receipts = [receipt(100, 1_000), receipt(50, 500), receipt(200, 2_000)]
+        totals = gas.tally(gas.tally(gas.NO_GAS, txs[:1], receipts[:1]), txs[1:], receipts[1:])
+        assert gas.NO_GAS["Deploy"] == (0, 0, 0), "tally leaves the totals it is handed"
+        report = gas.build_report(totals)
         by_cat = {row.category: row for row in report.rows}
         assert by_cat["Deploy"].tx_count == 2
         assert by_cat["Deploy"].total_gas == 300
@@ -147,7 +160,7 @@ class TestReport:
         assert report.total.total_fee == 3_500
 
     def test_csv_shape(self):
-        report = gas.build_report([("Register", 60_000, 66_000_000_000_000)])
+        report = gas.build_report({**gas.NO_GAS, "Register": (1, 60_000, 66_000_000_000_000)})
         lines = report.to_csv().splitlines()
         assert lines[0] == "category,tx_count,total_gas,avg_gas_per_tx,total_fee_wei,total_fee_eth"
         assert lines[1].startswith("Deploy,0,")
@@ -156,16 +169,19 @@ class TestReport:
         assert report.to_csv().endswith("\n")
 
     def test_unknown_category_rejected(self):
+        class Mint:
+            pass
+
         with pytest.raises(KeyError):
-            gas.build_report([("Mint", 1, 1)])
+            gas.tally(gas.NO_GAS, [tx_of(Mint())], [receipt(1, 1)])
 
 
 class TestCostModelChain:
     """Frozen gas anchors for the canonical deploy/register/sell chain."""
 
     def test_per_category_gas(self):
-        _, blocks, receipts = simnet.build_cost_model_chain()
-        report = gas.gas_report(blocks, receipts)
+        _, _, totals = simnet.build_cost_model_chain()
+        report = gas.build_report(totals)
         by_cat = {row.category: row for row in report.rows}
         assert by_cat["Deploy"].total_gas == 453_544
         assert by_cat["Register"].total_gas == 82_120
@@ -173,6 +189,6 @@ class TestCostModelChain:
         assert report.total.total_gas == 588_136
 
     def test_fee_at_default_price(self):
-        _, blocks, receipts = simnet.build_cost_model_chain()
-        report = gas.gas_report(blocks, receipts)
+        _, _, totals = simnet.build_cost_model_chain()
+        report = gas.build_report(totals)
         assert report.total.total_fee == 588_136 * gas.DEFAULT_GAS_PRICE

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from acprov import canonical, cli, crypto, ledger, registry
+from acprov import canonical, cli, crypto, gas, ledger, registry
 from acprov.canonical import Record, from_hex
 from acprov.registry import Deploy, FaucetClaim, Register, Transfer
 
@@ -31,10 +31,24 @@ def extend(store, keys, txs, timestamp):
     return ledger.extend(store, txs, authority_key_map(genesis, keys)[due], timestamp)
 
 
+def walked(blocks, genesis):
+    """The state and gas totals after the last of blocks, replayed from block 0."""
+    return ledger._replay(blocks[0].header, blocks[1:], genesis, ledger.genesis_state(genesis), gas.NO_GAS)
+
+
 def state_after(blocks, genesis):
     """The state after the last of blocks, replayed from block 0."""
-    state, _ = ledger._replay(blocks[0].header, blocks[1:], genesis, ledger.genesis_state(genesis))
-    return state
+    return walked(blocks, genesis)[0]
+
+
+def chain_of(path):
+    """The blocks of the chain file at path."""
+    return ledger.parse_chain_bytes(Path(path).read_bytes())
+
+
+def held(store):
+    """What a store holds of its chain: the tip header, the state and the gas totals."""
+    return store.tip, store.state, store.gas
 
 
 @pytest.fixture()
@@ -276,9 +290,9 @@ class TestValidation:
 
     def test_replay_receipts_line_up_with_blocks(self, genesis, chain, tmp_path):
         blocks, state = chain
-        _, final, receipts = ledger.load_chain(tmp_path / "fixture-chain.jsonl", genesis)
-        assert registry.state_commitment(final) == registry.state_commitment(state)
-        assert [len(r) for r in receipts] == [len(b.txs) for b in blocks]
+        loaded = ledger.load_chain(tmp_path / "fixture-chain.jsonl", genesis)
+        assert registry.state_commitment(loaded.state) == registry.state_commitment(state)
+        assert sum(count for count, _, _ in loaded.gas.values()) == sum(len(b.txs) for b in blocks)
 
 
 class TestStore:
@@ -303,9 +317,9 @@ class TestStore:
             f.writelines(ledger.block_line(b) for b in blocks[1:])
 
         loaded = ledger.load_chain(path, genesis)
-        assert loaded.blocks == blocks
-        assert loaded.blocks[-1].header.state_root == registry.state_commitment(state)
-        assert [len(r) for r in loaded.receipts] == [len(b.txs) for b in blocks]
+        assert chain_of(path) == blocks and loaded.tip == blocks[-1].header
+        assert loaded.tip.state_root == registry.state_commitment(state)
+        assert sum(count for count, _, _ in loaded.gas.values()) == sum(len(b.txs) for b in blocks)
 
     def test_load_rejects_a_skipped_block(self, genesis, keys, chain, tmp_path):
         blocks, _ = chain
@@ -326,10 +340,10 @@ class TestStore:
         with pytest.raises(ledger.StorageError, match="another writer"):
             extend(second, keys, [registry.make_tx(keys["consumer"], 5, 0, FaucetClaim(), PRICE)], 10)
         assert path.read_bytes() == written and second.tip.index == 0
-        assert ledger.load_chain(path, genesis).blocks[-1].header == first.tip
+        assert ledger.load_chain(path, genesis).tip == first.tip
         # the first writer still knows the file and appends on
         extend(first, keys, [registry.make_tx(keys["consumer"], 5, 0, FaucetClaim(), PRICE)], 20)
-        assert ledger.load_chain(path, genesis).blocks[-1].header == first.tip
+        assert ledger.load_chain(path, genesis).tip == first.tip
 
     @pytest.mark.parametrize("reader", ["load_chain", "open_store", "validate"])
     def test_a_read_waits_for_an_append_in_progress(self, genesis, chain, tmp_path, capsys, reader):
@@ -359,7 +373,8 @@ class TestStore:
             assert os.read(ready_r, 1) == b"1"
             started = time.monotonic()
             if reader == "load_chain":
-                assert ledger.load_chain(path, genesis).blocks == blocks
+                loaded = ledger.load_chain(path, genesis)
+                assert (loaded.tip, loaded.state) == (blocks[-1].header, state)
             elif reader == "open_store":
                 assert ledger.open_store(path, genesis).state == state
             else:
@@ -388,9 +403,8 @@ class TestExtend:
         ], 10)
         assert [r.error for r in receipts] == [None, registry.ALREADY_DEPLOYED]
         assert store.tip == block.header
-        loaded = ledger.load_chain(store.path, genesis)
-        assert loaded.blocks[-1] == block and loaded.receipts[-1] == receipts
-        assert loaded.state == store.state
+        assert store.gas == gas.tally(gas.NO_GAS, block.txs, receipts)
+        assert held(ledger.load_chain(store.path, genesis)) == held(store)
         assert block.header.state_root == registry.state_commitment(store.state)
         raw = store.path.read_bytes()
         assert (store.size, store.digest.digest()) == (len(raw), hashlib.sha256(raw).digest())
@@ -406,8 +420,7 @@ class TestExtend:
         extend(store, keys, [registry.make_tx(keys["consumer"], 5, 0, FaucetClaim(), PRICE)], 20)
         raw = path.read_bytes()
         assert (store.size, store.digest.digest()) == (len(raw), hashlib.sha256(raw).digest())
-        loaded = ledger.load_chain(path, genesis)
-        assert loaded.blocks[-1].header == store.tip and len(loaded.blocks) == 3
+        assert held(ledger.load_chain(path, genesis)) == held(store) and store.tip.index == 2
 
     def test_schedule_errors_write_nothing(self, genesis, keys, tmp_path):
         store = ledger.create_store(tmp_path / "chain.jsonl", genesis)
@@ -417,7 +430,7 @@ class TestExtend:
             with pytest.raises(ledger.ValidationFailedError) as err:
                 ledger.extend(store, [tx], sealer, 10)
             assert (err.value.report.block_index, err.value.report.rule) == (1, ledger.RULE_SEALER)
-        assert store.path.read_bytes() == before and store.tip.index == 0
+        assert store.path.read_bytes() == before and store.tip.index == 0 and store.gas is gas.NO_GAS
 
     @pytest.mark.parametrize("role", ["sender", "sealer"])
     def test_mismatched_key_is_refused_and_writes_nothing(self, genesis, keys, tmp_path, role):
@@ -565,6 +578,7 @@ class TestCheckpoint:
         raw = store.path.read_bytes()
         assert head == canonical.canonical_serialize({
             "bytes": len(raw),
+            "gas": dict(store.gas),
             "genesis": canonical.hash_obj(genesis.to_canonical()),
             "hash": store.tip.hash,
             "index": store.tip.index,
@@ -615,12 +629,13 @@ class TestCheckpoint:
         replays = support.count_calls(monkeypatch, ledger, "_replay")
         applied = support.count_calls(monkeypatch, registry, "apply_tx")
         assert ledger.open_store(store.path, genesis).state == store.state
-        assert [(parent.index, len(blocks)) for parent, blocks, _, _ in replays] == [(4, 1)]
+        assert [(parent.index, len(blocks)) for parent, blocks, *_ in replays] == [(4, 1)]
         assert len(lines) == 1 and len(applied) == 2  # block 5 alone; line 4 gives its header
         raw = store.path.read_bytes()
         assert sidecar_of(store.path).read_bytes().startswith(
-            b'{"bytes":%d,"genesis":"%s","hash":"%s","index":5,"prefix":"%s"}\n'
-            % (len(raw), canonical.hash_obj(genesis.to_canonical()).encode(),
+            b'{"bytes":%d,"gas":%s,"genesis":"%s","hash":"%s","index":5,"prefix":"%s"}\n'
+            % (len(raw), canonical.canonical_serialize(dict(store.gas)),
+               canonical.hash_obj(genesis.to_canonical()).encode(),
                store.tip.hash.encode(), canonical.hash_of(raw).encode())
         )
 
@@ -641,7 +656,7 @@ class TestCheckpoint:
         replays = support.count_calls(monkeypatch, ledger, "_replay")
         assert ledger.open_store(store.path, genesis).state == store.state
         assert parses == [] and sidecar_of(store.path).read_bytes() == sidecar
-        assert [(parent.index, len(blocks)) for parent, blocks, _, _ in replays] == [(3, 0), (3, 1)]
+        assert [(parent.index, len(blocks)) for parent, blocks, *_ in replays] == [(3, 0), (3, 1)]
         monkeypatch.undo()
         loaded = ledger.open_store(store.path, genesis)
         extend(loaded, keys, [registry.make_tx(keys["retailer"], 5, 0, FaucetClaim(), PRICE)], 50)
@@ -650,7 +665,7 @@ class TestCheckpoint:
         replays = support.count_calls(monkeypatch, ledger, "_replay")
         assert ledger.open_store(store.path, genesis).state == loaded.state
         assert parses == []  # the sidecar still vouches for lines 0..3
-        assert [(parent.index, len(blocks)) for parent, blocks, _, _ in replays] == [(3, 2)]
+        assert [(parent.index, len(blocks)) for parent, blocks, *_ in replays] == [(3, 2)]
         head = json.loads(sidecar_of(store.path).read_bytes().split(b"\n")[0])
         assert (head["index"], head["bytes"]) == (5, store.path.stat().st_size)
 
@@ -780,20 +795,20 @@ def twelve(genesis, keys, tmp_path):
         transfer = Transfer(product_id=f"P-{n}", new_owner=d.address)
         extend(store, keys, [registry.make_tx(m, 5, 5 + n, transfer, PRICE),
                              registry.make_tx(c, 5, n - 1, FaucetClaim(), PRICE)], 100_000 * n)
-    return ledger.load_chain(store.path, genesis)
+    return SimpleNamespace(blocks=chain_of(store.path), state=store.state, gas=store.gas)
 
 
 class TestReplayFrom:
-    """_replay from a block k and the state after it answers as a full replay."""
+    """_replay from a block k and the state and gas totals after it answers
+    as a full replay."""
 
     def test_every_k_gives_the_full_replay(self, genesis, twelve):
-        blocks, full_state, full_receipts = twelve
+        blocks = twelve.blocks
         assert len(blocks) == 12
         for k in range(len(blocks)):
-            state_k = state_after(blocks[: k + 1], genesis)
-            state, receipts = ledger._replay(blocks[k].header, blocks[k + 1 :], genesis, state_k)
-            assert state == full_state
-            assert receipts == full_receipts[k + 1 :]
+            state_k, gas_k = walked(blocks[: k + 1], genesis)
+            replayed = ledger._replay(blocks[k].header, blocks[k + 1 :], genesis, state_k, gas_k)
+            assert replayed == (twelve.state, twelve.gas)
 
     def test_a_bad_signature_after_k_reports_the_same(self, genesis, keys, twelve):
         blocks = list(twelve.blocks)
@@ -807,7 +822,7 @@ class TestReplayFrom:
         for k in range(len(blocks) - 1):
             state_k = state_after(blocks[: k + 1], genesis)
             with pytest.raises(ledger.ValidationFailedError) as err:
-                ledger._replay(blocks[k].header, blocks[k + 1 :], genesis, state_k)
+                ledger._replay(blocks[k].header, blocks[k + 1 :], genesis, state_k, gas.NO_GAS)
             assert err.value.report == full
 
 
@@ -816,17 +831,14 @@ def long_chain(genesis, keys, tmp_path_factory):
     """640 blocks of one faucet claim each: 1,280 signatures, enough to fork."""
     path = tmp_path_factory.mktemp("long") / "chain.jsonl"
     store = ledger.create_store(path, genesis)
-    blocks, receipts = [ledger.genesis_block(genesis)], [[]]
+    blocks = [ledger.genesis_block(genesis)]
     claimers = [keys[role] for role in ("consumer", "retailer", "distributor", "manufacturer")]
     for index in range(1, 641):
         claimer = claimers[index % len(claimers)]
         nonce = store.state.accounts[claimer.address].nonce
-        block, block_receipts = extend(
-            store, keys, [registry.make_tx(claimer, 5, nonce, FaucetClaim(), PRICE)], index
-        )
+        block, _ = extend(store, keys, [registry.make_tx(claimer, 5, nonce, FaucetClaim(), PRICE)], index)
         blocks.append(block)
-        receipts.append(block_receipts)
-    return SimpleNamespace(path=path, blocks=blocks, state=store.state, receipts=receipts)
+    return SimpleNamespace(path=path, blocks=blocks, state=store.state, held=held(store))
 
 
 def workers(monkeypatch, cpus):
@@ -864,7 +876,7 @@ class TestBatchedSignatures:
         forks = support.record_forks(monkeypatch)
         checks = support.count_calls(monkeypatch, crypto, "_check")
         loaded = ledger.load_chain(long_chain.path, genesis)
-        assert loaded == (long_chain.blocks, long_chain.state, long_chain.receipts)
+        assert held(loaded) == long_chain.held
         assert len(forks) == 1
         support.assert_reaped(forks)
         assert len(checks) == len(set(checks)), "the caller checks nothing twice"
@@ -908,17 +920,17 @@ class TestBatchedSignatures:
         """Only the blocks after the sidecar's k are walked: their seals and
         transaction signatures are the one verify_ahead batch."""
         blocks, k = long_chain.blocks, 400
-        state_k = state_after(blocks[: k + 1], genesis)
+        state_k, gas_k = walked(blocks[: k + 1], genesis)
         prefix = b"".join(ledger.block_line(block) for block in blocks[: k + 1])
         ledger.checkpoint(ledger.LedgerStore(
-            long_chain.path, genesis, blocks[k].header, state_k, len(prefix), hashlib.sha256(prefix)
+            long_chain.path, genesis, blocks[k].header, state_k, len(prefix), hashlib.sha256(prefix), gas_k
         ))
         workers(monkeypatch, 2)
         forks = support.record_forks(monkeypatch)
         batches = support.count_calls(monkeypatch, ledger, "verify_ahead")
         replays = support.count_calls(monkeypatch, ledger, "_replay")
         assert ledger.open_store(long_chain.path, genesis).state == long_chain.state
-        assert [(parent.index, len(tail)) for parent, tail, _, _ in replays] == [(400, 240)]
+        assert [(parent.index, len(tail)) for parent, tail, *_ in replays] == [(400, 240)]
         [(items,)] = batches
         expected = {block.seal for block in blocks[k + 1 :]}
         expected |= {tx.signature for block in blocks[k + 1 :] for tx in block.txs}
@@ -984,7 +996,7 @@ class TestAssumedWalk:
         events = []
         record_in_order(monkeypatch, events, (crypto, "_check"), (registry, "state_commitment"))
         loaded = ledger.load_chain(long_chain.path, genesis)
-        assert loaded == (long_chain.blocks, long_chain.state, long_chain.receipts)
+        assert held(loaded) == long_chain.held
         assert events.count("state_commitment") == 1 + 640, "block 0's, then one walk"
         last_root = len(events) - events[::-1].index("state_commitment")
         assert "_check" not in events[:last_root]
@@ -1084,7 +1096,7 @@ class TestAssumedWalk:
             monkeypatch.setattr(os, "fork", no_fork)
         checks = support.count_calls(monkeypatch, crypto, "_check")
         loaded = ledger.load_chain(long_chain.path, genesis)
-        assert loaded == (long_chain.blocks, long_chain.state, long_chain.receipts)
+        assert held(loaded) == long_chain.held
         assert sorted(checks) == sorted(ledger._signatures(long_chain.blocks[1:], genesis))
 
 
@@ -1209,9 +1221,8 @@ class TestRootsAhead:
         self.extend_plan(store, keys, plan, after)
         assert positions == list(range(len(plan)))
         assert len(roots) == len(plan) - 2
-        loaded = ledger.load_chain(store.path, genesis)
-        assert canonical.to_hex(LIE) not in {block.header.state_root for block in loaded.blocks}
-        assert loaded.blocks[-1].header == store.tip
+        assert ledger.load_chain(store.path, genesis).tip == store.tip
+        assert canonical.to_hex(LIE) not in {block.header.state_root for block in chain_of(store.path)}
         support.assert_reaped(forking)
 
     def test_a_raising_block_reaps_the_copy(self, genesis, keys, plan, forking, monkeypatch, tmp_path):
@@ -1228,9 +1239,8 @@ class TestRootsAhead:
             self.extend_plan(store, keys, plan, after)
         assert len(forking) == 1
         support.assert_reaped(forking)
-        loaded = ledger.load_chain(store.path, genesis)
-        assert canonical.to_hex(LIE) not in {block.header.state_root for block in loaded.blocks}
-        assert loaded.blocks[-1].header == store.tip and len(loaded.blocks) == 3
+        assert ledger.load_chain(store.path, genesis).tip == store.tip and store.tip.index == 2
+        assert canonical.to_hex(LIE) not in {block.header.state_root for block in chain_of(store.path)}
 
     @pytest.mark.parametrize("case", ["one_cpu", "other_threads", "small_plan", "fork_fails"])
     def test_commits_in_process(self, genesis, keys, plan, monkeypatch, tmp_path, case):

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
@@ -273,9 +274,10 @@ class TestRunOutputs:
 
     def test_chain_validates(self, small_run):
         genesis = ledger.GenesisConfig.load(small_run.genesis_path)
-        chain = ledger.load_chain(small_run.chain_path, genesis)
-        assert chain.blocks == small_run.blocks
-        assert chain.blocks[-1].header.state_root == small_run.tip_commitment
+        store = ledger.load_chain(small_run.chain_path, genesis)
+        assert ledger.parse_chain_bytes(small_run.chain_path.read_bytes()) == small_run.blocks
+        assert store.tip == small_run.blocks[-1].header
+        assert store.tip.state_root == small_run.tip_commitment
 
     def test_batching_respects_block_size(self, small_run):
         sizes = [len(b.txs) for b in small_run.blocks[1:]]
@@ -308,6 +310,18 @@ class TestRunOutputs:
         monkeypatch.setattr(registry, "apply_tx", counting)
         result = simnet.run_scenario(SMALL, tmp_path / "once")
         assert calls == [tx for block in result.blocks for tx in block.txs]
+
+    def test_each_transactions_kind_is_encoded_once(self, tmp_path, monkeypatch):
+        """The signing payload holds the kind bytes that intrinsic gas
+        meters, so a run encodes each transaction's kind once."""
+        encoded = []
+        for cls in get_args(registry.TxKind):
+            encode = canonical._encoder(cls, cls.FIELDS)
+            monkeypatch.setattr(cls, "to_bytes", lambda kind, encode=encode: encoded.append(kind) or encode(kind))
+        result = simnet.run_scenario(SMALL, tmp_path / "once")
+        kinds = [tx.kind for block in result.blocks for tx in block.txs]
+        assert {type(kind) for kind in kinds} == set(get_args(registry.TxKind))
+        assert sorted(map(id, encoded)) == sorted(map(id, kinds))
 
     def test_steps_caps_total_transactions(self, tmp_path):
         capped = replace(SMALL, steps=3)

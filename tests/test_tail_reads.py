@@ -81,6 +81,7 @@ def grid(tmp_path_factory, keys50):
     tip = sidecars["k=49"]
     head17 = json.loads(sidecars["k=17"].split(b"\n", 1)[0])
     sidecars["three-member"] = with_head(tip, bytes=None, prefix=None)
+    sidecars["five-member"] = with_head(tip, gas=None)  # the head before the gas totals
     sidecars["bytes-mid-line"] = with_head(tip, bytes=len(raw) - 1)
     sidecars["bytes-next-line"] = with_head(sidecars["k=17"], bytes=head17["bytes"] + len(lines[18]))
     digit = head17["prefix"][-1]
@@ -144,8 +145,8 @@ def test_every_sidecar_answers_as_no_sidecar(grid, name):
 
 @pytest.mark.parametrize("name", INPUTS)
 def test_every_sidecar_opens_the_store_of_a_full_replay(grid, name):
-    """open_store's tip, state, size and digest, or the error it raises,
-    are load_chain's whatever the sidecar holds."""
+    """open_store's tip, state, gas totals, size and digest, or the error
+    it raises, are load_chain's whatever the sidecar holds."""
     chain, data, genesis = grid["dir"] / "chain.jsonl", grid["inputs"][name], grid["genesis"]
     tip = Path(str(chain) + ".tip")
     chain.write_bytes(data)
@@ -155,11 +156,10 @@ def test_every_sidecar_opens_the_store_of_a_full_replay(grid, name):
             opened = open_chain(chain, genesis)
         except ledger.LedgerError as exc:
             return type(exc), str(exc)
-        if isinstance(opened, ledger.Chain):
-            return opened.blocks[-1].header, opened.state, len(data), hashlib.sha256(data).digest()
-        return opened.tip, opened.state, opened.size, opened.digest.digest()
+        return opened.tip, opened.state, opened.gas, opened.size, opened.digest.digest()
 
     expected = outcome(ledger.load_chain)
+    assert len(expected) == 2 or expected[3:] == (len(data), hashlib.sha256(data).digest())
     for label, sidecar in grid["sidecars"].items():
         tip.unlink(missing_ok=True)
         if sidecar is not None:
@@ -173,11 +173,13 @@ def test_a_record_that_fails_its_decode_answers_as_no_sidecar(grid, tmp_path):
     whose first product, the one the reads ask for, has a status the
     decoder refuses, and the tip sidecar holds that state.  The sidecar's
     checks pass and the record is decoded only when it is read; then each
-    command answers as it does without the sidecar, which is load_chain's
-    error at block 49."""
+    command that reads the state answers as it does without the sidecar,
+    which is load_chain's error at block 49.  gas-report reads no record,
+    so it answers from the sidecar's gas totals."""
     genesis, raw = grid["genesis"], grid["inputs"]["intact"]
     blocks = ledger.parse_chain_bytes(raw)
-    state = ledger.load_chain(FIXTURES / "chain50.jsonl", genesis).state
+    fixture = ledger.load_chain(FIXTURES / "chain50.jsonl", genesis)
+    state = fixture.state
     product = sorted(state.products)[0]
     other = state.replace(products={**state.products, product: state.products[product].replace(status="stolen")})
     scenario = simnet.Scenario.load(FIXTURES / "scenario50.json")
@@ -187,10 +189,10 @@ def test_a_record_that_fails_its_decode_answers_as_no_sidecar(grid, tmp_path):
     data = raw[: -len(ledger.block_line(blocks[49]))] + ledger.block_line(sealed)
     chain, tip = tmp_path / "chain.jsonl", tmp_path / "chain.jsonl.tip"
     chain.write_bytes(data)
-    ledger.checkpoint(ledger.LedgerStore(chain, genesis, header, other, len(data), hashlib.sha256(data)))
+    ledger.checkpoint(ledger.LedgerStore(chain, genesis, header, other, len(data), hashlib.sha256(data), fixture.gas))
     sidecar = tip.read_bytes()
 
-    opened = ledger._from_checkpoint(data, genesis, sidecar)[2]
+    opened = ledger._from_checkpoint(chain, data, genesis, sidecar).state
     with pytest.raises(ledger.ValidationFailedError, match="rule state_root"):
         opened.products.get(product)
     base = ["--db", str(chain), "--genesis", str(grid["dir"] / "genesis.json")]
@@ -205,6 +207,8 @@ def test_a_record_that_fails_its_decode_answers_as_no_sidecar(grid, tmp_path):
     for command in grid["commands"]:
         expect = answer(command, None)
         assert expect[0][0] == 1 and "rule=state_root" in "".join(expect[0][1:]), command[0]
+        if command == ["gas-report"]:
+            expect = (0, (FIXTURES / "gas_report50.csv").read_text(), ""), data
         assert answer(command, sidecar) == expect, command[0]
 
 
@@ -220,6 +224,24 @@ def test_a_tx_at_a_tip_sidecar_walks_no_block(grid, monkeypatch):
     code, out, err = run(base + grid["commands"][-1])
     assert code in (0, 1) and err == "" and json.loads(out)["block_index"] == 50
     assert parsed == [] and [tx.hash for _, tx, _ in executed] == [json.loads(out)["tx_hash"]]
+
+
+@pytest.mark.parametrize("k", [49, 17])
+def test_a_gas_report_at_a_sidecar_walks_only_the_tail(grid, monkeypatch, k):
+    """gas-report at a tip sidecar parses no line and executes nothing: it
+    prints the sidecar's gas totals.  At a stale one it parses and executes
+    only the blocks after k.  Either way it prints the committed report."""
+    chain, tip = grid["dir"] / "chain.jsonl", grid["dir"] / "chain.jsonl.tip"
+    chain.write_bytes(grid["inputs"]["intact"])
+    tip.write_bytes(grid["sidecars"][f"k={k}"])
+    base = ["--db", str(chain), "--genesis", str(grid["dir"] / "genesis.json")]
+    blocks = ledger.parse_chain_bytes(grid["inputs"]["intact"])[k + 1 :]
+    parsed = support.count_calls(monkeypatch, ledger, "_parse_line")
+    executed = support.count_calls(monkeypatch, registry, "apply_tx")
+    code, out, err = run(base + ["gas-report"])
+    assert (code, out, err) == (0, (FIXTURES / "gas_report50.csv").read_text(), "")
+    assert len(parsed) == len(blocks) and len(executed) == sum(len(block.txs) for block in blocks)
+    assert json.loads(tip.read_bytes().split(b"\n")[0])["index"] == 49
 
 
 def test_a_short_append_prints_no_receipt(grid, monkeypatch):
@@ -248,9 +270,10 @@ def test_a_state_line_with_other_spacing_is_refused(grid):
     def state(sidecar):
         return registry.state_from_canonical(json.loads(sidecar.split(b"\n")[1]))
 
-    assert state(other) == state(tip) == ledger._from_checkpoint(raw, grid["genesis"], tip)[2]
+    chain = grid["dir"] / "chain.jsonl"
+    assert state(other) == state(tip) == ledger._from_checkpoint(chain, raw, grid["genesis"], tip).state
     with pytest.raises(ValueError, match="sidecar state does not commit to block 49's state_root"):
-        ledger._from_checkpoint(raw, grid["genesis"], other)
+        ledger._from_checkpoint(chain, raw, grid["genesis"], other)
 
 
 def test_the_simulator_leaves_the_tip_checkpoint(grid, tmp_path, monkeypatch):
@@ -288,7 +311,7 @@ def test_a_tamper_plan_spoils_the_simulators_checkpoint(grid, tmp_path):
     raw = result.chain_path.read_bytes()
     sidecar = Path(str(result.chain_path) + ".tip").read_bytes()
     with pytest.raises(ValueError, match="the chain's first bytes changed"):
-        ledger._from_checkpoint(raw, result.genesis, sidecar)
+        ledger._from_checkpoint(result.chain_path, raw, result.genesis, sidecar)
     with pytest.raises(ledger.ValidationFailedError) as loaded:
         ledger.load_chain(result.chain_path, result.genesis)
     report = loaded.value.report
@@ -392,14 +415,14 @@ class TestTornTail:
             blocks = 50 if cut == len(last) - 1 else 49
             assert code == 0 and out.startswith(f"OK blocks={blocks} "), (cut, out)
             assert (f"truncated it to {intact} bytes" in err) == (0 < cut < len(last) - 1), err
-            assert len(ledger.load_chain(chain, genesis).blocks) == blocks
+            assert ledger.load_chain(chain, genesis).tip.index + 1 == blocks
 
         args = cli.build_parser().parse_args(base + ["repair"])
         replayed = []
 
-        def replay(parent, blocks, genesis, state):
+        def replay(parent, blocks, genesis, state, gas):
             replayed.append(parent)
-            return state, [[] for _ in blocks]
+            return state, gas
 
         monkeypatch.setattr(ledger, "_replay", replay)
         monkeypatch.setattr(ledger, "_parse_line", functools.lru_cache(maxsize=None)(ledger._parse_line))
