@@ -210,7 +210,7 @@ class Record:
         its canonical object.  The first call for a class generates the
         class's encoder (_encoder), which then stands in for this method."""
         cls = type(self)
-        cls.to_bytes = _encoder(cls, cls.FIELDS)
+        cls.to_bytes = _encoder(cls)
         return cls.to_bytes(self)
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -324,12 +324,12 @@ def _encoding(tp: Any, value: str, depth: int = 0) -> str:
 
 
 @lru_cache(maxsize=None)
-def _encoder(cls: type, names: Tuple[str, ...]) -> Callable[[Any], bytes]:
+def _encoder(cls: type) -> Callable[[Any], bytes]:
     """Generate the function that gives, for a record of class cls, the
-    bytes canonical_serialize gives for the object of its fields names (and
+    bytes canonical_serialize gives for the object of its fields (and
     "type" when cls has a TYPE), from the fields' annotations."""
     types = typing.get_type_hints(cls)
-    members = sorted(names + (("type",) if hasattr(cls, "TYPE") else ()))
+    members = sorted(cls.FIELDS + (("type",) if hasattr(cls, "TYPE") else ()))
     parts, values = [], []
     for name in members:
         key = encode_basestring(name)

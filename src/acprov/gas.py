@@ -1,11 +1,13 @@
 """Gas metering, fee arithmetic, and the per-category gas report.
 
-Constants are EVM-inspired.  All money math is integer wei; ETH values
-are display-only conversions.  The default gas price is a calibration
-constant chosen so that the three-transaction cost-model chain (one
-deploy at the default code size, one registration, one sale) totals
-0.000644 ETH to within a fraction of a percent; the calibration run
-lives in scripts/calibrate_gas_price.py.
+Constants are EVM-inspired; sstore_new and sstore_update are the Ethereum
+Yellow Paper's G_sset and G_sreset.  This module prices calldata; each
+transaction kind's class in registry prices its own storage (storage_gas).
+All money math is integer wei; ETH values are display-only conversions.
+The default gas price is a calibration constant chosen so that the
+three-transaction cost-model chain (one deploy at the default code size,
+one registration, one sale) totals 0.000644 ETH to within a fraction of
+a percent; the calibration run lives in scripts/calibrate_gas_price.py.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import partial
 from types import MappingProxyType
 from typing import Any, ClassVar, Mapping, Sequence, Tuple
 
-from .canonical import Record, _as_int, _canonical, _check_fields, _list_of, _record, _require
+from .canonical import Record, _as_int, _canonical, _check_fields, _list_of, _require
 
 WEI_PER_ETH = 10**18
 WEI_PER_GWEI = 10**9
@@ -40,11 +42,6 @@ class GasParams(Record):
     __post_init__ = _check_fields
     to_canonical = _canonical
 
-    @classmethod
-    def from_canonical(cls, doc: Any) -> "GasParams":
-        """A gas_params document; members left out take their defaults."""
-        return _record(cls, defaults=True)(doc, "gas_params")
-
 
 GasParams.CHECKS = dict.fromkeys(GasParams.FIELDS, partial(_as_int, minimum=1))
 
@@ -60,28 +57,6 @@ def intrinsic_gas(kind_bytes: bytes, params: GasParams) -> int:
     return params.base_tx + calldata_gas(kind_bytes, params)
 
 
-def storage_gas(kind: Any, params: GasParams) -> int:
-    """Storage-slot cost of an accepted transaction's variant effect, by category.
-
-    Slot counts model the contract layout: a registration writes the
-    record, the owner slot, and the first history slot; a transfer
-    rewrites the owner and appends one history slot; a sale rewrites
-    owner and status and appends one history slot.
-    """
-    category = type(kind).__name__
-    if category == "Deploy":
-        return params.create_base + params.code_byte * kind.code_size
-    if category == "Register":
-        return 3 * params.sstore_new
-    if category == "Transfer":
-        return params.sstore_update + params.sstore_new
-    if category == "Sell":
-        return 2 * params.sstore_update + params.sstore_new
-    if category == "FaucetClaim":
-        return 0
-    raise ValueError(f"unknown transaction kind {category!r}")
-
-
 def fee(gas: int, gas_price: int) -> int:
     """Exact integer product; Python integers are arbitrary precision."""
     if gas < 0 or gas_price < 0:
@@ -90,13 +65,10 @@ def fee(gas: int, gas_price: int) -> int:
 
 
 def format_eth(wei: int) -> str:
-    """ETH display value rounded half-up to 8 decimal places."""
-    from decimal import ROUND_HALF_UP, Decimal  # only a gas report formats money
-
-    value = (Decimal(wei) / WEI_PER_ETH).quantize(
-        Decimal("0.00000001"), rounding=ROUND_HALF_UP
-    )
-    return f"{value:.8f}"
+    """ETH display value of wei >= 0 rounded half-up to 8 decimal places,
+    in integer arithmetic, so exact however large wei is."""
+    units = (wei + 5 * 10**9) // 10**10  # in 10**-8 ETH, rounded half up
+    return f"{units // 10**8}.{units % 10**8:08d}"
 
 
 class GasReportRow(Record):
@@ -110,14 +82,10 @@ class GasReportRow(Record):
     def avg_gas_per_tx(self) -> int:
         return self.total_gas // self.tx_count if self.tx_count else 0
 
-    @property
-    def total_fee_eth(self) -> str:
-        return format_eth(self.total_fee)
-
     def to_csv_row(self) -> str:
         return (
             f"{self.category},{self.tx_count},{self.total_gas},"
-            f"{self.avg_gas_per_tx},{self.total_fee},{self.total_fee_eth}"
+            f"{self.avg_gas_per_tx},{self.total_fee},{format_eth(self.total_fee)}"
         )
 
 

@@ -23,10 +23,10 @@ Design notes that matter for interoperability:
   A full replay (``load_chain``: ``validate``, ``repair``) walks blocks
   1.. from block 0, once block 0 matches the genesis config.
   ``open_store`` (the other reads and ``tx``) walks only the blocks after
-  a checkpoint k kept in a sidecar ``<chain>.tip``, which vouches for
-  lines 0..k by the sha256 of their bytes and holds the state and gas
-  totals after block k; a read decodes the state's records only as it
-  reads them.  Its one writer is
+  a checkpoint k kept in a sidecar ``<chain>.tip``, which holds the state
+  and gas totals after block k and vouches for lines 0..k and the totals
+  by one sha256 of their bytes; a read decodes the state's records only
+  as it reads them.  Its one writer is
   ``checkpoint(store)``: ``init`` at block 0, an open that walks past k,
   and ``tx`` and the simulator at the tip they wrote.  The sidecar is a
   cache: any doubt about it means a full replay.
@@ -868,8 +868,9 @@ def load_chain(path, genesis: GenesisConfig) -> LedgerStore:
 #   1. canonical JSON {"bytes": L, "gas": <the gas totals after block k,
 #      {category: [tx_count, total_gas, total_fee]}>, "genesis": <hash of
 #      the canonical genesis config>, "hash": <hash of header k>, "index":
-#      k, "prefix": <sha256 of the chain file's first L bytes>}, where the
-#      first L bytes are lines 0..k, each with its newline;
+#      k, "prefix": <sha256 of the chain file's first L bytes followed by
+#      the canonical bytes of the gas member>}, where the first L bytes are
+#      lines 0..k, each with its newline;
 #   2. the canonical state document after block k, the bytes whose hash
 #      is header k's state_root; a read checks that hash before it
 #      decodes them.
@@ -889,14 +890,23 @@ def _genesis_digest(genesis: GenesisConfig) -> str:
     return hash_obj(genesis.to_canonical())
 
 
+def _prefix(digest: Any, gas: Totals) -> str:
+    """The head's prefix: digest, the sha256 of the chain file's first L
+    bytes, continued (in a copy) by the canonical bytes of the gas totals."""
+    prefix = digest.copy()
+    prefix.update(canonical_serialize(dict(gas)))
+    return to_hex(prefix.digest())
+
+
 def _from_checkpoint(path: Path, raw: bytes, genesis: GenesisConfig, sidecar: bytes) -> LedgerStore:
     """The store of the first L bytes of raw, the bytes of the chain file at
     path, from a sidecar that vouches for them; of them, only the header of
     line k, the last, is decoded, so no record is encoded.
 
     The sidecar must be for this genesis, its digest must match raw's first
-    L bytes, which end line k, that line's header must be header k under
-    the sidecar's hash, and the state line's sha256 must be its state_root.
+    L bytes, which end line k, followed by its gas totals, that line's
+    header must be header k under the sidecar's hash, and the state line's
+    sha256 must be its state_root.
     Raises ValueError otherwise.  The root is the hash of exactly those
     bytes, so the state is not encoded again; a state line with other
     spacing is refused.
@@ -906,8 +916,7 @@ def _from_checkpoint(path: Path, raw: bytes, genesis: GenesisConfig, sidecar: by
     so a scan decodes the one product it prints.  The bytes are those of a
     committed state, so a record that fails to decode (a state written
     under other rules) is read from the full replay of the first L bytes:
-    the state load_chain finds at block k, or the error it raises.  The gas
-    totals are the head's, which must be well formed.
+    the state load_chain finds at block k, or the error it raises.
     """
     head, body, rest = sidecar.split(b"\n", 2)
     _require(rest == b"", "sidecar has more than two lines")
@@ -919,8 +928,9 @@ def _from_checkpoint(path: Path, raw: bytes, genesis: GenesisConfig, sidecar: by
     _require(doc["genesis"] == _genesis_digest(genesis), "sidecar is for another genesis")
     k, size = _as_int(doc["index"], "index"), _as_int(doc["bytes"], "bytes")
     _require(0 < size <= len(raw) and raw[size - 1] == 0x0A, "sidecar bytes do not end a line")
+    totals = totals_from_canonical(doc["gas"])
     digest = hashlib.sha256(memoryview(raw)[:size])
-    _require(to_hex(digest.digest()) == doc["prefix"], "the chain's first bytes changed")
+    _require(_prefix(digest, totals) == doc["prefix"], "the chain's first bytes changed, or the gas totals")
     # Line k is among the bytes the digest vouches for, so it is canonical,
     # and its header, whose members are ints and hex strings, ends at its
     # first "}".  The rest of the line is not read.
@@ -935,7 +945,7 @@ def _from_checkpoint(path: Path, raw: bytes, genesis: GenesisConfig, sidecar: by
     )
     replayed = cache(lambda: _replayed(path, raw[:size], genesis).state)
     state = registry.state_from_canonical(json.loads(body), replayed)
-    return LedgerStore(path, genesis, header, state, size, digest, totals_from_canonical(doc["gas"]))
+    return LedgerStore(path, genesis, header, state, size, digest, totals)
 
 
 # The temporary files of sidecar writes are named <chain>.tip.XXXXXXXX:
@@ -976,7 +986,7 @@ def checkpoint(store: LedgerStore) -> None:
             "genesis": _genesis_digest(store.genesis),
             "hash": store.tip.hash,
             "index": store.tip.index,
-            "prefix": to_hex(store.digest.digest()),
+            "prefix": _prefix(store.digest, store.gas),
         })
         data = head + b"\n" + registry.state_bytes(store.state) + b"\n"
         fd, temp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")

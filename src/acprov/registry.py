@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections.abc import Mapping
+from collections.abc import Container, Mapping
 from enum import Enum
 from functools import cached_property, partial
 from typing import Any, Callable, ClassVar, Optional, Sequence, Tuple, Union, get_args
@@ -95,10 +95,15 @@ def is_valid_product_id(product_id: Any) -> bool:
 # ---------------------------------------------------------------------------
 # Transaction kinds
 #
-# Each kind's class is the one place that names its wire form: TYPE is
-# the "type" member of its canonical object, its fields are the
-# other members, and CHECKS says how each is checked when decoded (see
-# canonical._decode).  The class name is its gas-report category.
+# Each kind's class is the one place for its wire form, its rules, its
+# effect and its storage gas.  TYPE is the "type" member of its canonical
+# object, its fields are the other members, and CHECKS says how each is
+# checked when decoded (see canonical._decode).  error(state, sender) is
+# the first variant rule the sender's Account breaks, in an order that is
+# part of the contract; effect(state, tx, ctx) is the state after it is
+# accepted; storage_gas(params) is the storage-slot cost of that effect.
+# The class name is its gas-report category.  apply_tx settles a faucet
+# claim itself, so FaucetClaim has none of the three.
 
 
 class Deploy(Record):
@@ -106,6 +111,20 @@ class Deploy(Record):
     TYPE: ClassVar[str] = "deploy"
     CHECKS: ClassVar[dict] = {"code_size": _as_int}
     code_size: int
+
+    def error(self, state: RegistryState, sender: Account) -> Optional[str]:
+        if state.contract is not None:
+            return ALREADY_DEPLOYED
+        if sender.role not in TRUSTED_ROLES and sender.role is not Role.AUTHORITY:
+            return NOT_TRUSTED_NODE
+        return None
+
+    def effect(self, state: RegistryState, tx: TxEnvelope, ctx: TxContext) -> RegistryState:
+        info = ContractInfo(address=contract_address(tx.sender, tx.nonce), deployer=tx.sender)
+        return RegistryState(state.chain_id, info, state.accounts, state.products)
+
+    def storage_gas(self, params: gas_model.GasParams) -> int:
+        return params.create_base + params.code_byte * self.code_size
 
 
 class Register(Record):
@@ -116,6 +135,29 @@ class Register(Record):
     name: str
     metadata: str = ""
 
+    def error(self, state: RegistryState, sender: Account) -> Optional[str]:
+        if state.contract is None:
+            return NOT_DEPLOYED
+        if sender.role is not Role.MANUFACTURER:
+            return NOT_MANUFACTURER
+        if not is_valid_product_id(self.product_id):
+            return BAD_PRODUCT_ID
+        if len(self.metadata.encode("utf-8")) > MAX_METADATA_BYTES:
+            return BAD_METADATA
+        if self.product_id in state.products:
+            return DUPLICATE_PRODUCT_ID
+        return None
+
+    def effect(self, state: RegistryState, tx: TxEnvelope, ctx: TxContext) -> RegistryState:
+        return _with_product(state, ProductRecord(
+            self.product_id, self.name, self.metadata, tx.sender, tx.sender,
+            Status.AVAILABLE, (tx.sender,), ctx.block_index,
+        ))
+
+    def storage_gas(self, params: gas_model.GasParams) -> int:
+        """Three new slots: the record, its owner and its first history slot."""
+        return 3 * params.sstore_new
+
 
 class Transfer(Record):
     """Move an available product to another trusted node."""
@@ -124,6 +166,16 @@ class Transfer(Record):
     product_id: str
     new_owner: str
 
+    def error(self, state: RegistryState, sender: Account) -> Optional[str]:
+        return _hand_on_error(state, sender, self.product_id, self.new_owner, TRUSTED_ROLES, NOT_TRUSTED_NODE)
+
+    def effect(self, state: RegistryState, tx: TxEnvelope, ctx: TxContext) -> RegistryState:
+        return _handed_on(state, self.product_id, self.new_owner, Status.AVAILABLE)
+
+    def storage_gas(self, params: gas_model.GasParams) -> int:
+        """The owner rewritten and one history slot appended."""
+        return params.sstore_update + params.sstore_new
+
 
 class Sell(Record):
     """Sell an available product to a consumer; it becomes unavailable."""
@@ -131,6 +183,16 @@ class Sell(Record):
     CHECKS: ClassVar[dict] = {"product_id": _as_str, "consumer": _as_address}
     product_id: str
     consumer: str
+
+    def error(self, state: RegistryState, sender: Account) -> Optional[str]:
+        return _hand_on_error(state, sender, self.product_id, self.consumer, {Role.CONSUMER}, NOT_CONSUMER)
+
+    def effect(self, state: RegistryState, tx: TxEnvelope, ctx: TxContext) -> RegistryState:
+        return _handed_on(state, self.product_id, self.consumer, Status.UNAVAILABLE)
+
+    def storage_gas(self, params: gas_model.GasParams) -> int:
+        """The owner and status rewritten and one history slot appended."""
+        return 2 * params.sstore_update + params.sstore_new
 
 
 class FaucetClaim(Record):
@@ -142,8 +204,6 @@ class FaucetClaim(Record):
 TxKind = Union[Deploy, Register, Transfer, Sell, FaucetClaim]
 
 _KIND_OF_TYPE = {cls.TYPE: cls for cls in get_args(TxKind)}
-
-kind_to_canonical = _canonical
 
 
 def kind_from_canonical(doc: Any, name: str = "kind") -> TxKind:
@@ -157,6 +217,38 @@ def kind_from_canonical(doc: Any, name: str = "kind") -> TxKind:
 
 
 kind_from_canonical.decodes = tuple(_KIND_OF_TYPE.values())  # so check_fields checks a kind in place
+
+
+def _hand_on_error(
+    state: RegistryState, sender: Account, product_id: str, target: str, roles: Container[Role], code: str
+) -> Optional[str]:
+    """A transfer's or a sale's rules: product_id must be an available
+    product that sender owns, and then target an account of one of roles,
+    or code is the receipt's."""
+    product = state.products.get(product_id)
+    if product is None:
+        return UNKNOWN_PRODUCT
+    if product.status is not Status.AVAILABLE:
+        return PRODUCT_UNAVAILABLE
+    if product.current_owner != sender.address:
+        return NOT_OWNER
+    account = state.accounts.get(target)
+    return code if account is None or account.role not in roles else None
+
+
+def _handed_on(state: RegistryState, product_id: str, owner: str, status: Status) -> RegistryState:
+    """state with product_id handed on to owner, at status."""
+    p = state.products[product_id]
+    return _with_product(state, ProductRecord(
+        p.product_id, p.name, p.metadata, p.manufacturer, owner, status,
+        p.history + (owner,), p.registered_at,
+    ))
+
+
+def _with_product(state: RegistryState, record: ProductRecord) -> RegistryState:
+    products = dict(state.products)
+    products[record.product_id] = record
+    return RegistryState(state.chain_id, state.contract, state.accounts, products)
 
 
 # ---------------------------------------------------------------------------
@@ -398,107 +490,6 @@ def contract_address(sender: str, nonce: int) -> str:
     return to_hex(digest[-20:])
 
 
-# ---------------------------------------------------------------------------
-# Transition rules
-
-# Check order within each variant is part of the contract; the first
-# failing rule names the receipt code.
-
-
-def transition_error(state: RegistryState, sender: str, kind: TxKind) -> Optional[str]:
-    """First violated variant rule, or None when the effect may apply.
-
-    Authentication, fees, and faucet cooldowns are handled by apply_tx;
-    this covers only the product/contract rules.
-    """
-    sender_acct = state.accounts.get(sender)
-    sender_role = sender_acct.role if sender_acct else None
-
-    if isinstance(kind, Deploy):
-        if state.contract is not None:
-            return ALREADY_DEPLOYED
-        if sender_role not in TRUSTED_ROLES and sender_role is not Role.AUTHORITY:
-            return NOT_TRUSTED_NODE
-        return None
-
-    if isinstance(kind, Register):
-        if state.contract is None:
-            return NOT_DEPLOYED
-        if sender_role is not Role.MANUFACTURER:
-            return NOT_MANUFACTURER
-        if not is_valid_product_id(kind.product_id):
-            return BAD_PRODUCT_ID
-        if len(kind.metadata.encode("utf-8")) > MAX_METADATA_BYTES:
-            return BAD_METADATA
-        if kind.product_id in state.products:
-            return DUPLICATE_PRODUCT_ID
-        return None
-
-    if isinstance(kind, (Transfer, Sell)):
-        product = state.products.get(kind.product_id)
-        if product is None:
-            return UNKNOWN_PRODUCT
-        if product.status is not Status.AVAILABLE:
-            return PRODUCT_UNAVAILABLE
-        if product.current_owner != sender:
-            return NOT_OWNER
-        if isinstance(kind, Transfer):
-            target = state.accounts.get(kind.new_owner)
-            if target is None or target.role not in TRUSTED_ROLES:
-                return NOT_TRUSTED_NODE
-        else:
-            target = state.accounts.get(kind.consumer)
-            if target is None or target.role is not Role.CONSUMER:
-                return NOT_CONSUMER
-        return None
-
-    if isinstance(kind, FaucetClaim):
-        return None
-
-    raise TypeError(f"unknown transaction kind {kind!r}")
-
-
-def _with_product(state: RegistryState, record: ProductRecord) -> RegistryState:
-    products = dict(state.products)
-    products[record.product_id] = record
-    return RegistryState(state.chain_id, state.contract, state.accounts, products)
-
-
-def _apply_effect(state: RegistryState, tx: TxEnvelope, ctx: TxContext) -> RegistryState:
-    kind = tx.kind
-    if isinstance(kind, Deploy):
-        info = ContractInfo(address=contract_address(tx.sender, tx.nonce), deployer=tx.sender)
-        return RegistryState(state.chain_id, info, state.accounts, state.products)
-    if isinstance(kind, Register):
-        return _with_product(
-            state,
-            ProductRecord(
-                product_id=kind.product_id,
-                name=kind.name,
-                metadata=kind.metadata,
-                manufacturer=tx.sender,
-                current_owner=tx.sender,
-                status=Status.AVAILABLE,
-                history=(tx.sender,),
-                registered_at=ctx.block_index,
-            ),
-        )
-    if isinstance(kind, (Transfer, Sell)):
-        p = state.products[kind.product_id]
-        if isinstance(kind, Transfer):
-            owner, status = kind.new_owner, p.status
-        else:
-            owner, status = kind.consumer, Status.UNAVAILABLE
-        return _with_product(
-            state,
-            ProductRecord(
-                p.product_id, p.name, p.metadata, p.manufacturer, owner, status,
-                p.history + (owner,), p.registered_at,
-            ),
-        )
-    raise TypeError(f"no effect for transaction kind {kind!r}")
-
-
 def _charge_and_bump(
     state: RegistryState, payer: str, sealer: str, fee_wei: int
 ) -> RegistryState:
@@ -519,11 +510,14 @@ def _charge_and_bump(
 def apply_tx(
     state: RegistryState, tx: TxEnvelope, ctx: TxContext
 ) -> Tuple[RegistryState, Receipt]:
-    """Pure transition: authenticate, meter, settle, then apply the variant."""
-    txh = tx.hash
-    params = ctx.gas_params
-    is_faucet = isinstance(tx.kind, FaucetClaim)
-    intrinsic = 0 if is_faucet else gas_model.intrinsic_gas(tx.kind_bytes, params)
+    """Pure transition: authenticate, meter, settle, then apply the variant.
+
+    A faucet claim is settled here, fee-free.  Any other kind pays its
+    storage gas only if it breaks none of its rules (kind.error), and
+    takes its effect (kind.effect) once its whole fee is paid."""
+    txh, kind = tx.hash, tx.kind
+    is_faucet = isinstance(kind, FaucetClaim)
+    intrinsic = 0 if is_faucet else gas_model.intrinsic_gas(tx.kind_bytes, ctx.gas_params)
 
     acct = state.accounts.get(tx.sender)
     payload = tx.signing_payload(state.chain_id)
@@ -553,8 +547,8 @@ def apply_tx(
         )
         return RegistryState(state.chain_id, state.contract, accounts, state.products), receipt
 
-    err = transition_error(state, tx.sender, tx.kind)
-    gas_used = intrinsic if err else intrinsic + gas_model.storage_gas(tx.kind, params)
+    err = kind.error(state, acct)
+    gas_used = intrinsic if err else intrinsic + kind.storage_gas(ctx.gas_params)
     fee_wei = gas_model.fee(gas_used, tx.gas_price)
 
     if acct.balance < fee_wei:
@@ -568,5 +562,5 @@ def apply_tx(
     charged = _charge_and_bump(state, tx.sender, ctx.sealer, fee_wei)
     if err is not None:
         return charged, Receipt(txh, False, gas_used, fee_wei, err)
-    return _apply_effect(charged, tx, ctx), Receipt(txh, True, gas_used, fee_wei, None)
+    return kind.effect(charged, tx, ctx), Receipt(txh, True, gas_used, fee_wei, None)
 

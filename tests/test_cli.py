@@ -381,6 +381,22 @@ class TestGasReport:
         res = run_cli("gas-report", "--csv", str(out), cwd=workspace["dir"])
         assert out.read_text() == res.stdout
 
+    def test_a_fee_total_past_decimal_precision(self, tmp_path):
+        """A fee total of 10**38 wei or more, past decimal's default 28
+        digits, is reported exactly: one deploy at 10**30 gwei per gas."""
+        assert run_cli("keygen", "--role", "authority", "--out", "auth.json", cwd=tmp_path).returncode == 0
+        maker = run_cli("keygen", "--role", "manufacturer", "--out", "m.json", cwd=tmp_path).stdout.strip()
+        res = run_cli("init", "--authority", "auth.json", "--account", "m.json:manufacturer",
+                      "--fund", f"{maker}={10**60}", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        res = run_cli("tx", "deploy", "--key", "m.json", "--gas-price", str(10**30), cwd=tmp_path)
+        receipt = json.loads(res.stdout)
+        assert receipt["accepted"] and receipt["fee"] == receipt["gas_used"] * 10**39 >= 10**38
+        res = run_cli("gas-report", cwd=tmp_path)
+        assert (res.returncode, res.stderr) == (0, "")
+        used = receipt["gas_used"]  # the fee is used * 10**21 ETH exactly
+        assert res.stdout.splitlines()[-1] == f"TOTAL,1,{used},{used},{receipt['fee']},{used * 10**21}.00000000"
+
     def test_replays_the_chain_once(self, workspace, tmp_path, monkeypatch, capsys):
         """At the tip sidecar the last tx left, gas-report walks no block;
         without a sidecar it replays the chain once and writes one."""
@@ -1067,7 +1083,7 @@ def test_a_tip_read_generates_no_encoder(tmp_path):
     base = ["--db", str(tmp_path / "chain50.jsonl"), "--genesis", str(tmp_path / "genesis50.json")]
     script = (
         "import sys; from acprov import canonical; made = []; generate = canonical._encoder\n"
-        "canonical._encoder = lambda cls, names: made.append(cls.__name__) or generate(cls, names)\n"
+        "canonical._encoder = lambda cls: made.append(cls.__name__) or generate(cls)\n"
         "from acprov import cli; imported = list(made); code = cli.main(sys.argv[1:])\n"
         "print(code, imported, sorted(set(made)))"
     )

@@ -1,3 +1,4 @@
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +13,12 @@ import support
 PARAMS = gas.GasParams()
 
 
+def decode_params(doc):
+    """The gas parameters doc holds, decoded as the genesis decoder decodes
+    its gas_params member."""
+    return ledger.GenesisConfig.CHECKS["gas_params"](doc, "gas_params")
+
+
 class TestParams:
     def test_defaults_are_positive(self):
         for name, value in PARAMS.to_canonical().items():
@@ -22,12 +29,12 @@ class TestParams:
             gas.GasParams(base_tx=0)
 
     def test_canonical_round_trip(self):
-        assert gas.GasParams.from_canonical(PARAMS.to_canonical()) == PARAMS
+        assert decode_params(PARAMS.to_canonical()) == PARAMS
 
     def test_unknown_param_rejected(self):
         doc = dict(PARAMS.to_canonical(), mystery=1)
         with pytest.raises(ValueError):
-            gas.GasParams.from_canonical(doc)
+            decode_params(doc)
 
 
 class TestMetering:
@@ -47,26 +54,22 @@ class TestMetering:
 
     def test_faucet_intrinsic_by_hand(self):
         # canonical kind bytes are {"type":"faucet_claim"}: 23 bytes, none zero
-        kind_bytes = canonical.canonical_serialize(registry.kind_to_canonical(FaucetClaim()))
+        kind_bytes = canonical.canonical_serialize(canonical._canonical(FaucetClaim()))
         assert len(kind_bytes) == 23
         assert gas.intrinsic_gas(kind_bytes, PARAMS) == 21_000 + 23 * 16
 
     def test_deploy_storage_scales_with_code_size(self):
         small = Deploy(code_size=1)
         big = Deploy(code_size=1001)
-        assert gas.storage_gas(big, PARAMS) - gas.storage_gas(small, PARAMS) == 1000 * 200
+        assert big.storage_gas(PARAMS) - small.storage_gas(PARAMS) == 1000 * 200
 
     def test_slot_counts(self):
         register = Register(product_id="P", name="n", metadata="")
         transfer = Transfer(product_id="P", new_owner="0x" + "0" * 40)
         sell = Sell(product_id="P", consumer="0x" + "0" * 40)
-        assert gas.storage_gas(register, PARAMS) == 3 * 20_000
-        assert gas.storage_gas(transfer, PARAMS) == 5_000 + 20_000
-        assert gas.storage_gas(sell, PARAMS) == 2 * 5_000 + 20_000
-
-    def test_unknown_kind_type_rejected(self):
-        with pytest.raises(ValueError):
-            gas.storage_gas({"type": "mint"}, PARAMS)
+        assert register.storage_gas(PARAMS) == 3 * 20_000
+        assert transfer.storage_gas(PARAMS) == 5_000 + 20_000
+        assert sell.storage_gas(PARAMS) == 2 * 5_000 + 20_000
 
     def test_fee_is_exact_product(self):
         assert gas.fee(21_000, 1_100_000_000) == 23_100_000_000_000
@@ -80,15 +83,15 @@ class TestGasForTx:
     def test_rejected_tx_meters_intrinsic_only(self, genesis, state, keys):
         # a consumer may not deploy, so no storage gas is charged
         tx = registry.make_tx(keys["consumer"], 5, 0, Deploy(code_size=2000), 10**9)
-        doc = registry.kind_to_canonical(tx.kind)
+        doc = canonical._canonical(tx.kind)
         _, receipt = registry.apply_tx(state, tx, support.ctx_for(genesis))
         assert receipt.error == registry.NOT_TRUSTED_NODE
         assert receipt.gas_used == gas.intrinsic_gas(canonical.canonical_serialize(doc), PARAMS)
 
     def test_accepted_tx_adds_storage(self, genesis, state, keys):
         tx = registry.make_tx(keys["manufacturer"], 5, 0, Deploy(code_size=2000), 10**9)
-        kind_bytes = canonical.canonical_serialize(registry.kind_to_canonical(tx.kind))
-        expected = gas.intrinsic_gas(kind_bytes, PARAMS) + gas.storage_gas(tx.kind, PARAMS)
+        kind_bytes = canonical.canonical_serialize(canonical._canonical(tx.kind))
+        expected = gas.intrinsic_gas(kind_bytes, PARAMS) + tx.kind.storage_gas(PARAMS)
         _, receipt = registry.apply_tx(state, tx, support.ctx_for(genesis))
         assert receipt.accepted
         assert receipt.gas_used == expected
@@ -131,6 +134,20 @@ class TestFormatting:
 
     def test_format_eth_known_value(self):
         assert gas.format_eth(646_949_600_000_000) == "0.00064695"
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        wei=st.integers(min_value=0, max_value=10**60)
+        | st.integers(min_value=0, max_value=10**12)
+        | st.integers(min_value=0, max_value=10**50).map(lambda units: units * 10**10 + 5 * 10**9)  # halves
+    )
+    def test_format_eth_matches_decimal_rounding(self, wei):
+        """The integer formatting is Decimal's half-up rounding with enough
+        digits, also for fees far past Decimal's default 28."""
+        with localcontext() as context:
+            context.prec = 100
+            value = (Decimal(wei) / gas.WEI_PER_ETH).quantize(Decimal("0.00000001"), rounding=ROUND_HALF_UP)
+        assert gas.format_eth(wei) == f"{value:.8f}"
 
 
 def tx_of(kind):

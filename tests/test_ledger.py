@@ -582,7 +582,7 @@ class TestCheckpoint:
             "genesis": canonical.hash_obj(genesis.to_canonical()),
             "hash": store.tip.hash,
             "index": store.tip.index,
-            "prefix": canonical.hash_of(raw),
+            "prefix": canonical.hash_of(raw + canonical.canonical_serialize(dict(store.gas))),
         })
         assert canonical.hash_of(body) == store.tip.state_root
         assert body == canonical.canonical_serialize(store.state.to_canonical())
@@ -631,12 +631,11 @@ class TestCheckpoint:
         assert ledger.open_store(store.path, genesis).state == store.state
         assert [(parent.index, len(blocks)) for parent, blocks, *_ in replays] == [(4, 1)]
         assert len(lines) == 1 and len(applied) == 2  # block 5 alone; line 4 gives its header
-        raw = store.path.read_bytes()
+        raw, gas = store.path.read_bytes(), canonical.canonical_serialize(dict(store.gas))
         assert sidecar_of(store.path).read_bytes().startswith(
             b'{"bytes":%d,"gas":%s,"genesis":"%s","hash":"%s","index":5,"prefix":"%s"}\n'
-            % (len(raw), canonical.canonical_serialize(dict(store.gas)),
-               canonical.hash_obj(genesis.to_canonical()).encode(),
-               store.tip.hash.encode(), canonical.hash_of(raw).encode())
+            % (len(raw), gas, canonical.hash_obj(genesis.to_canonical()).encode(),
+               store.tip.hash.encode(), canonical.hash_of(raw + gas).encode())
         )
 
     def test_a_last_line_without_its_newline_reads_through_the_tail(
@@ -650,7 +649,7 @@ class TestCheckpoint:
         whole = raw[: raw.rfind(b"\n", 0, -1) + 1]
         head = json.loads(sidecar_of(store.path).read_bytes().split(b"\n")[0])
         assert (head["index"], head["bytes"]) == (3, len(whole))
-        assert head["prefix"] == canonical.hash_of(whole)
+        assert head["prefix"] == canonical.hash_of(whole + canonical.canonical_serialize(head["gas"]))
         sidecar = sidecar_of(store.path).read_bytes()
         parses = support.count_calls(monkeypatch, ledger, "parse_chain_bytes")
         replays = support.count_calls(monkeypatch, ledger, "_replay")

@@ -316,7 +316,7 @@ class TestRunOutputs:
         meters, so a run encodes each transaction's kind once."""
         encoded = []
         for cls in get_args(registry.TxKind):
-            encode = canonical._encoder(cls, cls.FIELDS)
+            encode = canonical._encoder(cls)
             monkeypatch.setattr(cls, "to_bytes", lambda kind, encode=encode: encoded.append(kind) or encode(kind))
         result = simnet.run_scenario(SMALL, tmp_path / "once")
         kinds = [tx.kind for block in result.blocks for tx in block.txs]
@@ -354,10 +354,8 @@ class TestLifecycle:
     def test_second_sell_would_be_rejected(self, lifecycle_run):
         record = lifecycle_run.final_state.products["P-001"]
         seller = record.history[-2]  # the retailer who completed the sale
-        err = registry.transition_error(
-            lifecycle_run.final_state,
-            seller,
-            registry.Sell(product_id="P-001", consumer=record.current_owner),
+        err = registry.Sell(product_id="P-001", consumer=record.current_owner).error(
+            lifecycle_run.final_state, lifecycle_run.final_state.accounts[seller]
         )
         assert err == registry.PRODUCT_UNAVAILABLE
 

@@ -82,6 +82,9 @@ def grid(tmp_path_factory, keys50):
     head17 = json.loads(sidecars["k=17"].split(b"\n", 1)[0])
     sidecars["three-member"] = with_head(tip, bytes=None, prefix=None)
     sidecars["five-member"] = with_head(tip, gas=None)  # the head before the gas totals
+    totals = json.loads(tip.split(b"\n", 1)[0])["gas"]
+    count, total_gas, total_fee = totals["Deploy"]
+    sidecars["gas-edited"] = with_head(tip, gas={**totals, "Deploy": [count, total_gas, total_fee + 1]})
     sidecars["bytes-mid-line"] = with_head(tip, bytes=len(raw) - 1)
     sidecars["bytes-next-line"] = with_head(sidecars["k=17"], bytes=head17["bytes"] + len(lines[18]))
     digit = head17["prefix"][-1]
@@ -242,6 +245,21 @@ def test_a_gas_report_at_a_sidecar_walks_only_the_tail(grid, monkeypatch, k):
     assert (code, out, err) == (0, (FIXTURES / "gas_report50.csv").read_text(), "")
     assert len(parsed) == len(blocks) and len(executed) == sum(len(block.txs) for block in blocks)
     assert json.loads(tip.read_bytes().split(b"\n")[0])["index"] == 49
+
+
+def test_a_gas_only_edit_of_the_sidecar_is_caught(grid, monkeypatch):
+    """The head's prefix also hashes its gas totals, so a sidecar whose
+    totals alone were edited misfits: gas-report replays the chain in
+    full, prints the committed report and rewrites the sidecar."""
+    chain, tip = grid["dir"] / "chain.jsonl", grid["dir"] / "chain.jsonl.tip"
+    chain.write_bytes(grid["inputs"]["intact"])
+    tip.write_bytes(grid["sidecars"]["gas-edited"])
+    base = ["--db", str(chain), "--genesis", str(grid["dir"] / "genesis.json")]
+    replays = support.count_calls(monkeypatch, ledger, "_replay")
+    code, out, err = run(base + ["gas-report"])
+    assert (code, out, err) == (0, (FIXTURES / "gas_report50.csv").read_text(), "")
+    assert [(parent.index, len(blocks)) for parent, blocks, *_ in replays] == [(0, 49)]
+    assert tip.read_bytes() == grid["sidecars"]["k=49"]
 
 
 def test_a_short_append_prints_no_receipt(grid, monkeypatch):
